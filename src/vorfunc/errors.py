@@ -41,7 +41,7 @@ class CollinearImage(VorfuncError):
 
 
 class InvalidRegion(VorfuncError):
-    """Monte Carlo region is empty or degenerate."""
+    """Monte Carlo region is empty or degenerate, or misses the integrand's support."""
 
 
 class ConstructionFailed(VorfuncError):

@@ -111,6 +111,8 @@ def optimality_scan(
     """
     if not 4 <= n <= 12:
         raise ValueError("scan expects 4 <= n <= 12")
+    if trials < 1:
+        raise ValueError("scan expects at least one trial")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     rows = []
     worst_gap = np.inf  # signed distance of Delaunay value from the required extreme

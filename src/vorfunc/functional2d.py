@@ -30,13 +30,12 @@ from .errors import DegenerateSimplex, NonConvexQuad
 from .geom import (
     Triangle2,
     circumcircle2,
+    convex_polygon_masks,
     in_circle,
-    inside_triangle_mask,
     orient2,
     signed_area,
-    visible_vertex_mask_robust,
 )
-from .integrate import Box, quad_triangle
+from .integrate import Box, check_vanishes_on_boundary, quad_triangle
 from .tri2d import GEOMETRIC, Triangulation2, convex_hull
 
 
@@ -157,10 +156,10 @@ def g_triangle_points(t: Triangle2, pts: np.ndarray) -> np.ndarray:
     d2 = ((pts[:, None, :] - verts[None, :, :]) ** 2).sum(axis=2)
     nearest = d2.min(axis=1)
     g = nearest.copy()
-    outside = ~inside_triangle_mask(verts, pts)
+    inside, vis = convex_polygon_masks(verts, pts)
+    outside = ~inside
     if outside.any():
-        vis = visible_vertex_mask_robust(verts, pts[outside])
-        d2_vis = np.where(vis, d2[outside], np.inf)
+        d2_vis = np.where(vis[outside], d2[outside], np.inf)
         g[outside] = nearest[outside] - d2_vis.min(axis=1)
     return g
 
@@ -202,20 +201,11 @@ def support_box(t: Triangulation2, pad_factor: float = 1.0) -> Box:
 
 
 def assert_vanishes_on_boundary(t: Triangulation2, box: Box, n_samples: int = 256):
-    """Spot-check that g_field is zero on the box boundary before trusting MC."""
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    side = np.linspace(0.0, 1.0, n_samples // 4)
-    edges = [
-        np.stack([lo[0] + side * (hi[0] - lo[0]), np.full_like(side, lo[1])], axis=1),
-        np.stack([lo[0] + side * (hi[0] - lo[0]), np.full_like(side, hi[1])], axis=1),
-        np.stack([np.full_like(side, lo[0]), lo[1] + side * (hi[1] - lo[1])], axis=1),
-        np.stack([np.full_like(side, hi[0]), lo[1] + side * (hi[1] - lo[1])], axis=1),
-    ]
-    vals = g_field(t, np.concatenate(edges))
-    worst = float(np.abs(vals).max())
-    if worst > 1e-12:
-        raise AssertionError(f"g_field does not vanish on the MC box boundary ({worst:g})")
+    """Spot-check that g_field is zero on the box boundary before trusting MC.
+
+    Raises InvalidRegion otherwise.
+    """
+    check_vanishes_on_boundary(lambda x: g_field(t, x), box, n_samples)
 
 
 # ---------------------------------------------------------------------------

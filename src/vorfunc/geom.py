@@ -1,7 +1,8 @@
 """Geometric primitives in 2D and 3D.
 
-Orientation and in-circle/in-sphere predicates, circumcenters, nearest and
-nearest-visible vertices, and the paraboloid lift.  Predicates use plain
+Orientation and in-circle/in-sphere predicates, circumcenters, containment
+and vertex visibility for convex polygons, nearest and nearest-visible
+vertices, and the paraboloid lift.  Predicates use plain
 float determinants with a relative tolerance ``TAU_GEOM``; all drivers feed
 them generic (randomized or jittered) inputs, so adaptive precision is not
 needed.  Everything here is a pure function on value types.
@@ -224,137 +225,82 @@ def nearest_vertex(t: Triangle2, p) -> tuple[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized containment / visibility cores.  These take a (3, 2) vertex array
-# and an (m, 2) sample array; the scalar API wraps them.
+# Vectorized containment and visibility.  One pass over the edges of a convex
+# polygon, given as a (k, 2) vertex array, classifies an (m, 2) sample array;
+# the scalar helpers below wrap it.
 # ---------------------------------------------------------------------------
 
 
-def _ccw_vertices(verts: np.ndarray) -> np.ndarray:
-    if signed_area(verts[0], verts[1], verts[2]) < 0.0:
-        return verts[::-1].copy()
-    return verts
-
-
-def inside_triangle_mask(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Boolean mask of points in the closed triangle (boundary counts as inside)."""
-    v = _ccw_vertices(np.asarray(verts, float))
-    pts = np.asarray(pts, float)
-    ok = np.ones(len(pts), dtype=bool)
-    for i in range(3):
-        q = v[i]
-        e = v[(i + 1) % 3] - q
-        cross = e[0] * (pts[:, 1] - q[1]) - e[1] * (pts[:, 0] - q[0])
-        scale = (abs(e[0]) + abs(e[1])) * (np.abs(pts - q).sum(axis=1) + 1e-300)
-        ok &= cross >= -TAU_GEOM * scale
-    return ok
-
-
 def _polygon_signed_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
+    # Shoelace about the first vertex; for a triangle this is signed_area.
+    x, y = (verts - verts[0]).T
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def visible_vertex_mask(verts: np.ndarray, pts: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-    """(m, k) mask: vertex j of a convex polygon is visible from pts[i].
+def convex_polygon_masks(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Containment (m,) and visibility (m, k) masks for a convex polygon.
 
-    A vertex is visible when the segment from the sample point to the vertex
-    meets the closed polygon only at that vertex.  Computed as the Cyrus-Beck
-    entry parameter of the segment into the polygon: visible iff entry occurs
-    at the vertex end (t >= 1 - eps).  Intended for points outside the
-    polygon; accepts a triangle (k = 3) or any convex polygon in either
-    orientation.
+    ``inside`` is closed: a point within TAU_GEOM (relative) of an edge line
+    counts as inside.  Vertex j is visible from a point unless the point lies
+    strictly on the inner side of both edges at j, which for an outside point
+    is exactly when the segment to vertex j avoids the polygon's interior.  An
+    outside point violates some edge and sees both of its ends, so no outside
+    point has an empty visible set.  ``visible`` is meaningful for outside
+    points only.  Accepts either orientation; columns follow ``verts``.
     """
     verts = np.asarray(verts, float)
-    k = len(verts)
     reversed_order = _polygon_signed_area(verts) < 0.0
-    v = verts[::-1].copy() if reversed_order else verts
+    v = verts[::-1] if reversed_order else verts
     pts = np.asarray(pts, float)
-    m = len(pts)
-    # Inward edge normals and per-point signed offsets s_i = n_i . (p - q_i).
-    normals = []
-    offsets = []
+    k = len(v)
+    inside = np.ones(len(pts), dtype=bool)
+    visible = np.empty((len(pts), k), dtype=bool)
     for i in range(k):
         q = v[i]
         e = v[(i + 1) % k] - q
-        n = np.array([-e[1], e[0]])  # inward for ccw order
-        normals.append(n)
-        offsets.append(pts @ n - q @ n)
-    visible = np.zeros((m, k), dtype=bool)
-    for j in range(k):
-        target = v[j]
-        d = target - pts  # (m, 2)
-        t_in = np.zeros(m)
-        for i in range(k):
-            den = d @ normals[i]
-            s = offsets[i]
-            entering = den > 1e-300
-            t_edge = np.where(entering, -s / np.where(entering, den, 1.0), -np.inf)
-            t_in = np.maximum(t_in, t_edge)
-        col = (k - 1) - j if reversed_order else j
-        visible[:, col] = t_in >= 1.0 - eps
-    return visible
-
-
-def visible_vertex_mask_robust(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Visibility mask that never leaves a point with an empty visible set.
-
-    Points sitting within a float-noise band of an edge line can fail the
-    strict entry test for every vertex while the containment test still
-    classifies them as outside.  A second pass with a looser threshold
-    recovers the correct outside-limit set (the endpoints of the violated
-    edge); as a last resort the nearest vertex is declared visible.
-    """
-    vis = visible_vertex_mask(verts, pts)
-    bad = np.where(~vis.any(axis=1))[0]
-    if len(bad):
-        vis[bad] = visible_vertex_mask(verts, pts[bad], eps=1e-6)
-        still = bad[~vis[bad].any(axis=1)]
-        if len(still):
-            d2 = ((pts[still][:, None, :] - np.asarray(verts, float)[None, :, :]) ** 2).sum(axis=2)
-            vis[still, d2.argmin(axis=1)] = True
-    return vis
+        dx = pts[:, 0] - q[0]
+        dy = pts[:, 1] - q[1]
+        cross = e[0] * dy - e[1] * dx
+        scale = (abs(e[0]) + abs(e[1])) * (np.abs(dx) + np.abs(dy) + 1e-300)
+        inside &= cross >= -TAU_GEOM * scale
+        inner = cross > 0.0
+        if i == 0:
+            first_inner = inner
+        else:
+            # Vertex i lies between edges i - 1 and i.
+            np.logical_not(prev_inner & inner, out=visible[:, i])
+        prev_inner = inner
+    np.logical_not(prev_inner & first_inner, out=visible[:, 0])
+    return inside, visible[:, ::-1] if reversed_order else visible
 
 
 def inside_convex_polygon_mask(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Closed containment mask for a convex polygon (either orientation)."""
-    verts = np.asarray(verts, float)
-    if _polygon_signed_area(verts) < 0.0:
-        verts = verts[::-1]
-    pts = np.asarray(pts, float)
-    k = len(verts)
-    ok = np.ones(len(pts), dtype=bool)
-    for i in range(k):
-        q = verts[i]
-        e = verts[(i + 1) % k] - q
-        cross = e[0] * (pts[:, 1] - q[1]) - e[1] * (pts[:, 0] - q[0])
-        scale = (abs(e[0]) + abs(e[1])) * (np.abs(pts - q).sum(axis=1) + 1e-300)
-        ok &= cross >= -TAU_GEOM * scale
-    return ok
+    return convex_polygon_masks(verts, pts)[0]
 
 
 def nearest_visible_vertex(t: Triangle2, p):
     """Nearest vertex of t visible from p, as (index, squared distance).
 
-    Returns None when p lies strictly inside t (the caller's integrand treats
+    Returns None when p lies in the closed triangle t (the caller's integrand treats
     that squared distance as 0).  Raises DegenerateSimplex for a collinear t.
     """
     if orient2(t.a, t.b, t.c) == 0:
         raise DegenerateSimplex("collinear triangle")
     p = _as_point(p, 2)
     verts = t.vertices()
-    pts = p[None, :]
-    if inside_triangle_mask(verts, pts)[0]:
+    inside, vis = convex_polygon_masks(verts, p[None, :])
+    if inside[0]:
         return None
-    vis = visible_vertex_mask_robust(verts, pts)[0]
     d2 = ((verts - p) ** 2).sum(axis=1)
-    d2 = np.where(vis, d2, np.inf)
+    d2 = np.where(vis[0], d2, np.inf)
     i = int(np.argmin(d2))
     return i, float(d2[i])
 
 
 def point_in_triangle(t: Triangle2, p) -> bool:
     """Closed-triangle containment (boundary counts as inside)."""
-    return bool(inside_triangle_mask(t.vertices(), _as_point(p, 2)[None, :])[0])
+    return bool(inside_convex_polygon_mask(t.vertices(), _as_point(p, 2)[None, :])[0])
 
 
 def lift(p) -> np.ndarray:

@@ -113,6 +113,31 @@ def _region_geometry(region):
     raise InvalidRegion(f"unsupported region type {type(region).__name__}")
 
 
+def check_vanishes_on_boundary(f, box: Box, n_samples: int = 256):
+    """Spot-check that a planar integrand is zero on the border of its MC box.
+
+    Evaluates f at n_samples points spread evenly over the four sides and
+    raises InvalidRegion when any value exceeds 1e-12 in magnitude, that is,
+    when the box does not cover the integrand's support.
+    """
+    lo = np.asarray(box.lo, float)
+    hi = np.asarray(box.hi, float)
+    side = np.linspace(0.0, 1.0, n_samples // 4)
+    xs = lo[0] + side * (hi[0] - lo[0])
+    ys = lo[1] + side * (hi[1] - lo[1])
+    border = np.concatenate(
+        [
+            np.stack([xs, np.full_like(side, lo[1])], axis=1),
+            np.stack([xs, np.full_like(side, hi[1])], axis=1),
+            np.stack([np.full_like(side, lo[0]), ys], axis=1),
+            np.stack([np.full_like(side, hi[0]), ys], axis=1),
+        ]
+    )
+    worst = float(np.abs(f(border)).max())
+    if worst > 1e-12:
+        raise InvalidRegion(f"integrand does not vanish on the MC box boundary ({worst:g})")
+
+
 def mc_integrate(region, f, samples: int, seed: int) -> McEstimate:
     """Unbiased Monte Carlo estimate of the integral of f over a region.
 

@@ -29,12 +29,11 @@ from .geom import (
     circumcircle2,
     circumcircle3,
     circumsphere3,
-    inside_convex_polygon_mask,
+    convex_polygon_masks,
     signed_area,
     signed_volume,
-    visible_vertex_mask_robust,
 )
-from .integrate import mc_integrate, quad_tetra, quad_triangle
+from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
 from . import functional2d
 
@@ -313,11 +312,10 @@ def nearest_minus_visible_field(points: np.ndarray):
         x = np.asarray(x, float)
         d2 = ((x[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         g = d2.min(axis=1)
-        outside = ~inside_convex_polygon_mask(hull_pts, x)
+        inside, vis = convex_polygon_masks(hull_pts, x)
+        outside = ~inside
         if outside.any():
-            vis = visible_vertex_mask_robust(hull_pts, x[outside])
-            d2h = ((x[outside][:, None, :] - hull_pts[None, :, :]) ** 2).sum(axis=2)
-            d2h = np.where(vis, d2h, np.inf)
+            d2h = np.where(vis[outside], d2[np.ix_(outside, hull)], np.inf)
             g[outside] = g[outside] - d2h.min(axis=1)
         return g
 
@@ -328,24 +326,12 @@ def cell_decomposition_check(d: Triangulation2, samples: int = 10**6, seed: int 
     """Closed-form functional vs Monte Carlo of the plane integrand.
 
     Returns (closed_form, McEstimate).  The integrand vanishes outside the
-    inflated bounding box, which is spot-checked before integrating.
+    inflated bounding box, which is spot-checked before integrating
+    (InvalidRegion if it does not).
     """
     closed = functional2d.vf_triangulation(d).total
     box = functional2d.support_box(d)
     field = nearest_minus_visible_field(d.points)
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    side = np.linspace(0.0, 1.0, 64)
-    border = np.concatenate(
-        [
-            np.stack([lo[0] + side * (hi[0] - lo[0]), np.full_like(side, lo[1])], axis=1),
-            np.stack([lo[0] + side * (hi[0] - lo[0]), np.full_like(side, hi[1])], axis=1),
-            np.stack([np.full_like(side, lo[0]), lo[1] + side * (hi[1] - lo[1])], axis=1),
-            np.stack([np.full_like(side, hi[0]), lo[1] + side * (hi[1] - lo[1])], axis=1),
-        ]
-    )
-    worst = float(np.abs(field(border)).max())
-    if worst > 1e-12:
-        raise AssertionError(f"integrand does not vanish on the MC box boundary ({worst:g})")
+    check_vanishes_on_boundary(field, box)
     est = mc_integrate(box, field, samples, seed)
     return float(closed), est

@@ -8,7 +8,7 @@ each mapped triangle.
 
 Delaunay construction is a lexicographic sweep building an arbitrary
 triangulation, followed by Lawson flips until every interior edge passes the
-in-circle test; the same flip primitive drives flip() and the breadth-first
+in-circle test; the same flip primitive drives flip() and the depth-first
 enumeration of the flip graph.  Degeneracies are rejected (NotGeneralPosition),
 never perturbed.
 """
@@ -287,13 +287,23 @@ class Triangulation2:
 # ---------------------------------------------------------------------------
 
 
-def _oriented_edge_triple(tri, u, v):
-    """Rotate a ccw triple so it starts with directed edge (u, v), or None."""
-    for r in range(3):
-        a, b, c = tri[r % 3], tri[(r + 1) % 3], tri[(r + 2) % 3]
-        if (a, b) == (u, v):
-            return a, b, c
-    return None
+def _edge_quad(tri1, tri2, edge):
+    """Labels (u, v, k, l) of the quad around an interior edge of two ccw triples.
+
+    (u, v) is ``edge`` directed so that (u, v, k) is a rotation of tri1 and
+    (v, u, l) one of tri2; the flip replaces diagonal (u, v) by (k, l).
+    """
+    u, v = edge
+    if tri1[(tri1.index(u) + 1) % 3] != v:
+        u, v = v, u
+    k = next(w for w in tri1 if w != u and w != v)
+    l = next(w for w in tri2 if w != u and w != v)
+    return u, v, k, l
+
+
+def _strictly_convex(pts, u, v, k, l) -> bool:
+    """Whether quad (u, l, v, k) of an _edge_quad is strictly convex, so (k, l) can replace (u, v)."""
+    return orient2(pts[l], pts[v], pts[k]) > 0 and orient2(pts[k], pts[u], pts[l]) > 0
 
 
 def _scan_triangulation(pts):
@@ -362,19 +372,13 @@ def _legalize(pts, tris):
         if len(tids) != 2:
             continue
         t1_id, t2_id = sorted(tids)
-        u, v = edge
-        tri1 = _oriented_edge_triple(triangles[t1_id], u, v)
-        if tri1 is None:
-            u, v = v, u
-            tri1 = _oriented_edge_triple(triangles[t1_id], u, v)
-        tri2 = _oriented_edge_triple(triangles[t2_id], v, u)
-        k, l = tri1[2], tri2[2]
+        u, v, k, l = _edge_quad(triangles[t1_id], triangles[t2_id], edge)
         s = in_circle(Triangle2(pts[u], pts[v], pts[k]), pts[l])
         if s == 0:
             raise NotGeneralPosition(f"cocircular points {u}, {v}, {k}, {l}", (u, v, k, l))
         if s < 0:
             continue
-        if orient2(pts[l], pts[v], pts[k]) <= 0 or orient2(pts[k], pts[u], pts[l]) <= 0:
+        if not _strictly_convex(pts, u, v, k, l):
             raise NotGeneralPosition(
                 f"cannot restore edge ({u}, {v}): flip quad is degenerate", (u, v, k, l)
             )
@@ -433,15 +437,9 @@ def flip(t: Triangulation2, move: FlipMove) -> Triangulation2:
     if len(tids) != 2:
         raise NotInteriorEdge(f"edge {edge} is not an interior edge")
     first, second = tids
-    u, v = edge
-    tri1 = _oriented_edge_triple(t.triangles[first], u, v)
-    if tri1 is None:
-        u, v = v, u
-        tri1 = _oriented_edge_triple(t.triangles[first], u, v)
-    tri2 = _oriented_edge_triple(t.triangles[second], v, u)
-    k, l = tri1[2], tri2[2]
+    u, v, k, l = _edge_quad(t.triangles[first], t.triangles[second], edge)
     pts = t.points
-    if orient2(pts[l], pts[v], pts[k]) <= 0 or orient2(pts[k], pts[u], pts[l]) <= 0:
+    if not _strictly_convex(pts, u, v, k, l):
         raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
     new_tris = [tri for i, tri in enumerate(t.triangles) if i not in (first, second)]
     new_tris += [(u, l, k), (v, k, l)]
@@ -454,29 +452,24 @@ def _legal_flips(t: Triangulation2):
         if len(tids) != 2:
             continue
         first, second = tids
-        u, v = edge
-        tri1 = _oriented_edge_triple(t.triangles[first], u, v)
-        if tri1 is None:
-            u, v = v, u
-            tri1 = _oriented_edge_triple(t.triangles[first], u, v)
-        tri2 = _oriented_edge_triple(t.triangles[second], v, u)
-        k, l = tri1[2], tri2[2]
-        if orient2(pts[l], pts[v], pts[k]) > 0 and orient2(pts[k], pts[u], pts[l]) > 0:
+        u, v, k, l = _edge_quad(t.triangles[first], t.triangles[second], edge)
+        if _strictly_convex(pts, u, v, k, l):
             yield FlipMove((u, v))
 
 
 def enumerate_triangulations(ps, cap: int = 100000) -> list:
-    """All geometric triangulations of a planar point set, by flip-graph BFS.
+    """All geometric triangulations of a planar point set, by flip-graph DFS.
 
-    The flip graph of a planar point set is connected, so breadth-first search
-    from the Delaunay triangulation reaches every triangulation.  Raises
-    CapExceeded when more than ``cap`` triangulations are found.
+    The flip graph of a planar point set is connected, so depth-first search
+    from the Delaunay triangulation reaches every triangulation.  The result
+    lists them in discovery order, Delaunay first.  Raises CapExceeded when
+    more than ``cap`` triangulations are found.
     """
     root = delaunay(ps)
     seen = {root.canonical(): root}
-    queue = [root]
-    while queue:
-        cur = queue.pop()
+    stack = [root]
+    while stack:
+        cur = stack.pop()
         for move in _legal_flips(cur):
             nxt = flip(cur, move)
             key = nxt.canonical()
@@ -484,7 +477,7 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
                 if len(seen) >= cap:
                     raise CapExceeded(f"more than {cap} triangulations")
                 seen[key] = nxt
-                queue.append(nxt)
+                stack.append(nxt)
     return list(seen.values())
 
 

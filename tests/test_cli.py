@@ -107,6 +107,14 @@ def test_scan_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_scan_without_trials_exits_2(trials, capsys):
+    code, out, err = run_cli(["scan", "--n", "5", "--trials", trials, "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_counterexamples_octahedron(tmp_path, capsys):
     out_path = tmp_path / "octa.json"
     code, _, _ = run_cli(

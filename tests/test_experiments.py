@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vorfunc.geom import inside_triangle_mask
+from vorfunc.geom import inside_convex_polygon_mask
 from vorfunc.functional2d import g_field
 from vorfunc.tri2d import delaunay, make_topological
 from vorfunc.experiments import (
@@ -46,7 +46,7 @@ def test_folded_covering_counts(rng):
     def covering(x):
         count = np.zeros(len(x), dtype=int)
         for tri in k.triangles:
-            count += inside_triangle_mask(k.points[list(tri)], x).astype(int)
+            count += inside_convex_polygon_mask(k.points[list(tri)], x).astype(int)
         return count
 
     p = k.points

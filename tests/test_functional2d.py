@@ -237,6 +237,27 @@ def test_vf_closed_form_vs_field_mc_obtuse(rng):
         assert abs(vf_triangle(t) - est.value) <= 3 * est.std_error
 
 
+def test_boundary_checks_reject_box_inside_hull(rng):
+    # A box strictly inside the hull cuts through the support of both
+    # integrands, so neither may be handed to mc_integrate.
+    from vorfunc.errors import InvalidRegion
+    from vorfunc.integrate import Box, check_vanishes_on_boundary
+    from vorfunc.subdivision import nearest_minus_visible_field
+
+    d = random_delaunay(rng, 8)
+    hull_pts = d.points[convex_hull(d.points)]
+    c = hull_pts.mean(axis=0)
+    e = np.roll(hull_pts, -1, axis=0) - hull_pts
+    r = c - hull_pts
+    depth = (e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0]) / np.linalg.norm(e, axis=1)
+    h = 0.5 * depth.min()
+    box = Box(tuple(c - h), tuple(c + h))
+    with pytest.raises(InvalidRegion):
+        assert_vanishes_on_boundary(d, box)
+    with pytest.raises(InvalidRegion):
+        check_vanishes_on_boundary(nearest_minus_visible_field(d.points), box)
+
+
 # -- flip delta --------------------------------------------------------------
 
 

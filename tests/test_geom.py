@@ -3,11 +3,13 @@ import pytest
 
 from vorfunc.errors import DegenerateSimplex
 from vorfunc.geom import (
+    TAU_GEOM,
     Tetrahedron3,
     Triangle2,
     circumcircle2,
     circumcircle3,
     circumsphere3,
+    convex_polygon_masks,
     in_circle,
     in_sphere,
     lift,
@@ -17,6 +19,7 @@ from vorfunc.geom import (
     point_in_triangle,
     tangent_value,
 )
+from vorfunc.tri2d import convex_hull
 
 from conftest import random_triangle
 
@@ -149,6 +152,76 @@ def test_nearest_visible_never_nearer_than_nearest(rng):
             continue
         nv = nearest_visible_vertex(t, p)
         assert nv[1] >= nearest_vertex(t, p)[1] - 1e-12
+
+
+def _random_hull(rng):
+    """Counterclockwise hull with at least four corners of a random generic set."""
+    while True:
+        pts = rng.random((12, 2))
+        poly = pts[convex_hull(pts)]
+        if len(poly) >= 4:
+            return poly
+
+
+def _inward_depth(poly_ccw, x):
+    """Signed distance of points x (..., 2) inside every edge line of a ccw polygon."""
+    e = np.roll(poly_ccw, -1, axis=0) - poly_ccw
+    r = x[..., None, :] - poly_ccw
+    cross = e[:, 0] * r[..., 1] - e[:, 1] * r[..., 0]
+    return (cross / np.linalg.norm(e, axis=1)).min(axis=-1)
+
+
+def test_polygon_visibility_matches_segment_oracle(rng):
+    # Brute force: vertex j is hidden from an outside point exactly when some
+    # point of the open segment towards it lies inside the polygon by a
+    # margin.  Probes include points within 1e-9 of the edge lines, extended
+    # past the corners, where the segment grazes an edge.
+    s = np.linspace(0.0, 1.0, 402)[1:-1]
+    checked = 0
+    for trial in range(24):
+        poly = _random_hull(rng)
+        k = len(poly)
+        e = np.roll(poly, -1, axis=0) - poly
+        normal = np.stack([e[:, 1], -e[:, 0]], axis=1)
+        t = rng.random((k, 8)) * 5 - 2
+        off = rng.choice([-1e-9, 1e-9], size=(k, 8))
+        near = poly[:, None, :] + t[..., None] * e[:, None, :] + off[..., None] * normal[:, None, :]
+        probe = np.concatenate([rng.random((150, 2)) * 3 - 1, near.reshape(-1, 2)])
+        # Either orientation; columns follow the caller's vertex order.
+        verts = poly[::-1] if trial % 2 else poly
+        inside, vis = convex_polygon_masks(verts, probe)
+        if trial % 2:
+            vis = vis[:, ::-1]
+        for p, row in zip(probe[~inside], vis[~inside]):
+            seg = p + s[:, None, None] * (poly - p)
+            hidden = (_inward_depth(poly, seg) > 1e-12).any(axis=0)
+            assert np.array_equal(row, ~hidden)
+            checked += 1
+    assert checked > 1500
+
+
+def test_points_in_edge_band_see_both_ends(rng):
+    # Points just outside an edge, within the TAU_GEOM band or just beyond
+    # it, must see both ends of that edge: no outside point is left with an
+    # empty visible set.
+    for _ in range(20):
+        poly = _random_hull(rng)
+        k = len(poly)
+        for i in range(k):
+            q, r = poly[i], poly[(i + 1) % k]
+            e = r - q
+            out = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+            base = q + rng.uniform(0.1, 0.9, 16)[:, None] * e
+            # Distance from the edge line at which the containment test's
+            # tolerance TAU_GEOM * |e|_1 * |p - q|_1 on the cross product ends.
+            band = TAU_GEOM * np.abs(e).sum() * np.abs(base - q).sum(axis=1) / np.linalg.norm(e)
+            for factor, in_band in ((0.01, True), (0.5, True), (2.0, False)):
+                p = base + (factor * band)[:, None] * out
+                d = p - q
+                assert np.all(e[0] * d[:, 1] - e[1] * d[:, 0] < 0)
+                inside, vis = convex_polygon_masks(poly, p)
+                assert np.all(inside == in_band)
+                assert vis[:, i].all() and vis[:, (i + 1) % k].all()
 
 
 def test_lift_and_tangent_examples():
