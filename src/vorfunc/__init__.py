@@ -5,6 +5,7 @@ from .errors import (
     CollinearImage,
     ConstructionFailed,
     DegenerateSimplex,
+    FlipBudgetExceeded,
     InvalidRegion,
     NonConvexQuad,
     NotGeneralPosition,
@@ -31,6 +32,7 @@ from .functional2d import (
     mu_term,
     radius_functional,
     rajan_triangle,
+    rajan_triangulation,
     vf_triangle,
     vf_triangulation,
 )

@@ -11,8 +11,9 @@ Subcommands:
                       circumcenter-map image
 
 Exit codes: 0 ok, 2 input/parse error, 3 degenerate input (the diagnostic
-names the offending labels), 4 experiment verdict failed.  Identical
-invocations produce byte-identical output.
+names the offending labels, or Lawson flipping ran out of its flip budget),
+4 experiment verdict failed.  Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotGeneralPosition, VorfuncError
+from .errors import FlipBudgetExceeded, NotGeneralPosition, VorfuncError
 from .experiments import (
     DEFAULT_SEED,
     fold_region_probe,
@@ -33,8 +34,7 @@ from .experiments import (
     optimality_scan,
     topological_counterexample,
 )
-from .functional2d import FunctionalReport, radius_functional, rajan_triangle, vf_triangulation
-from .geom import Triangle2
+from .functional2d import FunctionalReport, radius_functional, rajan_triangulation, vf_triangulation
 from .render import svg_gamma_image, svg_subdivision, svg_triangulation
 from .subdivision import barycentric_subdivide, vf_sd_cell
 from .tri2d import PointSet2, delaunay
@@ -54,8 +54,6 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1000:
             raise ValueError("--samples must be at least 1000")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError("--format must be json or csv")
 
 
 def _fail(code: int, message: str):
@@ -130,13 +128,12 @@ def cmd_functional(args) -> int:
         d = delaunay(PointSet2(pts))
     except NotGeneralPosition as exc:
         _fail(3, f"not in general position: labels {exc.labels}")
+    except FlipBudgetExceeded as exc:
+        _fail(3, str(exc))
     if args.which == "vf":
         report = vf_triangulation(d)
     elif args.which == "rajan":
-        per = tuple(
-            (i, rajan_triangle(Triangle2(*d.points[list(t)]))) for i, t in enumerate(d.triangles)
-        )
-        report = FunctionalReport("rajan", float(sum(v for _, v in per)), per)
+        report = rajan_triangulation(d)
     elif args.which == "rf":
         report = radius_functional(d, args.alpha)
     else:
@@ -193,6 +190,8 @@ def cmd_render(args) -> int:
         d = delaunay(PointSet2(pts))
     except NotGeneralPosition as exc:
         _fail(3, f"not in general position: labels {exc.labels}")
+    except FlipBudgetExceeded as exc:
+        _fail(3, str(exc))
     if args.what == "triangulation":
         text = svg_triangulation(d)
     elif args.what == "subdivision":

@@ -20,6 +20,10 @@ class NotGeneralPosition(VorfuncError):
         self.labels = tuple(labels)
 
 
+class FlipBudgetExceeded(VorfuncError):
+    """Lawson flipping used up its flip budget without reaching a Delaunay triangulation."""
+
+
 class NonConvexQuad(VorfuncError):
     """The union of the two triangles of a flip is not strictly convex."""
 

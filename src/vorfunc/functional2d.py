@@ -5,7 +5,13 @@ Per-triangle closed forms:
     vf_triangle     (area/12) * (a^2 + b^2 + c^2 - 4 R^2)
     rajan_triangle  (area/12) * (a^2 + b^2 + c^2)
 
-with R the circumradius and a, b, c the edge lengths.  vf_triangle equals the
+with R the circumradius and a, b, c the edge lengths.  The area, the edge
+sum and R come from the edge vectors u = b - a and v = c - a alone,
+
+    area = |u x v| / 2,   a^2 + b^2 + c^2 = |u|^2 + |v|^2 + |u - v|^2,
+    4 R^2 = |u|^2 |v|^2 |u - v|^2 / (u x v)^2,
+
+evaluated for all triangles of a triangulation at once.  vf_triangle equals the
 integral over the triangle of the squared distance to the nearest vertex when
 all angles are acute, and is defined by the same closed form (possibly
 negative) in the obtuse case.
@@ -28,6 +34,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NonConvexQuad
 from .geom import (
+    TAU_GEOM,
     Triangle2,
     circumcircle2,
     convex_polygon_masks,
@@ -58,48 +65,67 @@ class FunctionalReport:
         )
 
 
-def _edge_data(t: Triangle2):
-    v = t.vertices()
-    area = abs(signed_area(v[0], v[1], v[2]))
-    e2 = float(((v - np.roll(v, -1, axis=0)) ** 2).sum())
-    return area, e2
+def _closed_form_terms(points, triangles):
+    """Area, squared-edge sum and squared circumradius of each triangle.
+
+    ``points`` is (n, 2) and ``triangles`` a (T, 3) label array; returns
+    three (T,) arrays from the edge vectors u = b - a and v = c - a only, so
+    the values do not depend on where the triangle sits.  Raises
+    DegenerateSimplex, naming the labels, for a triangle orient2 calls
+    collinear.
+    """
+    pts = np.asarray(points, float)
+    tri = np.asarray(triangles, int).reshape(-1, 3)
+    a = pts[tri[:, 0]]
+    u = pts[tri[:, 1]] - a
+    v = pts[tri[:, 2]] - a
+    u0, u1, v0, v1 = u[:, 0], u[:, 1], v[:, 0], v[:, 1]
+    cross = u0 * v1 - u1 * v0
+    # orient2's degeneracy rule, elementwise with the same arithmetic.
+    collinear = np.abs(cross) <= TAU_GEOM * ((np.abs(u0) + np.abs(u1)) * (np.abs(v0) + np.abs(v1)))
+    if collinear.any():
+        labels = tuple(int(i) for i in tri[np.argmax(collinear)])
+        raise DegenerateSimplex(f"collinear triangle {labels}")
+    w0, w1 = u0 - v0, u1 - v1
+    uu, vv, ww = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1, w0 * w0 + w1 * w1
+    return 0.5 * np.abs(cross), uu + vv + ww, uu * vv * ww / (4.0 * cross * cross)
 
 
 def vf_triangle(t: Triangle2) -> float:
     """Closed-form Voronoi functional of one triangle; negative when obtuse enough."""
-    cc = circumcircle2(t)  # raises DegenerateSimplex when collinear
-    area, e2 = _edge_data(t)
-    return area / 12.0 * (e2 - 4.0 * cc.radius**2)
+    area, e2, r2 = _closed_form_terms(t.vertices(), [(0, 1, 2)])
+    return float(area[0] / 12.0 * (e2[0] - 4.0 * r2[0]))
 
 
 def rajan_triangle(t: Triangle2) -> float:
     """(area/12) * (sum of squared edge lengths); always nonnegative."""
-    if orient2(t.a, t.b, t.c) == 0:
-        raise DegenerateSimplex("collinear triangle")
-    area, e2 = _edge_data(t)
-    return area / 12.0 * e2
+    area, e2, _ = _closed_form_terms(t.vertices(), [(0, 1, 2)])
+    return float(area[0] / 12.0 * e2[0])
+
+
+def _report(kind: str, values: np.ndarray) -> FunctionalReport:
+    per = tuple(enumerate(values.tolist()))
+    return FunctionalReport(kind, float(sum(v for _, v in per)), per)
 
 
 def vf_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of vf_triangle over all triangles."""
-    per = []
-    for idx, tri in enumerate(t.triangles):
-        val = t.signs[idx] * vf_triangle(Triangle2(*t.points[list(tri)]))
-        per.append((idx, val))
-    return FunctionalReport("vf", float(sum(v for _, v in per)), tuple(per))
+    area, e2, r2 = _closed_form_terms(t.points, t.triangles)
+    return _report("vf", np.asarray(t.signs) * (area / 12.0 * (e2 - 4.0 * r2)))
+
+
+def rajan_triangulation(t: Triangulation2) -> FunctionalReport:
+    """Orientation-signed sum of rajan_triangle over all triangles."""
+    area, e2, _ = _closed_form_terms(t.points, t.triangles)
+    return _report("rajan", np.asarray(t.signs) * (area / 12.0 * e2))
 
 
 def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
     """Sum over triangles of circumradius**alpha times area (geometric only)."""
     if t.kind != GEOMETRIC:
         raise ValueError("radius functional is defined for geometric triangulations")
-    per = []
-    for idx, tri in enumerate(t.triangles):
-        tt = Triangle2(*t.points[list(tri)])
-        cc = circumcircle2(tt)
-        area, _ = _edge_data(tt)
-        per.append((idx, cc.radius**alpha * area))
-    return FunctionalReport(f"rf{alpha:g}", float(sum(v for _, v in per)), tuple(per))
+    area, _, r2 = _closed_form_terms(t.points, t.triangles)
+    return _report(f"rf{alpha:g}", r2 ** (alpha / 2.0) * area)
 
 
 def mu_term(apex, mid, cc) -> float:
@@ -153,7 +179,8 @@ def g_triangle_points(t: Triangle2, pts: np.ndarray) -> np.ndarray:
     if orient2(*verts) == 0:
         raise DegenerateSimplex("collinear triangle")
     pts = np.asarray(pts, float)
-    d2 = ((pts[:, None, :] - verts[None, :, :]) ** 2).sum(axis=2)
+    d2 = (pts[:, 0, None] - verts[None, :, 0]) ** 2
+    d2 += (pts[:, 1, None] - verts[None, :, 1]) ** 2
     nearest = d2.min(axis=1)
     g = nearest.copy()
     inside, vis = convex_polygon_masks(verts, pts)
@@ -191,10 +218,8 @@ def support_box(t: Triangulation2, pad_factor: float = 1.0) -> Box:
     Outside this box every triangle's g vanishes (nearest equals nearest
     visible), so it bounds the support of g_field.
     """
-    pad = 0.0
-    for tri in t.triangles:
-        pad = max(pad, 2.0 * circumcircle2(Triangle2(*t.points[list(tri)])).radius)
-    pad = pad * pad_factor + 1e-9
+    _, _, r2 = _closed_form_terms(t.points, t.triangles)
+    pad = 2.0 * np.sqrt(r2.max(initial=0.0)) * pad_factor + 1e-9
     lo = t.points.min(axis=0) - pad
     hi = t.points.max(axis=0) + pad
     return Box(tuple(lo), tuple(hi))

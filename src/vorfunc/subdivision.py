@@ -310,7 +310,8 @@ def nearest_minus_visible_field(points: np.ndarray):
 
     def field(x):
         x = np.asarray(x, float)
-        d2 = ((x[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2 = (x[:, 0, None] - pts[None, :, 0]) ** 2
+        d2 += (x[:, 1, None] - pts[None, :, 1]) ** 2
         g = d2.min(axis=1)
         inside, vis = convex_polygon_masks(hull_pts, x)
         outside = ~inside

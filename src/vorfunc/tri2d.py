@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     CollinearImage,
+    FlipBudgetExceeded,
     NonConvexQuad,
     NotGeneralPosition,
     NotInteriorEdge,
@@ -93,6 +94,11 @@ def convex_hull(points: np.ndarray) -> list:
     return lower[:-1] + upper[:-1]
 
 
+def _canonical(triangles) -> tuple:
+    """Order-free key of a triangle list: sorted tuple of sorted label triples."""
+    return tuple(sorted(tuple(sorted(t)) for t in triangles))
+
+
 class Triangulation2:
     """Indexed simplicial complex over a PointSet2 with per-triangle signs."""
 
@@ -143,7 +149,7 @@ class Triangulation2:
         return out
 
     def canonical(self) -> tuple:
-        return tuple(sorted(tuple(sorted(t)) for t in self.triangles))
+        return _canonical(self.triangles)
 
     def __eq__(self, other):
         return (
@@ -384,7 +390,7 @@ def _legalize(pts, tris):
             )
         flips += 1
         if flips > budget:
-            raise RuntimeError("Lawson flipping did not terminate; input too degenerate")
+            raise FlipBudgetExceeded(f"Lawson flipping did not terminate within {budget} flips")
         drop_edges(t1_id)
         drop_edges(t2_id)
         del triangles[t1_id], triangles[t2_id]
@@ -430,31 +436,39 @@ def empty_circumcircle_violations(t: Triangulation2) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _flipped(t: Triangulation2, edge, tids):
+    """Triangles of t with interior ``edge`` (shared by ``tids``) flipped.
+
+    None when the quad around the edge is not strictly convex.
+    """
+    first, second = tids
+    tris = t.triangles
+    u, v, k, l = _edge_quad(tris[first], tris[second], edge)
+    if not _strictly_convex(t.points, u, v, k, l):
+        return None
+    # edge_map lists a triangle pair in index order, so first < second.
+    return tris[:first] + tris[first + 1 : second] + tris[second + 1 :] + ((u, l, k), (v, k, l))
+
+
 def flip(t: Triangulation2, move: FlipMove) -> Triangulation2:
     """Replace the diagonal of the convex quadrangle across an interior edge."""
     edge = tuple(sorted(move.edge))
     tids = t.edge_map().get(edge, [])
     if len(tids) != 2:
         raise NotInteriorEdge(f"edge {edge} is not an interior edge")
-    first, second = tids
-    u, v, k, l = _edge_quad(t.triangles[first], t.triangles[second], edge)
-    pts = t.points
-    if not _strictly_convex(pts, u, v, k, l):
+    new_tris = _flipped(t, edge, tids)
+    if new_tris is None:
         raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
-    new_tris = [tri for i, tri in enumerate(t.triangles) if i not in (first, second)]
-    new_tris += [(u, l, k), (v, k, l)]
-    return Triangulation2(pts, new_tris, kind=t.kind, _normalize=False)
+    return Triangulation2(t.points, new_tris, kind=t.kind, _normalize=False)
 
 
 def _legal_flips(t: Triangulation2):
-    pts = t.points
+    """(edge, flipped triangles) for each flippable interior edge, in edge_map order."""
     for edge, tids in t.edge_map().items():
-        if len(tids) != 2:
-            continue
-        first, second = tids
-        u, v, k, l = _edge_quad(t.triangles[first], t.triangles[second], edge)
-        if _strictly_convex(pts, u, v, k, l):
-            yield FlipMove((u, v))
+        if len(tids) == 2:
+            new_tris = _flipped(t, edge, tids)
+            if new_tris is not None:
+                yield edge, new_tris
 
 
 def enumerate_triangulations(ps, cap: int = 100000) -> list:
@@ -470,12 +484,12 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
     stack = [root]
     while stack:
         cur = stack.pop()
-        for move in _legal_flips(cur):
-            nxt = flip(cur, move)
-            key = nxt.canonical()
+        for _, new_tris in _legal_flips(cur):
+            key = _canonical(new_tris)
             if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"more than {cap} triangulations")
+                nxt = Triangulation2(cur.points, new_tris, kind=cur.kind, _normalize=False)
                 seen[key] = nxt
                 stack.append(nxt)
     return list(seen.values())

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from vorfunc.errors import DegenerateSimplex, NonConvexQuad
+from vorfunc.errors import DegenerateSimplex, NonConvexQuad, NotGeneralPosition
 from vorfunc.geom import Triangle2
 from vorfunc.integrate import mc_integrate
 from vorfunc.functional2d import (
@@ -15,6 +17,7 @@ from vorfunc.functional2d import (
     mu_terms,
     radius_functional,
     rajan_triangle,
+    rajan_triangulation,
     support_box,
     vf_triangle,
     vf_triangulation,
@@ -133,6 +136,109 @@ def test_radius_functional_topological_rejected(rng):
     t = make_topological(d, list(range(5)))
     with pytest.raises(ValueError):
         radius_functional(t, 2.0)
+
+
+# -- closed-form invariance and exact oracle --------------------------------
+
+
+def _grid_delaunay(rng, n):
+    # Coordinates on a 2^-20 grid in [0, 1): adding 1e6 or 1e7 (ulp 2^-29 at
+    # most) is exact, so a translated copy has exactly the same shape and any
+    # drift comes from the closed forms.
+    while True:
+        pts = np.round(rng.random((n, 2)) * 2.0**20) / 2.0**20
+        try:
+            return delaunay(PointSet2(pts))
+        except NotGeneralPosition:
+            continue
+
+
+def _transformed(d, shift=0.0, scale=1.0):
+    return Triangulation2(d.points * scale + shift, d.triangles, _normalize=False)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e7])
+def test_closed_forms_translation_invariant(rng, shift):
+    d = _grid_delaunay(rng, 30)
+    moved = _transformed(d, shift=shift)
+    assert vf_triangulation(moved).total == pytest.approx(vf_triangulation(d).total, rel=1e-8)
+    assert radius_functional(moved, 2.0).total == pytest.approx(
+        radius_functional(d, 2.0).total, rel=1e-8
+    )
+
+
+@pytest.mark.parametrize("k", [-7, -1, 3, 12])
+def test_vf_scales_exactly_by_powers_of_two(rng, k):
+    d = _grid_delaunay(rng, 30)
+    scaled = vf_triangulation(_transformed(d, scale=2.0**k)).total
+    assert scaled == 2.0 ** (4 * k) * vf_triangulation(d).total
+
+
+def test_vf_label_permutation_invariant(rng):
+    d = _grid_delaunay(rng, 30)
+    perm = rng.permutation(30)
+    p = delaunay(PointSet2(d.points[perm]))
+    assert {tuple(sorted(int(perm[i]) for i in t)) for t in p.triangles} == set(d.canonical())
+    ref = vf_triangulation(d)
+    # Triangle order and rotation change, so only the summation order does.
+    mass = sum(abs(v) for _, v in ref.per_simplex)
+    assert abs(vf_triangulation(p).total - ref.total) <= 1e-13 * mass
+
+
+def _exact_terms(pts, tri):
+    # Orientation of the label triple, then VF, Rajan and rf2 as Fractions
+    # from the same edge-vector closed form.
+    (ax, ay), (bx, by), (cx, cy) = ([Fraction(int(x)) for x in pts[i]] for i in tri)
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    cross = ux * vy - uy * vx
+    uu, vv, ww = ux * ux + uy * uy, vx * vx + vy * vy, (ux - vx) ** 2 + (uy - vy) ** 2
+    area = abs(cross) / 2
+    r2 = uu * vv * ww / (4 * cross * cross)
+    orient = 1 if cross > 0 else -1
+    return orient, area / 12 * (uu + vv + ww - 4 * r2), area / 12 * (uu + vv + ww), r2 * area
+
+
+INTEGER_POINTS = np.array([[0, 0], [8, 0], [4, 1], [3, 7], [11, 5], [-4, 6], [5, -9]], float)
+
+
+def _close(value, exact):
+    return abs(Fraction(value) - exact) <= Fraction(1, 10**14) * abs(exact)
+
+
+def test_closed_forms_match_exact_oracle():
+    d = delaunay(PointSet2(INTEGER_POINTS))
+    vf = vf_triangulation(d).per_simplex
+    rf2 = radius_functional(d, 2.0).per_simplex
+    rajan = rajan_triangulation(d).per_simplex
+    assert any(v < 0 for _, v in vf)  # an obtuse triangle is covered
+    for idx, tri in enumerate(d.triangles):
+        _, e_vf, e_rajan, e_rf2 = _exact_terms(d.points, tri)
+        t = Triangle2(*d.points[list(tri)])
+        assert vf[idx][0] == rf2[idx][0] == idx
+        assert _close(vf[idx][1], e_vf) and _close(vf_triangle(t), e_vf)
+        assert _close(rajan_triangle(t), e_rajan) and _close(rajan[idx][1], e_rajan)
+        assert _close(rf2[idx][1], e_rf2)
+
+
+def test_closed_forms_match_exact_oracle_topological():
+    from vorfunc.tri2d import make_topological
+
+    d = delaunay(PointSet2(INTEGER_POINTS))
+    k = make_topological(d, [0, 1, 3, 2, 4, 5, 6])
+    assert -1 in k.signs
+    rep = vf_triangulation(k)
+    for (idx, val), tri, sign in zip(rep.per_simplex, k.triangles, k.signs):
+        orient, e_vf = _exact_terms(k.points, tri)[:2]
+        assert orient == sign
+        assert _close(val, sign * e_vf)
+
+
+def test_collinear_triangle_named_by_labels():
+    pts = np.array([[0, 0], [2, 0], [1, 2], [4, 0]], float)
+    t = Triangulation2(pts, [(0, 1, 2), (1, 3, 0)], _normalize=False)
+    for f in (vf_triangulation, lambda t: radius_functional(t, 2.0)):
+        with pytest.raises(DegenerateSimplex, match=r"\(1, 3, 0\)"):
+            f(t)
 
 
 # -- mu decomposition --------------------------------------------------------

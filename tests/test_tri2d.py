@@ -113,6 +113,38 @@ def test_enumerate_cap():
         enumerate_triangulations(PointSet2(pts), cap=5)
 
 
+def _reference_enumeration(ps):
+    # Depth-first search over the flip graph through the public API only.
+    root = delaunay(ps)
+    seen = {root.canonical(): root}
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for edge, tids in cur.edge_map().items():
+            if len(tids) != 2:
+                continue
+            try:
+                nxt = flip(cur, FlipMove(edge))
+            except NonConvexQuad:
+                continue
+            if nxt.canonical() not in seen:
+                seen[nxt.canonical()] = nxt
+                stack.append(nxt)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_enumeration_order_matches_reference_and_cap_is_exact(rng, n):
+    ps = PointSet2(random_delaunay(rng, n).points)
+    ref = _reference_enumeration(ps)
+    got = enumerate_triangulations(ps)
+    assert [t.canonical() for t in got] == [t.canonical() for t in ref]
+    assert [t.triangles for t in got] == [t.triangles for t in ref]
+    assert len(enumerate_triangulations(ps, cap=len(ref))) == len(ref)
+    with pytest.raises(CapExceeded):
+        enumerate_triangulations(ps, cap=len(ref) - 1)
+
+
 def test_flip_from_delaunay_decreases_angle_vector(rng):
     # Lexicographic max-min angle characterization.
     def angle_vector(t):
@@ -132,8 +164,8 @@ def test_flip_from_delaunay_decreases_angle_vector(rng):
     for _ in range(10):
         d = random_delaunay(rng, 8)
         base = angle_vector(d)
-        for move in _legal_flips(d):
-            assert angle_vector(flip(d, move)) < base
+        for edge, _ in _legal_flips(d):
+            assert angle_vector(flip(d, FlipMove(edge))) < base
 
 
 def test_make_topological_identity(rng):
