@@ -23,6 +23,10 @@ The pointwise field g carries the same information locally:
 with the second term zero for x inside the triangle; vf_triangle is the
 integral of g over the whole plane.  Triangulation-level values are the
 orientation-signed sums over triangles.
+
+The six corner terms of mu_terms are the flags of the triangle's barycentric
+subdivision; ``_flag_terms`` evaluates them, from the same edge vectors, for
+all triangles at once and serves the planar subdivision too.
 """
 
 from __future__ import annotations
@@ -34,15 +38,15 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NonConvexQuad
 from .geom import (
-    TAU_GEOM,
     Triangle2,
-    circumcircle2,
+    circumcenter_offset,
+    collinear2,
     convex_polygon_masks,
     in_circle,
     orient2,
     signed_area,
 )
-from .integrate import Box, check_vanishes_on_boundary, quad_triangle
+from .integrate import Box, check_vanishes_on_boundary
 from .tri2d import GEOMETRIC, Triangulation2, convex_hull
 
 
@@ -65,6 +69,33 @@ class FunctionalReport:
         )
 
 
+def _corners(points, triangles):
+    """Labels (T, 3) and corner coordinates (T, 3, 2) of a triangle array."""
+    tri = np.asarray(triangles, int).reshape(-1, 3)
+    return tri, np.asarray(points, float)[tri]
+
+
+def _reject_collinear(tri, cross, ux, uy, vx, vy):
+    """Raise DegenerateSimplex, naming the labels, for the first triangle orient2 calls collinear."""
+    collinear = collinear2(cross, ux, uy, vx, vy)
+    if np.any(collinear):
+        labels = tuple(int(i) for i in np.reshape(tri, (-1, 3))[np.argmax(collinear)])
+        raise DegenerateSimplex(f"collinear triangle {labels}")
+
+
+def _closed_form(tri, ux, uy, vx, vy):
+    """Area, squared-edge sum and squared circumradius from edge-vector components.
+
+    Takes floats for one triangle or (T,) arrays for many, with the same
+    arithmetic; ``tri`` holds the labels named when a triangle is collinear.
+    """
+    cross = ux * vy - uy * vx
+    _reject_collinear(tri, cross, ux, uy, vx, vy)
+    wx, wy = ux - vx, uy - vy
+    uu, vv, ww = ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy
+    return 0.5 * abs(cross), uu + vv + ww, uu * vv * ww / (4.0 * cross * cross)
+
+
 def _closed_form_terms(points, triangles):
     """Area, squared-edge sum and squared circumradius of each triangle.
 
@@ -74,33 +105,27 @@ def _closed_form_terms(points, triangles):
     DegenerateSimplex, naming the labels, for a triangle orient2 calls
     collinear.
     """
-    pts = np.asarray(points, float)
-    tri = np.asarray(triangles, int).reshape(-1, 3)
-    a = pts[tri[:, 0]]
-    u = pts[tri[:, 1]] - a
-    v = pts[tri[:, 2]] - a
-    u0, u1, v0, v1 = u[:, 0], u[:, 1], v[:, 0], v[:, 1]
-    cross = u0 * v1 - u1 * v0
-    # orient2's degeneracy rule, elementwise with the same arithmetic.
-    collinear = np.abs(cross) <= TAU_GEOM * ((np.abs(u0) + np.abs(u1)) * (np.abs(v0) + np.abs(v1)))
-    if collinear.any():
-        labels = tuple(int(i) for i in tri[np.argmax(collinear)])
-        raise DegenerateSimplex(f"collinear triangle {labels}")
-    w0, w1 = u0 - v0, u1 - v1
-    uu, vv, ww = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1, w0 * w0 + w1 * w1
-    return 0.5 * np.abs(cross), uu + vv + ww, uu * vv * ww / (4.0 * cross * cross)
+    tri, p = _corners(points, triangles)
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return _closed_form(tri, u[:, 0], u[:, 1], v[:, 0], v[:, 1])
+
+
+def _triangle_terms(t: Triangle2):
+    """_closed_form_terms of one triangle, on plain floats."""
+    (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
+    return _closed_form((0, 1, 2), bx - ax, by - ay, cx - ax, cy - ay)
 
 
 def vf_triangle(t: Triangle2) -> float:
     """Closed-form Voronoi functional of one triangle; negative when obtuse enough."""
-    area, e2, r2 = _closed_form_terms(t.vertices(), [(0, 1, 2)])
-    return float(area[0] / 12.0 * (e2[0] - 4.0 * r2[0]))
+    area, e2, r2 = _triangle_terms(t)
+    return area / 12.0 * (e2 - 4.0 * r2)
 
 
 def rajan_triangle(t: Triangle2) -> float:
     """(area/12) * (sum of squared edge lengths); always nonnegative."""
-    area, e2, _ = _closed_form_terms(t.vertices(), [(0, 1, 2)])
-    return float(area[0] / 12.0 * e2[0])
+    area, e2, _ = _triangle_terms(t)
+    return area / 12.0 * e2
 
 
 def _report(kind: str, values: np.ndarray) -> FunctionalReport:
@@ -128,14 +153,67 @@ def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
     return _report(f"rf{alpha:g}", r2 ** (alpha / 2.0) * area)
 
 
+# ---------------------------------------------------------------------------
+# Flags of the barycentric subdivision
+# ---------------------------------------------------------------------------
+
+# The six flags (corner X, edge XY) of a triangle as corner positions X, Y and
+# the third corner W; for a label-sorted triangle this is the order in which
+# barycentric_subdivide lists its cells.
+_FLAG_X = np.array([0, 0, 1, 1, 2, 2])
+_FLAG_Y = np.array([1, 2, 0, 2, 0, 1])
+_FLAG_W = 3 - _FLAG_X - _FLAG_Y
+
+
+def _image_integral(mx, my, zx, zy):
+    """Integral of |x - A|^2 over the triangle (A, A + m, A + z).
+
+    Signed by the triangle's orientation; the edge-midpoint rule, exact for
+    this quadratic.  Floats or equal-shape arrays.
+    """
+    sx, sy = mx + zx, my + zy
+    return (mx * zy - my * zx) / 24.0 * ((mx * mx + my * my) + (sx * sx + sy * sy) + (zx * zx + zy * zy))
+
+
+def _flag_terms(points, triangles):
+    """Cell signs, image integrals and circumcenters of the planar subdivision.
+
+    For each triangle (a, b, c) of the (T, 3) label array and each of its six
+    flags (corner X, edge XY), in _FLAG order:
+
+    * ``sign`` (T, 6): +1 when the cell (X, midpoint of XY, barycenter) is
+      counterclockwise, that is when (X, Y, W) is, and -1 otherwise;
+    * ``integral`` (T, 6): the integral of |x - X|^2 over the cell's image
+      (X, midpoint of XY, circumcenter) under the circumcenter map, signed by
+      the image's orientation;
+    * ``center`` (T, 2): the circumcenter a + circumcenter_offset(b - a, c - a).
+
+    The cell contributes sign * integral to the functional.  Everything but
+    ``center`` comes from edge vectors.  Raises DegenerateSimplex, naming the
+    labels, for a triangle orient2 calls collinear.
+    """
+    tri, p = _corners(points, triangles)
+    a = p[:, 0]
+    rel = p - a[:, None, :]  # (0, u, v) per triangle
+    ux, uy, vx, vy = rel[:, 1, 0], rel[:, 1, 1], rel[:, 2, 0], rel[:, 2, 1]
+    _reject_collinear(tri, ux * vy - uy * vx, ux, uy, vx, vy)
+    offset = np.stack(circumcenter_offset(ux, uy, vx, vy), axis=1)
+    e = p[:, _FLAG_Y] - p[:, _FLAG_X]
+    f = p[:, _FLAG_W] - p[:, _FLAG_X]
+    sign = np.where(e[..., 0] * f[..., 1] - e[..., 1] * f[..., 0] > 0.0, 1, -1)
+    z = offset[:, None, :] - rel[:, _FLAG_X]  # circumcenter minus X
+    integral = _image_integral(0.5 * e[..., 0], 0.5 * e[..., 1], z[..., 0], z[..., 1])
+    return sign, integral, a + offset
+
+
 def mu_term(apex, mid, cc) -> float:
     """Integral of squared distance to ``apex`` over triangle (apex, mid, cc).
 
     Signed by the orientation of that triangle; degenerate input gives 0.
     """
-    apex = np.asarray(apex, float)
-    tri = Triangle2(apex, mid, cc)
-    return quad_triangle(tri, lambda pts: ((pts - apex) ** 2).sum(axis=1))
+    t = Triangle2(apex, mid, cc)
+    (mx, my), (zx, zy) = (t.b - t.a).tolist(), (t.c - t.a).tolist()
+    return _image_integral(mx, my, zx, zy)
 
 
 def mu_terms(t: Triangle2) -> list:
@@ -144,24 +222,13 @@ def mu_terms(t: Triangle2) -> list:
     Each term integrates squared distance to a vertex over the triangle made
     of that vertex, an adjacent edge midpoint, and the circumcenter.  For an
     acute triangle all six are positive; an obtuse angle makes the two terms
-    at the opposite edge's midpoint negative.
+    at the opposite edge's midpoint negative.  With the vertices (a, b, c) in
+    counterclockwise order the terms belong to the flags (a, ca), (a, ab),
+    (b, ab), (b, bc), (c, bc), (c, ca).
     """
-    v = t.vertices()
-    if signed_area(v[0], v[1], v[2]) < 0.0:
-        v = v[::-1]
-    z = circumcircle2(Triangle2(*v)).center
-    a, b, c = v
-    m_bc = 0.5 * (b + c)
-    m_ca = 0.5 * (c + a)
-    m_ab = 0.5 * (a + b)
-    return [
-        mu_term(a, z, m_ca),
-        mu_term(a, m_ab, z),
-        mu_term(b, z, m_ab),
-        mu_term(b, m_bc, z),
-        mu_term(c, z, m_bc),
-        mu_term(c, m_ca, z),
-    ]
+    ccw = (0, 1, 2) if signed_area(t.a, t.b, t.c) >= 0.0 else (2, 1, 0)
+    sign, integral, _ = _flag_terms(t.vertices(), [ccw])
+    return (sign[0] * integral[0])[[1, 0, 2, 3, 5, 4]].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,25 @@
 
 Orientation and in-circle/in-sphere predicates, circumcenters, containment
 and vertex visibility for convex polygons, nearest and nearest-visible
-vertices, and the paraboloid lift.  Predicates use plain
-float determinants with a relative tolerance ``TAU_GEOM``; all drivers feed
-them generic (randomized or jittered) inputs, so adaptive precision is not
-needed.  Everything here is a pure function on value types.
+vertices, and the paraboloid lift.  Predicates use plain float determinants
+with a relative tolerance ``TAU_GEOM``; all callers feed them generic
+(randomized or jittered) inputs, so adaptive precision is not needed.  The
+in-circle tolerance is not scale-free (length^5 against a length^4
+determinant): at distances below about 1e-7 it falls under the rounding
+error, and a nonzero sign may be wrong there.
+
+The planar predicates have one kernel each on plain Python floats,
+``orient2_xy`` and ``in_circle_xy``: loops that test many triples (Lawson
+flipping, the sweep, flip-graph enumeration) convert their coordinates once
+and call the kernels directly, and ``orient2``/``in_circle`` delegate to them.
+``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays,
+and ``circumcenter_offset`` the circumcenter from edge vectors; both serve
+the array kernels of ``functional2d`` too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +36,7 @@ def _as_point(p, dim):
     a = np.asarray(p, dtype=float)
     if a.shape != (dim,):
         raise ValueError(f"expected a point of dimension {dim}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"non-finite coordinate in point {a!r}")
     return a
 
@@ -90,20 +101,33 @@ def signed_volume(a, b, c, d) -> float:
     return float(np.linalg.det(m)) / 6.0
 
 
+def collinear2(det, ux, uy, vx, vy):
+    """orient2's zero rule: |u x v| within TAU_GEOM of |u|_1 |v|_1.
+
+    ``det`` is u x v for edge vectors u = b - a, v = c - a.  Works on floats
+    and elementwise on equal-shape arrays, with the same arithmetic.
+    """
+    return abs(det) <= TAU_GEOM * ((abs(ux) + abs(uy)) * (abs(vx) + abs(vy)))
+
+
+def orient2_xy(ax, ay, bx, by, cx, cy) -> int:
+    """orient2 of (ax, ay), (bx, by), (cx, cy) on plain floats."""
+    ux, uy = bx - ax, by - ay
+    vx, vy = cx - ax, cy - ay
+    det = ux * vy - uy * vx
+    if collinear2(det, ux, uy, vx, vy):
+        return 0
+    return 1 if det > 0 else -1
+
+
 def orient2(a, b, c) -> int:
     """Sign of twice the signed area of (a, b, c): +1 ccw, -1 cw, 0 collinear.
 
     Zero is returned when the determinant is below TAU_GEOM relative to the
-    magnitude of the edge vectors.
+    magnitude of the edge vectors (``collinear2``).
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    scale = (abs(b[0] - a[0]) + abs(b[1] - a[1])) * (abs(c[0] - a[0]) + abs(c[1] - a[1]))
-    if abs(det) <= TAU_GEOM * scale:
-        return 0
-    return 1 if det > 0 else -1
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    return orient2_xy(float(ax), float(ay), float(bx), float(by), float(cx), float(cy))
 
 
 def orient3(a, b, c, d) -> int:
@@ -119,20 +143,29 @@ def orient3(a, b, c, d) -> int:
     return 1 if det > 0 else -1
 
 
+def circumcenter_offset(ux, uy, vx, vy):
+    """Circumcenter minus a of the triangle (a, a + u, a + v), as (x, y).
+
+    From the edge vectors alone, so it does not depend on where the triangle
+    sits: (|u|^2 (v_y, -v_x) - |v|^2 (u_y, -u_x)) / (2 u x v).  Works on floats
+    and elementwise on equal-shape arrays.
+    """
+    uu = ux * ux + uy * uy
+    vv = vx * vx + vy * vy
+    d = 2.0 * (ux * vy - uy * vx)
+    return (uu * vy - vv * uy) / d, (vv * ux - uu * vx) / d
+
+
 def circumcircle2(t: Triangle2) -> CircumData:
     """Center and radius of the circle through the three vertices of t.
 
     Raises DegenerateSimplex for collinear input.
     """
-    a, b, c = t.a, t.b, t.c
-    if orient2(a, b, c) == 0:
-        raise DegenerateSimplex(f"collinear triangle {a}, {b}, {c}")
-    # Solve 2 (v - a) . z = |v|^2 - |a|^2 for v in {b, c}.
-    m = 2.0 * np.array([b - a, c - a])
-    rhs = np.array([b @ b - a @ a, c @ c - a @ a])
-    center = np.linalg.solve(m, rhs)
-    radius = float(np.linalg.norm(center - a))
-    return CircumData(center, radius)
+    (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
+    if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
+        raise DegenerateSimplex(f"collinear triangle {t.a}, {t.b}, {t.c}")
+    ox, oy = circumcenter_offset(bx - ax, by - ay, cx - ax, cy - ay)
+    return CircumData(np.array([ax + ox, ay + oy]), math.hypot(ox, oy))
 
 
 def circumsphere3(t: Tetrahedron3) -> CircumData:
@@ -167,29 +200,41 @@ def circumcircle3(a, b, c) -> CircumData:
     return CircumData(center, float(np.linalg.norm(center - a)))
 
 
-def in_circle(t: Triangle2, p) -> int:
-    """+1 if p lies strictly inside the circumcircle of t, -1 outside, 0 on it.
-
-    Signs are stated for a positively oriented t; reversing the orientation of
-    t flips the returned sign.
-    """
-    a, b, c = t.a, t.b, t.c
-    if orient2(a, b, c) == 0:
-        raise DegenerateSimplex(f"collinear triangle {a}, {b}, {c}")
-    p = _as_point(p, 2)
-    rows = []
-    scale = 1.0
-    for v in (a, b, c):
-        d = v - p
-        rows.append([d[0], d[1], d @ d])
-        scale *= abs(d[0]) + abs(d[1])
-    det = float(np.linalg.det(np.array(rows)))
-    lift_scale = max(abs(r[2]) for r in rows)
-    tol = TAU_GEOM * scale * max(lift_scale, 1e-300)
+def in_circle_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
+    """in_circle of triangle (a, b, c) and point p on plain floats."""
+    if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
+        raise DegenerateSimplex(f"collinear triangle {(ax, ay)}, {(bx, by)}, {(cx, cy)}")
+    adx, ady = ax - px, ay - py
+    bdx, bdy = bx - px, by - py
+    cdx, cdy = cx - px, cy - py
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    # Rows (dx, dy, |d|^2) for a, b, c; cofactor expansion along the lift column.
+    det = (
+        alift * (bdx * cdy - bdy * cdx)
+        + blift * (cdx * ady - cdy * adx)
+        + clift * (adx * bdy - ady * bdx)
+    )
+    scale = (abs(adx) + abs(ady)) * (abs(bdx) + abs(bdy)) * (abs(cdx) + abs(cdy))
+    tol = TAU_GEOM * scale * max(alift, blift, clift, 1e-300)
     # det > 0 for p inside when (a, b, c) is ccw.
     if abs(det) <= tol:
         return 0
     return 1 if det > 0 else -1
+
+
+def in_circle(t: Triangle2, p) -> int:
+    """+1 if p lies strictly inside the circumcircle of t, -1 outside, 0 on it.
+
+    Signs are stated for a positively oriented t; reversing the orientation of
+    t flips the returned sign.  Zero means the determinant is within TAU_GEOM
+    of the product of the 1-norms of a - p, b - p, c - p times the largest
+    squared distance.  Raises DegenerateSimplex for a collinear t.
+    """
+    px, py = _as_point(p, 2).tolist()
+    (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
+    return in_circle_xy(ax, ay, bx, by, cx, cy, px, py)
 
 
 def in_sphere(t: Tetrahedron3, p) -> int:

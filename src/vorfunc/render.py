@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geom import signed_area
 from .subdivision import SubdividedComplex, barycentric_subdivide
 from .tri2d import Triangulation2
 
@@ -24,18 +23,15 @@ _STYLE = (
 )
 
 
-def _transform(points: np.ndarray):
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+def _svg_coords(frame: np.ndarray, points: np.ndarray) -> list:
+    """"x,y" viewport strings of (m, 2) points, scaled so that ``frame`` fits."""
+    lo = frame.min(axis=0)
+    hi = frame.max(axis=0)
     span = float(max((hi - lo).max(), 1e-12))
     scale = (VIEW - 2.0 * MARGIN) / span
-
-    def to_svg(p):
-        x = MARGIN + (p[0] - lo[0]) * scale
-        y = VIEW - (MARGIN + (p[1] - lo[1]) * scale)  # flip y
-        return f"{x:.2f},{y:.2f}"
-
-    return to_svg
+    x = MARGIN + (points[:, 0] - lo[0]) * scale
+    y = VIEW - (MARGIN + (points[:, 1] - lo[1]) * scale)  # flip y
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(x.tolist(), y.tolist())]
 
 
 def _document(body: list) -> str:
@@ -49,28 +45,38 @@ def _document(body: list) -> str:
 
 def svg_triangulation(t: Triangulation2) -> str:
     """Triangle outlines plus vertex dots."""
-    to_svg = _transform(t.points)
+    coords = _svg_coords(t.points, t.points)
     body = []
     for tri in t.triangles:
-        pts = " ".join(to_svg(t.points[v]) for v in tri)
+        pts = " ".join(coords[v] for v in tri)
         body.append(f'<polygon points="{pts}" />')
-    for p in t.points:
-        x, y = to_svg(p).split(",")
+    for xy in coords:
+        x, y = xy.split(",")
         body.append(f'<circle cx="{x}" cy="{y}" r="3.00" />')
     return _document(body)
+
+
+def _reversed_cells(sd: SubdividedComplex) -> list:
+    """Whether the circumcenter map reverses each cell, from one array pass.
+
+    A cell is reversed when signed_area of its image and its source sign
+    have opposite signs.
+    """
+    ids = np.array([cell.verts for cell in sd.cells], dtype=int).reshape(-1, 3)
+    a, b, c = (sd.gamma[ids[:, k]] for k in range(3))
+    area = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    return (area * np.array([cell.source_sign for cell in sd.cells]) < 0).tolist()
 
 
 def _cell_polygons(sd: SubdividedComplex, use_image: bool) -> list:
     verts = sd.gamma if use_image else sd.vertices
     frame = np.vstack([sd.vertices, sd.gamma]) if use_image else sd.vertices
-    to_svg = _transform(frame)
+    coords = _svg_coords(frame, verts)
+    neg = _reversed_cells(sd) if use_image else [False] * len(sd.cells)
     body = []
-    for cell in sd.cells:
-        cp = verts[list(cell.verts)]
-        flipped = signed_area(*cp) * cell.source_sign < 0
-        cls = "cell neg" if (use_image and flipped) else "cell"
-        pts = " ".join(to_svg(p) for p in cp)
-        body.append(f'<polygon class="{cls}" points="{pts}" />')
+    for cell, n in zip(sd.cells, neg):
+        i, j, k = cell.verts
+        body.append(f'<polygon class="{"cell neg" if n else "cell"}" points="{coords[i]} {coords[j]} {coords[k]}" />')
     return body
 
 

@@ -11,12 +11,19 @@ The per-cell functional integrates squared distance to A over the image of
 the cell, signed by whether the circumcenter map preserves the cell's
 orientation.  Summing cells reproduces the planar functional exactly and
 defines its generalization for tetrahedral complexes.
+
+Planar complexes take one array pass: ``functional2d._flag_terms`` gives, for
+a (T, 3) triangle array, the six flag signs, image integrals and
+circumcenters per triangle from edge vectors; ``vf_via_sd`` sums it and
+``barycentric_subdivide`` numbers its vertices and cells.  Tetrahedral
+complexes are built flag by flag.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,11 +33,9 @@ from .errors import NotInteriorVertex
 from .geom import (
     Tetrahedron3,
     Triangle2,
-    circumcircle2,
     circumcircle3,
     circumsphere3,
     convex_polygon_masks,
-    signed_area,
     signed_volume,
 )
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
@@ -101,7 +106,7 @@ class SubdividedComplex:
 
 
 def _simplex_circum(pts, labels):
-    """Circumcenter and radius of a 0/1/2/3-simplex given by labels."""
+    """Circumcenter and radius of a 0/1/2/3-simplex of 3D points given by labels."""
     v = pts[list(labels)]
     if len(labels) == 1:
         return v[0], 0.0
@@ -109,13 +114,66 @@ def _simplex_circum(pts, labels):
         center = 0.5 * (v[0] + v[1])
         return center, float(np.linalg.norm(v[0] - center))
     if len(labels) == 3:
-        if pts.shape[1] == 2:
-            cd = circumcircle2(Triangle2(v[0], v[1], v[2]))
-        else:
-            cd = circumcircle3(v[0], v[1], v[2])
+        cd = circumcircle3(v[0], v[1], v[2])
         return cd.center, cd.radius
     cd = circumsphere3(Tetrahedron3(v[0], v[1], v[2], v[3]))
     return cd.center, cd.radius
+
+
+# Positions, in each triangle's row of subdivision-vertex keys, of the keys
+# over its sorted labels (s0, s1, s2, and -1 as padding):
+# s0, s0s1, face, s0s2, s1, s1s2, s2 -- the order in which its flags first
+# reach them.
+_KEY_LABELS = np.array(
+    [[0, 3, 3], [0, 1, 3], [0, 1, 2], [0, 2, 3], [1, 3, 3], [1, 2, 3], [2, 3, 3]]
+)
+# (vertex, edge, face) key positions of each flag, in functional2d's flag order.
+_CELL_KEYS = np.array([[0, 1, 2], [0, 3, 2], [4, 1, 2], [4, 5, 2], [6, 3, 2], [6, 5, 2]])
+
+
+def _subdivide_triangulation(t: Triangulation2) -> SubdividedComplex:
+    """The planar subdivision from one pass of functional2d._flag_terms.
+
+    Subdivision vertices are numbered in the order the flags of the triangles,
+    in triangle order, first reach them; the cells of each triangle follow its
+    flags in label order.
+    """
+    pts = t.points
+    tri = np.sort(np.asarray(t.triangles, int).reshape(-1, 3), axis=1)
+    sign, _, center = functional2d._flag_terms(pts, tri)
+    padded = np.concatenate([tri, np.full((len(tri), 1), -1)], axis=1)
+    keys = padded[:, _KEY_LABELS].reshape(-1, 3)
+    unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = rank[inverse.reshape(-1)].reshape(-1, 7)
+    labels = unique[order]
+    size = (labels >= 0).sum(axis=1)
+
+    corners = pts[np.maximum(labels, 0)]
+    vertices = corners[:, 0] + np.where(size[:, None] >= 2, corners[:, 1], 0.0)
+    vertices = (vertices + np.where(size[:, None] == 3, corners[:, 2], 0.0)) / size[:, None]
+    # A vertex is its own circumcenter, an edge's is its midpoint; faces take
+    # the circumcenter of the triangle that first reached them.
+    gamma = np.where(size[:, None] == 3, center[first[order] // 7], vertices)
+    r2 = np.where(size == 1, 0.0, ((corners[:, 0] - gamma) ** 2).sum(axis=1))
+    height = (gamma * gamma).sum(axis=1) - r2
+
+    # One int object per id and label, shared by every cell naming it, and
+    # Python lists one triangle at a time: the cells stay as small as a
+    # flag-by-flag build makes them.
+    vid = list(range(len(labels)))
+    lab = list(range(len(pts)))
+    sources = tuple(tuple(lab[i] for i in row[:k]) for row, k in zip(labels.tolist(), size.tolist()))
+    cell_ids = ids[:, _CELL_KEYS]
+    owners = tri[:, functional2d._FLAG_X]
+    cells = tuple(
+        SdCell((vid[i], vid[j], vid[k]), lab[x], s, index)
+        for index in range(len(tri))
+        for (i, j, k), x, s in zip(cell_ids[index].tolist(), owners[index].tolist(), sign[index].tolist())
+    )
+    return SubdividedComplex(2, pts, vertices, gamma, height, sources, cells)
 
 
 def barycentric_subdivide(source) -> SubdividedComplex:
@@ -124,15 +182,10 @@ def barycentric_subdivide(source) -> SubdividedComplex:
     Every flag becomes one cell; 6 per triangle, 24 per tetrahedron.
     """
     if isinstance(source, Triangulation2):
-        pts = source.points
-        tops = [tuple(t) for t in source.triangles]
-        dim = 2
-    elif isinstance(source, TetComplex):
-        pts = source.points
-        tops = [tuple(t) for t in source.tets]
-        dim = 3
-    else:
+        return _subdivide_triangulation(source)
+    if not isinstance(source, TetComplex):
         raise TypeError(f"cannot subdivide {type(source).__name__}")
+    pts = source.points
 
     index = {}
     verts, gamma, height, sources = [], [], [], []
@@ -149,18 +202,14 @@ def barycentric_subdivide(source) -> SubdividedComplex:
         return index[key]
 
     cells = []
-    for top_idx, top in enumerate(tops):
+    for top_idx, top in enumerate(source.tets):
         for flag in _flags(top):
             ids = tuple(vertex_id(s) for s in flag)
-            cell_pts = [verts[i] for i in ids]
-            if dim == 2:
-                sign = 1 if signed_area(*cell_pts) > 0 else -1
-            else:
-                sign = 1 if signed_volume(*cell_pts) > 0 else -1
+            sign = 1 if signed_volume(*[verts[i] for i in ids]) > 0 else -1
             cells.append(SdCell(ids, flag[0][0], sign, top_idx))
 
     return SubdividedComplex(
-        dim=dim,
+        dim=3,
         source_points=pts,
         vertices=np.asarray(verts),
         gamma=np.asarray(gamma),
@@ -197,9 +246,15 @@ def vf_sd_cell(cell: SdCell, sd: SubdividedComplex) -> float:
 
 
 def vf_via_sd(t: Triangulation2) -> float:
-    """Triangulation functional as the sum of subdivision-cell contributions."""
-    sd = barycentric_subdivide(t)
-    return float(sum(vf_sd_cell(c, sd) for c in sd.cells))
+    """Triangulation functional as the sum of subdivision-cell contributions.
+
+    Sums sign * image integral over all flags of one array pass, without
+    building the SubdividedComplex; equals the sum of vf_sd_cell over its cells.
+    The sum is exactly rounded: the cells of a sliver with a far circumcenter
+    are many orders of magnitude larger than their total.
+    """
+    sign, integral, _ = functional2d._flag_terms(t.points, t.triangles)
+    return math.fsum((sign * integral).ravel().tolist())
 
 
 def vf3(tc: TetComplex) -> float:

@@ -28,7 +28,7 @@ from .errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from .geom import Triangle2, in_circle, orient2, signed_area
+from .geom import in_circle_xy, orient2_xy, signed_area
 
 GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
@@ -80,11 +80,12 @@ def convex_hull(points: np.ndarray) -> list:
     """Counterclockwise hull labels by monotone chain; strictly convex corners only."""
     pts = np.asarray(points, float)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
+    xy = pts.tolist()
 
     def build(idx_iter):
         chain = []
         for i in idx_iter:
-            while len(chain) >= 2 and orient2(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 0:
+            while len(chain) >= 2 and orient2_xy(*xy[chain[-2]], *xy[chain[-1]], *xy[i]) <= 0:
                 chain.pop()
             chain.append(int(i))
         return chain
@@ -106,22 +107,25 @@ class Triangulation2:
         self.points = np.asarray(points, float)
         tris = [tuple(int(v) for v in t) for t in triangles]
         if kind == GEOMETRIC and _normalize:
-            tris = [self._ccw(t) for t in tris]
+            xy = self.points.tolist()
+            tris = [self._ccw(xy, t) for t in tris]
         self.triangles = tuple(tris)
         self.kind = kind
         if kind == GEOMETRIC:
             self.signs = (1,) * len(tris)
         else:
+            xy = self.points.tolist()
             signs = []
-            for t in tris:
-                s = orient2(*self.points[list(t)])
+            for i, j, k in tris:
+                s = orient2_xy(*xy[i], *xy[j], *xy[k])
                 if s == 0:
-                    raise CollinearImage(f"triangle {t} maps to a degenerate triangle")
+                    raise CollinearImage(f"triangle {(i, j, k)} maps to a degenerate triangle")
                 signs.append(s)
             self.signs = tuple(signs)
 
-    def _ccw(self, t):
-        s = orient2(*self.points[list(t)])
+    @staticmethod
+    def _ccw(xy, t):
+        s = orient2_xy(*xy[t[0]], *xy[t[1]], *xy[t[2]])
         if s == 0:
             raise NotGeneralPosition(f"degenerate triangle {t}", t)
         return t if s > 0 else (t[0], t[2], t[1])
@@ -302,32 +306,36 @@ def _edge_quad(tri1, tri2, edge):
     u, v = edge
     if tri1[(tri1.index(u) + 1) % 3] != v:
         u, v = v, u
-    k = next(w for w in tri1 if w != u and w != v)
-    l = next(w for w in tri2 if w != u and w != v)
+    (k,) = set(tri1).difference(edge)
+    (l,) = set(tri2).difference(edge)
     return u, v, k, l
 
 
-def _strictly_convex(pts, u, v, k, l) -> bool:
-    """Whether quad (u, l, v, k) of an _edge_quad is strictly convex, so (k, l) can replace (u, v)."""
-    return orient2(pts[l], pts[v], pts[k]) > 0 and orient2(pts[k], pts[u], pts[l]) > 0
+def _strictly_convex(xy, u, v, k, l) -> bool:
+    """Whether quad (u, l, v, k) of an _edge_quad is strictly convex, so (k, l) can replace (u, v).
+
+    ``xy`` holds the coordinates as a list of [x, y] float pairs.
+    """
+    return orient2_xy(*xy[l], *xy[v], *xy[k]) > 0 and orient2_xy(*xy[k], *xy[u], *xy[l]) > 0
 
 
 def _scan_triangulation(pts):
     """Any valid triangulation by lexicographic sweep; raises on hull collinearity."""
-    n = len(pts)
     order = [int(i) for i in np.lexsort((pts[:, 1], pts[:, 0]))]
+    xy = pts.tolist()
     for a, b in zip(order, order[1:]):
-        if np.all(pts[a] == pts[b]):
+        if xy[a] == xy[b]:
             raise NotGeneralPosition(f"duplicate points {a}, {b}", (a, b))
     i0, i1, i2 = order[0], order[1], order[2]
-    s = orient2(pts[i0], pts[i1], pts[i2])
+    s = orient2_xy(*xy[i0], *xy[i1], *xy[i2])
     if s == 0:
         raise NotGeneralPosition(f"collinear points {i0}, {i1}, {i2}", (i0, i1, i2))
     hull = [i0, i1, i2] if s > 0 else [i0, i2, i1]
     tris = [tuple(hull)]
     for p in order[3:]:
         m = len(hull)
-        sgn = [orient2(pts[hull[k]], pts[hull[(k + 1) % m]], pts[p]) for k in range(m)]
+        px, py = xy[p]
+        sgn = [orient2_xy(*xy[hull[k]], *xy[hull[(k + 1) % m]], px, py) for k in range(m)]
         if any(s == 0 for s in sgn):
             k = sgn.index(0)
             raise NotGeneralPosition(
@@ -353,18 +361,19 @@ def _scan_triangulation(pts):
 
 def _legalize(pts, tris):
     """Lawson flips until every interior edge passes the in-circle test."""
+    xy = pts.tolist()
     triangles = {i: t for i, t in enumerate(tris)}
     edge2tris = {}
 
     def add_edges(tid):
         i, j, k = triangles[tid]
-        for e in ((i, j), (j, k), (k, i)):
-            edge2tris.setdefault(tuple(sorted(e)), set()).add(tid)
+        for p, q in ((i, j), (j, k), (k, i)):
+            edge2tris.setdefault((p, q) if p < q else (q, p), set()).add(tid)
 
     def drop_edges(tid):
         i, j, k = triangles[tid]
-        for e in ((i, j), (j, k), (k, i)):
-            edge2tris[tuple(sorted(e))].discard(tid)
+        for p, q in ((i, j), (j, k), (k, i)):
+            edge2tris[(p, q) if p < q else (q, p)].discard(tid)
 
     for tid in triangles:
         add_edges(tid)
@@ -379,12 +388,12 @@ def _legalize(pts, tris):
             continue
         t1_id, t2_id = sorted(tids)
         u, v, k, l = _edge_quad(triangles[t1_id], triangles[t2_id], edge)
-        s = in_circle(Triangle2(pts[u], pts[v], pts[k]), pts[l])
+        s = in_circle_xy(*xy[u], *xy[v], *xy[k], *xy[l])
         if s == 0:
             raise NotGeneralPosition(f"cocircular points {u}, {v}, {k}, {l}", (u, v, k, l))
         if s < 0:
             continue
-        if not _strictly_convex(pts, u, v, k, l):
+        if not _strictly_convex(xy, u, v, k, l):
             raise NotGeneralPosition(
                 f"cannot restore edge ({u}, {v}): flip quad is degenerate", (u, v, k, l)
             )
@@ -398,8 +407,8 @@ def _legalize(pts, tris):
             triangles[next_id] = new_tri
             add_edges(next_id)
             next_id += 1
-        for e in ((u, l), (l, v), (v, k), (k, u)):
-            work.append(tuple(sorted(e)))
+        for p, q in ((u, l), (l, v), (v, k), (k, u)):
+            work.append((p, q) if p < q else (q, p))
     return list(triangles.values())
 
 
@@ -420,13 +429,11 @@ def delaunay(ps) -> Triangulation2:
 
 def empty_circumcircle_violations(t: Triangulation2) -> list:
     """Brute-force Delaunay check: (triangle index, point label) pairs that violate it."""
+    xy = t.points.tolist()
     bad = []
-    for idx, tri in enumerate(t.triangles):
-        tt = Triangle2(*t.points[list(tri)])
-        for p in range(len(t.points)):
-            if p in tri:
-                continue
-            if in_circle(tt, t.points[p]) > 0:
+    for idx, (i, j, k) in enumerate(t.triangles):
+        for p in range(len(xy)):
+            if p not in (i, j, k) and in_circle_xy(*xy[i], *xy[j], *xy[k], *xy[p]) > 0:
                 bad.append((idx, p))
     return bad
 
@@ -436,15 +443,16 @@ def empty_circumcircle_violations(t: Triangulation2) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _flipped(t: Triangulation2, edge, tids):
+def _flipped(t: Triangulation2, edge, tids, xy):
     """Triangles of t with interior ``edge`` (shared by ``tids``) flipped.
 
-    None when the quad around the edge is not strictly convex.
+    None when the quad around the edge is not strictly convex.  ``xy`` is
+    ``t.points.tolist()``.
     """
     first, second = tids
     tris = t.triangles
     u, v, k, l = _edge_quad(tris[first], tris[second], edge)
-    if not _strictly_convex(t.points, u, v, k, l):
+    if not _strictly_convex(xy, u, v, k, l):
         return None
     # edge_map lists a triangle pair in index order, so first < second.
     return tris[:first] + tris[first + 1 : second] + tris[second + 1 :] + ((u, l, k), (v, k, l))
@@ -456,17 +464,22 @@ def flip(t: Triangulation2, move: FlipMove) -> Triangulation2:
     tids = t.edge_map().get(edge, [])
     if len(tids) != 2:
         raise NotInteriorEdge(f"edge {edge} is not an interior edge")
-    new_tris = _flipped(t, edge, tids)
+    new_tris = _flipped(t, edge, tids, t.points.tolist())
     if new_tris is None:
         raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
     return Triangulation2(t.points, new_tris, kind=t.kind, _normalize=False)
 
 
-def _legal_flips(t: Triangulation2):
-    """(edge, flipped triangles) for each flippable interior edge, in edge_map order."""
+def _legal_flips(t: Triangulation2, xy=None):
+    """(edge, flipped triangles) for each flippable interior edge, in edge_map order.
+
+    ``xy`` is ``t.points.tolist()``, computed here when not given.
+    """
+    if xy is None:
+        xy = t.points.tolist()
     for edge, tids in t.edge_map().items():
         if len(tids) == 2:
-            new_tris = _flipped(t, edge, tids)
+            new_tris = _flipped(t, edge, tids, xy)
             if new_tris is not None:
                 yield edge, new_tris
 
@@ -480,11 +493,12 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
     more than ``cap`` triangulations are found.
     """
     root = delaunay(ps)
+    xy = root.points.tolist()
     seen = {root.canonical(): root}
     stack = [root]
     while stack:
         cur = stack.pop()
-        for _, new_tris in _legal_flips(cur):
+        for _, new_tris in _legal_flips(cur, xy):
             key = _canonical(new_tris)
             if key not in seen:
                 if len(seen) >= cap:

@@ -48,6 +48,21 @@ def random_delaunay(rng, n, scale=1.0):
             continue
 
 
+def grid_delaunay(rng, n):
+    """Delaunay triangulation of n generic points on a 2^-20 grid in [0, 1).
+
+    Adding 1e6 or 1e7 (ulp 2^-29 at most) to such coordinates is exact, so a
+    translated copy has exactly the same shape and any drift comes from the
+    code under test.
+    """
+    while True:
+        pts = np.round(rng.random((n, 2)) * 2.0**20) / 2.0**20
+        try:
+            return delaunay(PointSet2(pts))
+        except NotGeneralPosition:
+            continue
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vorfunc.errors import DegenerateSimplex, NonConvexQuad, NotGeneralPosition
+from vorfunc.errors import DegenerateSimplex, NonConvexQuad
 from vorfunc.geom import Triangle2
 from vorfunc.integrate import mc_integrate
 from vorfunc.functional2d import (
@@ -24,7 +24,7 @@ from vorfunc.functional2d import (
 )
 from vorfunc.tri2d import PointSet2, Triangulation2, convex_hull, delaunay, enumerate_triangulations
 
-from conftest import random_delaunay, random_triangle
+from conftest import grid_delaunay, random_delaunay, random_triangle
 
 EQUILATERAL = Triangle2((0, 0), (1, 0), (0.5, np.sqrt(3) / 2))
 RIGHT_ISO = Triangle2((0, 0), (1, 0), (0, 1))
@@ -141,25 +141,13 @@ def test_radius_functional_topological_rejected(rng):
 # -- closed-form invariance and exact oracle --------------------------------
 
 
-def _grid_delaunay(rng, n):
-    # Coordinates on a 2^-20 grid in [0, 1): adding 1e6 or 1e7 (ulp 2^-29 at
-    # most) is exact, so a translated copy has exactly the same shape and any
-    # drift comes from the closed forms.
-    while True:
-        pts = np.round(rng.random((n, 2)) * 2.0**20) / 2.0**20
-        try:
-            return delaunay(PointSet2(pts))
-        except NotGeneralPosition:
-            continue
-
-
 def _transformed(d, shift=0.0, scale=1.0):
     return Triangulation2(d.points * scale + shift, d.triangles, _normalize=False)
 
 
 @pytest.mark.parametrize("shift", [1e6, 1e7])
 def test_closed_forms_translation_invariant(rng, shift):
-    d = _grid_delaunay(rng, 30)
+    d = grid_delaunay(rng, 30)
     moved = _transformed(d, shift=shift)
     assert vf_triangulation(moved).total == pytest.approx(vf_triangulation(d).total, rel=1e-8)
     assert radius_functional(moved, 2.0).total == pytest.approx(
@@ -169,13 +157,13 @@ def test_closed_forms_translation_invariant(rng, shift):
 
 @pytest.mark.parametrize("k", [-7, -1, 3, 12])
 def test_vf_scales_exactly_by_powers_of_two(rng, k):
-    d = _grid_delaunay(rng, 30)
+    d = grid_delaunay(rng, 30)
     scaled = vf_triangulation(_transformed(d, scale=2.0**k)).total
     assert scaled == 2.0 ** (4 * k) * vf_triangulation(d).total
 
 
 def test_vf_label_permutation_invariant(rng):
-    d = _grid_delaunay(rng, 30)
+    d = grid_delaunay(rng, 30)
     perm = rng.permutation(30)
     p = delaunay(PointSet2(d.points[perm]))
     assert {tuple(sorted(int(perm[i]) for i in t)) for t in p.triangles} == set(d.canonical())

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vorfunc.errors import DegenerateSimplex
 from vorfunc.geom import (
@@ -237,3 +240,88 @@ def test_lift_tangent_identity(rng):
         gap = float(x @ x) - tangent_value(a, x)
         expect = float((x - a) @ (x - a))
         assert gap == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+# -- predicate signs against exact rational determinants ---------------------
+
+
+def _exact_sign(rows):
+    """Sign of the determinant of 2x2 or 3x3 rows of Fractions."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+        det = a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+    return (det > 0) - (det < 0)
+
+
+def _exact_orient2(a, b, c):
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in (a, b, c))
+    return _exact_sign([(bx - ax, by - ay), (cx - ax, cy - ay)])
+
+
+def _exact_in_circle(a, b, c, p):
+    px, py = Fraction(p[0]), Fraction(p[1])
+    rows = []
+    for x, y in (a, b, c):
+        dx, dy = Fraction(x) - px, Fraction(y) - py
+        rows.append((dx, dy, dx * dx + dy * dy))
+    return _exact_sign(rows)
+
+
+# Points of unit order: a 2^-18 grid in [-4, 4], where exact degeneracies are
+# common, and triples or quadruples placed off a line or a circle by a relative
+# offset of at most 1e-6 (floats rounded from the construction).
+_grid_point = st.tuples(*[st.integers(-(2**20), 2**20).map(lambda k: k / 2.0**18)] * 2)
+_offset = st.floats(-1e-6, 1e-6)
+
+
+@st.composite
+def _near_collinear(draw):
+    (ax, ay), (bx, by) = draw(_grid_point), draw(_grid_point)
+    t, eps = draw(st.floats(-2.0, 2.0)), draw(_offset)
+    ux, uy = bx - ax, by - ay
+    return (ax, ay), (bx, by), (ax + t * ux - eps * uy, ay + t * uy + eps * ux)
+
+
+@st.composite
+def _near_cocircular(draw):
+    (cx, cy), radius = draw(_grid_point), draw(st.floats(0.25, 4.0))
+    angles = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=4, max_size=4))
+    radii = [radius] * 3 + [radius * (1.0 + draw(_offset))]
+    return [(cx + r * float(np.cos(t)), cy + r * float(np.sin(t))) for r, t in zip(radii, angles)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(_grid_point, _grid_point, _grid_point), _near_collinear()))
+def test_orient2_nonzero_sign_is_exact(abc):
+    s = orient2(*abc)
+    assert s == 0 or s == _exact_orient2(*abc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(_grid_point, _grid_point, _grid_point, _grid_point), _near_cocircular()))
+def test_in_circle_nonzero_sign_is_exact(abcp):
+    a, b, c, p = abcp
+    assume(orient2(a, b, c) != 0)
+    s = in_circle(Triangle2(a, b, c), p)
+    assert s == 0 or s == _exact_in_circle(a, b, c, p)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="in_circle's tolerance grows as length^5 against a length^4 determinant, "
+    "so on circles of radius 1e-9 it is below the rounding error; exact predicates mend this",
+)
+def test_in_circle_nonzero_sign_is_exact_on_tiny_circles():
+    rng = np.random.default_rng(1)
+    for _ in range(500):
+        angles = rng.uniform(0.0, 2.0 * np.pi, 4)
+        radii = 1e-9 * np.array([1.0, 1.0, 1.0, 1.0 + rng.choice([0.0, 1e-14, 1e-12])])
+        a, b, c, p = (tuple(r * np.array([np.cos(t), np.sin(t)])) for r, t in zip(radii, angles))
+        if orient2(a, b, c) == 0:
+            continue
+        s = in_circle(Triangle2(a, b, c), p)
+        assert s == 0 or s == _exact_in_circle(a, b, c, p)

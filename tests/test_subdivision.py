@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from vorfunc.errors import NotInteriorVertex
-from vorfunc.geom import Triangle2, signed_area, tangent_value
+from vorfunc.geom import Triangle2, circumcircle2, signed_area, tangent_value
 from vorfunc.functional2d import vf_triangle, vf_triangulation
 from vorfunc.subdivision import (
+    SdCell,
     TetComplex,
     barycentric_subdivide,
     cell_decomposition_check,
@@ -17,9 +18,9 @@ from vorfunc.subdivision import (
     vf_via_sd,
     voronoi_polygon,
 )
-from vorfunc.tri2d import Triangulation2, delaunay
+from vorfunc.tri2d import Triangulation2, delaunay, make_topological
 
-from conftest import random_delaunay, random_triangle
+from conftest import grid_delaunay, random_delaunay, random_triangle
 
 
 def single(tri: Triangle2) -> Triangulation2:
@@ -117,6 +118,74 @@ def test_vf_via_sd_matches_triangulation(rng):
         a = vf_triangulation(d).total
         b = vf_via_sd(d)
         assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+
+
+def _reference_subdivision(t):
+    # One flag at a time, as the definition reads: each simplex gets an id the
+    # first time a flag reaches it, triangles in order and the flags of each
+    # (vertex, then edge at that vertex) in label order.
+    pts = t.points
+    index, verts, gamma, height, sources, cells = {}, [], [], [], [], []
+
+    def vertex_id(key):
+        if key not in index:
+            v = pts[list(key)]
+            if len(key) == 3:
+                cd = circumcircle2(Triangle2(*v))
+                center, radius = cd.center, cd.radius
+            else:
+                center = v.mean(axis=0)
+                radius = np.linalg.norm(v[0] - center)
+            index[key] = len(verts)
+            verts.append(v.mean(axis=0))
+            gamma.append(center)
+            height.append(center @ center - radius * radius)
+            sources.append(key)
+        return index[key]
+
+    for top_idx, tri in enumerate(t.triangles):
+        face = tuple(sorted(tri))
+        for x in face:
+            for y in face:
+                if y != x:
+                    ids = (vertex_id((x,)), vertex_id(tuple(sorted((x, y)))), vertex_id(face))
+                    sign = 1 if signed_area(*(verts[i] for i in ids)) > 0 else -1
+                    cells.append(SdCell(ids, x, sign, top_idx))
+    return np.array(verts), np.array(gamma), np.array(height), tuple(sources), tuple(cells)
+
+
+def _swapped(d, i, j):
+    perm = list(range(len(d.points)))
+    perm[i], perm[j] = j, i
+    return make_topological(d, perm)
+
+
+def test_subdivision_matches_per_flag_reference(rng):
+    d = random_delaunay(rng, 40)
+    moved = grid_delaunay(rng, 30)
+    moved = Triangulation2(moved.points + 1e6, moved.triangles, _normalize=False)
+    for t in (d, _swapped(d, 3, 17), moved):
+        sd = barycentric_subdivide(t)
+        verts, gamma, height, sources, cells = _reference_subdivision(t)
+        assert sd.source_simplices == sources
+        assert sd.cells == cells
+        for got, want in ((sd.vertices, verts), (sd.gamma, gamma), (sd.height, height)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert any(c.source_sign < 0 for c in cells)
+
+
+def test_vf_via_sd_equals_sum_of_cells(rng):
+    d = random_delaunay(rng, 30)
+    for t in (d, _swapped(d, 2, 11)):
+        sd = barycentric_subdivide(t)
+        values = [vf_sd_cell(c, sd) for c in sd.cells]
+        assert abs(vf_via_sd(t) - sum(values)) <= 1e-12 * sum(abs(v) for v in values)
+
+
+def test_vf_via_sd_translation_invariant(rng):
+    d = grid_delaunay(rng, 30)
+    moved = Triangulation2(d.points + 1e6, d.triangles, _normalize=False)
+    assert vf_via_sd(moved) == pytest.approx(vf_via_sd(d), rel=1e-8)
 
 
 def test_sd_euler_characteristic(rng):

@@ -48,6 +48,22 @@ def test_delaunay_random_empty_circumcircle(rng):
     assert empty_circumcircle_violations(d) == []
 
 
+@pytest.mark.parametrize("kind", ["uniform", "anisotropic"])
+def test_delaunay_matches_scipy_at_n_1000(kind):
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(1000)
+    if kind == "uniform":
+        pts = rng.random((1000, 2))
+    else:
+        # Gaussian with 20:1 axes, rotated: long thin triangles.
+        ang = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+        pts = (rng.standard_normal((1000, 2)) * [1.0, 0.05]) @ rot.T
+    got = set(delaunay(pts).canonical())
+    assert got == {tuple(sorted(int(i) for i in s)) for s in Delaunay(pts).simplices}
+
+
 def test_flip_rectangle_diagonal():
     pts = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float)
     t = Triangulation2(pts, [(0, 1, 2), (0, 2, 3)])
