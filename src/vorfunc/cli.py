@@ -10,7 +10,8 @@ Subcommands:
     render            SVG of a triangulation, its subdivision, or the
                       circumcenter-map image
 
-Exit codes: 0 ok, 2 input/parse error, 3 degenerate input (the diagnostic
+Exit codes: 0 ok, 2 input/parse error (also a non-finite --alpha or functional
+value, which never reaches the output), 3 degenerate input (the diagnostic
 names the offending labels, or Lawson flipping ran out of its flip budget),
 4 experiment verdict failed.  Identical invocations produce byte-identical
 output.
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +37,8 @@ from .experiments import (
 )
 from .functional2d import FunctionalReport, radius_functional, rajan_triangulation, vf_triangulation
 from .render import svg_gamma_image, svg_subdivision, svg_triangulation
-from .subdivision import barycentric_subdivide, vf_sd_cell
+from .subdivision import TetComplex, vf3
 from .tri2d import PointSet2, delaunay
-
-
-@dataclass
-class RunConfig:
-    """Validated run options shared by the subcommands."""
-
-    command: str
-    input_path: str = ""
-    seed: int = DEFAULT_SEED
-    samples: int = 1_000_000
-    out_format: str = "json"
-    out_path: str = ""
-
-    def __post_init__(self):
-        if self.samples < 1000:
-            raise ValueError("--samples must be at least 1000")
 
 
 def _fail(code: int, message: str):
@@ -68,6 +53,8 @@ def _load_points(path: str) -> np.ndarray:
         pts = np.asarray(obj["points"], float)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(2, f"cannot read point set from {path!r}: {exc}")
+    if pts.ndim != 2:
+        _fail(2, f"point set in {path!r} is not a list of points, got shape {pts.shape}")
     return pts
 
 
@@ -94,6 +81,9 @@ def _parse_diagonal(spec: str, n: int) -> tuple:
 
 
 def _report_text(report: FunctionalReport, fmt: str) -> str:
+    # A non-finite entry makes the total non-finite; neither JSON nor CSV can carry it.
+    if not math.isfinite(report.total):
+        _fail(2, f"functional {report.kind} is not finite ({report.total!r})")
     if fmt == "json":
         return report.to_json() + "\n"
     lines = ["# schema=1", "simplex,contribution"]
@@ -104,23 +94,20 @@ def _report_text(report: FunctionalReport, fmt: str) -> str:
 
 
 def cmd_functional(args) -> int:
-    cfg = RunConfig("functional", input_path=args.input, out_format=args.format, out_path=args.out or "")
-    pts = _load_points(cfg.input_path)
+    if not math.isfinite(args.alpha):
+        _fail(2, f"--alpha must be finite, got {args.alpha!r}")
+    pts = _load_points(args.input)
     if args.dim == 3:
         if pts.shape[1] != 3:
             _fail(2, f"--dim 3 expects 3D points, got shape {pts.shape}")
         try:
             diag = _parse_diagonal(args.diagonal, len(pts))
             tc = octahedron_decomposition(pts, diag)
-            sd = barycentric_subdivide(tc)
-            by_tet = {}
-            for cell in sd.cells:
-                by_tet[cell.source_index] = by_tet.get(cell.source_index, 0.0) + vf_sd_cell(cell, sd)
+            values = [vf3(TetComplex(tc.points, [tet])) for tet in tc.tets]
         except (ValueError, VorfuncError) as exc:
             _fail(2, str(exc))
-        per = tuple(sorted(by_tet.items()))
-        report = FunctionalReport("vf3", float(sum(by_tet.values())), per)
-        _emit(_report_text(report, cfg.out_format), cfg.out_path)
+        report = FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))
+        _emit(_report_text(report, args.format), args.out)
         return 0
     if pts.shape[1] != 2:
         _fail(2, f"expected 2D points, got shape {pts.shape}")
@@ -138,52 +125,47 @@ def cmd_functional(args) -> int:
         report = radius_functional(d, args.alpha)
     else:
         _fail(2, f"unknown functional {args.which!r}")
-    _emit(_report_text(report, cfg.out_format), cfg.out_path)
+    _emit(_report_text(report, args.format), args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
-    cfg = RunConfig(
-        "scan", seed=args.seed, out_format=args.format, out_path=args.out or ""
-    )
     try:
-        result, rows = optimality_scan(args.n, args.trials, seed=cfg.seed)
+        result, rows = optimality_scan(args.n, args.trials, seed=args.seed)
     except VorfuncError as exc:
         _fail(3, str(exc))
-    if cfg.out_format == "csv":
+    if args.format == "csv":
         lines = ["# schema=1", "trial,triangulation,vf,is_delaunay,is_max"]
         for trial, idx, vf, is_d, is_max in rows:
             lines.append(f"{trial},{idx},{vf!r},{int(is_d)},{int(is_max)}")
-        _emit("\n".join(lines) + "\n", cfg.out_path)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(result.to_json() + "\n", cfg.out_path)
+        _emit(result.to_json() + "\n", args.out)
     return 0 if result.verdict == "pass" else 4
 
 
 def cmd_counterexamples(args) -> int:
-    cfg = RunConfig(
-        "counterexamples", seed=args.seed, samples=args.samples, out_path=args.out or ""
-    )
+    if args.samples < 1000:
+        _fail(2, "--samples must be at least 1000")
     try:
         if args.which == "topological":
-            result = topological_counterexample(samples=cfg.samples, seed=cfg.seed)
+            result = topological_counterexample(samples=args.samples, seed=args.seed)
         elif args.which == "octahedron":
             result = octahedron_counterexample()
         elif args.which == "fold":
-            result = fold_region_probe(seed=cfg.seed)
+            result = fold_region_probe(seed=args.seed)
         else:
             _fail(2, f"unknown experiment {args.which!r}")
     except VorfuncError as exc:
         _fail(4, f"experiment could not be constructed: {exc}")
-    _emit(result.to_json() + "\n", cfg.out_path)
+    _emit(result.to_json() + "\n", args.out)
     if result.verdict != "pass":
         _fail(4, f"experiment {result.name} verdict: {result.verdict}")
     return 0
 
 
 def cmd_render(args) -> int:
-    cfg = RunConfig("render", input_path=args.input, out_path=args.out or "")
-    pts = _load_points(cfg.input_path)
+    pts = _load_points(args.input)
     if pts.shape[1] != 2:
         _fail(2, f"render expects 2D points, got shape {pts.shape}")
     try:
@@ -200,7 +182,7 @@ def cmd_render(args) -> int:
         text = svg_gamma_image(d)
     else:
         _fail(2, f"unknown render target {args.what!r}")
-    _emit(text, cfg.out_path)
+    _emit(text, args.out)
     return 0
 
 

@@ -16,7 +16,6 @@ JSON report.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -318,6 +317,8 @@ OCTA_TOL = 0.05
 def octahedron_ring(points, diagonal) -> list:
     """Cyclic order of the four equatorial vertices around a diagonal axis."""
     pts = np.asarray(points, float)
+    if len(pts) != 6:
+        raise ValueError(f"an octahedron has 6 points, got {len(pts)}")
     i, j = diagonal
     others = [k for k in range(len(pts)) if k not in (i, j)]
     axis = pts[j] - pts[i]
@@ -444,7 +445,7 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
             preserved += 1
         elif sgn == -c.source_sign:
             reversed_ += 1
-    flipped_flags = _flipped_boundary_flags(pts)
+    flipped_flags = _flipped_boundary_flags(sd)
     flips_at_ac = all(e == (0, 2) for _, e, _ in flipped_flags)
 
     e_center = circumcircle3(pts[1], pts[0], pts[2]).center
@@ -491,33 +492,21 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
     )
 
 
-def _flipped_boundary_flags(pts) -> list:
-    """Boundary-face subdivision flags whose in-plane orientation reverses."""
+def _flipped_boundary_flags(sd) -> list:
+    """Face flags (vertex, edge, face) of a one-tetrahedron subdivision whose
+    in-plane orientation the circumcenter map reverses.
+
+    Each of the 24 cells starts with one face flag; barycenters, images and
+    face normals are read from ``sd``.
+    """
     out = []
-    for face in [(0, 1, 3), (2, 1, 3), (1, 0, 2), (3, 0, 2)]:
-        fp = pts[list(face)]
+    for cell in sd.cells:
+        ids = list(cell.verts[:3])
+        fp = sd.source_points[list(sd.source_simplices[ids[2]])]
         n = np.cross(fp[1] - fp[0], fp[2] - fp[0])
-        seen = set()
-        for perm in itertools.permutations(face):
-            v = (perm[0],)
-            e = tuple(sorted(perm[:2]))
-            f = tuple(sorted(perm))
-            if (v, e, f) in seen:
-                continue
-            seen.add((v, e, f))
-
-            def barycenter(s):
-                return pts[list(s)].mean(axis=0)
-
-            def image(s):
-                if len(s) == 1:
-                    return pts[s[0]]
-                if len(s) == 2:
-                    return pts[list(s)].mean(axis=0)
-                return circumcircle3(*pts[list(s)]).center
-
-            src = np.cross(barycenter(e) - barycenter(v), barycenter(f) - barycenter(v)) @ n
-            img = np.cross(image(e) - image(v), image(f) - image(v)) @ n
-            if src * img < 0:
-                out.append((v, e, f))
+        bary, image = sd.vertices[ids], sd.gamma[ids]
+        src = np.cross(bary[1] - bary[0], bary[2] - bary[0]) @ n
+        img = np.cross(image[1] - image[0], image[2] - image[0]) @ n
+        if src * img < 0:
+            out.append(tuple(sd.source_simplices[i] for i in ids))
     return out

@@ -22,7 +22,9 @@ The pointwise field g carries the same information locally:
 
 with the second term zero for x inside the triangle; vf_triangle is the
 integral of g over the whole plane.  Triangulation-level values are the
-orientation-signed sums over triangles.
+orientation-signed sums over triangles.  One kernel, ``_g_points``, evaluates
+g for a triangle, for the flip quadrangle's four triangles and, with the hull
+as the polygon, for a whole point set (``nearest_minus_visible_field``).
 
 The six corner terms of mu_terms are the flags of the triangle's barycentric
 subdivision; ``_flag_terms`` evaluates them, from the same edge vectors, for
@@ -42,7 +44,7 @@ from .geom import (
     circumcenter_offset,
     collinear2,
     convex_polygon_masks,
-    in_circle,
+    in_circle_xy,
     orient2,
     signed_area,
 )
@@ -236,26 +238,31 @@ def mu_terms(t: Triangle2) -> list:
 # ---------------------------------------------------------------------------
 
 
-def g_triangle_points(t: Triangle2, pts: np.ndarray) -> np.ndarray:
-    """Vectorized g over an (m, 2) array of sample points.
+def _g_points(corners: np.ndarray, h: int, pts: np.ndarray) -> np.ndarray:
+    """The one g kernel over an (m, 2) array of sample points.
 
-    Points on the triangle boundary count as inside (measure zero; keeps the
-    inside/outside split total).
+    Nearest squared distance over all ``corners``, minus, for points outside
+    the convex polygon ``corners[:h]``, the nearest squared distance to a
+    visible corner of that polygon.  Points on the polygon boundary count as
+    inside (measure zero; keeps the inside/outside split total).
     """
+    d2 = (pts[:, 0, None] - corners[None, :, 0]) ** 2
+    d2 += (pts[:, 1, None] - corners[None, :, 1]) ** 2
+    g = d2.min(axis=1)
+    inside, vis = convex_polygon_masks(corners[:h], pts)
+    outside = ~inside
+    if outside.any():
+        d2_vis = np.where(vis[outside], d2[outside, :h], np.inf)
+        g[outside] = g[outside] - d2_vis.min(axis=1)
+    return g
+
+
+def g_triangle_points(t: Triangle2, pts: np.ndarray) -> np.ndarray:
+    """Vectorized g of one triangle over an (m, 2) array of sample points."""
     verts = t.vertices()
     if orient2(*verts) == 0:
         raise DegenerateSimplex("collinear triangle")
-    pts = np.asarray(pts, float)
-    d2 = (pts[:, 0, None] - verts[None, :, 0]) ** 2
-    d2 += (pts[:, 1, None] - verts[None, :, 1]) ** 2
-    nearest = d2.min(axis=1)
-    g = nearest.copy()
-    inside, vis = convex_polygon_masks(verts, pts)
-    outside = ~inside
-    if outside.any():
-        d2_vis = np.where(vis[outside], d2[outside], np.inf)
-        g[outside] = nearest[outside] - d2_vis.min(axis=1)
-    return g
+    return _g_points(verts, 3, np.asarray(pts, float))
 
 
 def g_triangle(t: Triangle2, p) -> float:
@@ -274,8 +281,8 @@ def g_field(t: Triangulation2, x):
     if single:
         pts = pts[None, :]
     out = np.zeros(len(pts))
-    for idx, tri in enumerate(t.triangles):
-        out += t.signs[idx] * g_triangle_points(Triangle2(*t.points[list(tri)]), pts)
+    for sign, tri in zip(t.signs, t.triangles):
+        out += sign * _g_points(t.points[list(tri)], 3, pts)
     return float(out[0]) if single else out
 
 
@@ -320,18 +327,16 @@ def flip_delta(quad, p) -> float:
     corner, the latter exactly when the two nearest corners span a diagonal.
     """
     quad = np.asarray(quad, float)
-    p = np.asarray(p, float)
-    cyc = _quad_cycle(quad)
-    q = quad[cyc]
-    first = [Triangle2(q[0], q[1], q[2]), Triangle2(q[0], q[2], q[3])]
-    second = [Triangle2(q[0], q[1], q[3]), Triangle2(q[1], q[2], q[3])]
+    p = np.asarray(p, float)[None, :]
+    q = quad[_quad_cycle(quad)]
+    first, second = [(0, 1, 2), (0, 2, 3)], [(0, 1, 3), (1, 2, 3)]
     # Diagonal (0, 2) is Delaunay unless corner 3 encroaches its circumcircle.
-    if in_circle(first[0], q[3]) > 0:
+    if in_circle_xy(*q.ravel().tolist()) > 0:
         dtri, ktri = second, first
     else:
         dtri, ktri = first, second
-    g_d = sum(g_triangle(tt, p) for tt in dtri)
-    g_k = sum(g_triangle(tt, p) for tt in ktri)
+    g_d = sum(float(_g_points(q[list(tt)], 3, p)[0]) for tt in dtri)
+    g_k = sum(float(_g_points(q[list(tt)], 3, p)[0]) for tt in ktri)
     return float(g_d - g_k)
 
 

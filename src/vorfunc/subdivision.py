@@ -17,6 +17,12 @@ a (T, 3) triangle array, the six flag signs, image integrals and
 circumcenters per triangle from edge vectors; ``vf_via_sd`` sums it and
 ``barycentric_subdivide`` numbers its vertices and cells.  Tetrahedral
 complexes are built flag by flag.
+
+The star-cancellation check reads the same flag terms: the cells owned by an
+interior vertex sum to the integral over its Voronoi cell, which is clipped
+and integrated in coordinates relative to the vertex.  The plane integrand
+``nearest_minus_visible_field`` is functional2d's g kernel with the hull as
+the polygon.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .geom import (
     Triangle2,
     circumcircle3,
     circumsphere3,
-    convex_polygon_masks,
     signed_volume,
 )
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
@@ -285,40 +290,34 @@ def _clip_halfplane(poly, n, c):
     return out
 
 
-def voronoi_polygon(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
-    """Voronoi cell of point i clipped to a large box, as ccw polygon vertices.
+def _voronoi_cell(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
+    """voronoi_polygon of point i in coordinates relative to point i.
 
-    Computed by intersecting the bisector half-planes of i against all other
-    points.  Without an explicit pad the box is grown until the cell detaches
-    from it, so bounded cells (interior vertices) come out unclipped even when
-    sliver triangles push their circumcenters far outside the point cloud;
-    unbounded cells stop growing after a fixed number of doublings.
+    Clips the half-planes 2 x . d_j <= |d_j|^2 with d_j = p_j - p_i, so the
+    cell does not depend on where the point set sits.
     """
-    pts = np.asarray(points, float)
-    a = pts[i]
-    span = pts.max(axis=0) - pts.min(axis=0)
-    base = float(max(span.max(), 1.0))
+    rel = np.asarray(points, float)
+    rel = rel - rel[i]
+    rel_lo, rel_hi = rel.min(axis=0), rel.max(axis=0)
+    base = float(max((rel_hi - rel_lo).max(), 1.0))
+    others = np.delete(rel, i, axis=0)
 
     def clipped(box_pad):
-        lo = pts.min(axis=0) - box_pad
-        hi = pts.max(axis=0) + box_pad
+        lo = rel_lo - box_pad
+        hi = rel_hi + box_pad
         poly = [
             np.array([lo[0], lo[1]]),
             np.array([hi[0], lo[1]]),
             np.array([hi[0], hi[1]]),
             np.array([lo[0], hi[1]]),
         ]
-        for j in range(len(pts)):
-            if j == i:
-                continue
-            n = 2.0 * (pts[j] - a)
-            c = float(pts[j] @ pts[j] - a @ a)
-            poly = _clip_halfplane(poly, n, c)
+        for d in others:
+            poly = _clip_halfplane(poly, 2.0 * d, float(d @ d))
             if not poly:
                 return np.zeros((0, 2)), False
         arr = np.asarray(poly)
-        lo_m = pts.min(axis=0) - box_pad * (1.0 - 1e-9)
-        hi_m = pts.max(axis=0) + box_pad * (1.0 - 1e-9)
+        lo_m = rel_lo - box_pad * (1.0 - 1e-9)
+        hi_m = rel_hi + box_pad * (1.0 - 1e-9)
         detached = bool(np.all(arr > lo_m) and np.all(arr < hi_m))
         return arr, detached
 
@@ -333,24 +332,38 @@ def voronoi_polygon(points: np.ndarray, i: int, pad: float = None) -> np.ndarray
     return poly
 
 
+def voronoi_polygon(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
+    """Voronoi cell of point i clipped to a large box, as ccw polygon vertices.
+
+    Computed by intersecting the bisector half-planes of i against all other
+    points, in coordinates relative to point i.  Without an explicit pad the
+    box is grown until the cell detaches from it, so bounded cells (interior
+    vertices) come out unclipped even when sliver triangles push their
+    circumcenters far outside the point cloud; unbounded cells stop growing
+    after a fixed number of doublings.
+    """
+    return np.asarray(points, float)[i] + _voronoi_cell(points, i, pad)
+
+
 def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, float]:
     """Both sides of the star-cancellation identity at an interior vertex.
 
     Left: exact integral of squared distance over the Voronoi polygon of the
-    vertex (fan quadrature).  Right: signed sum of image integrals over the
-    subdivision cells owned by the vertex.  The two agree for Delaunay input.
+    vertex, a fan of image integrals about the vertex.  Right: signed sum of
+    the flag terms (``functional2d._flag_terms``) of the subdivision cells
+    owned by the vertex.  Both come from coordinates relative to the vertex
+    or to a triangle corner, and agree for Delaunay input.
     """
     if vertex in d.boundary_vertices():
         raise NotInteriorVertex(f"vertex {vertex} lies on the hull")
-    a = d.points[vertex]
-    poly = voronoi_polygon(d.points, vertex)
-    f = lambda pts: ((pts - a) ** 2).sum(axis=1)
-    lhs = 0.0
-    for k in range(len(poly)):
-        lhs += quad_triangle(Triangle2(a, poly[k], poly[(k + 1) % len(poly)]), f)
-    sd = barycentric_subdivide(d)
-    rhs = sum(vf_sd_cell(c, sd) for c in sd.cells if c.source_vertex == vertex)
-    return float(lhs), float(rhs)
+    poly = _voronoi_cell(d.points, vertex)
+    nxt = np.roll(poly, -1, axis=0)
+    fan = functional2d._image_integral(poly[:, 0], poly[:, 1], nxt[:, 0], nxt[:, 1])
+    lhs = math.fsum(fan.tolist())
+    sign, integral, _ = functional2d._flag_terms(d.points, d.triangles)
+    owned = np.asarray(d.triangles, int)[:, functional2d._FLAG_X] == vertex
+    rhs = math.fsum((sign * integral)[owned].tolist())
+    return lhs, rhs
 
 
 def nearest_minus_visible_field(points: np.ndarray):
@@ -361,21 +374,9 @@ def nearest_minus_visible_field(points: np.ndarray):
     """
     pts = np.asarray(points, float)
     hull = convex_hull(pts)
-    hull_pts = pts[hull]
-
-    def field(x):
-        x = np.asarray(x, float)
-        d2 = (x[:, 0, None] - pts[None, :, 0]) ** 2
-        d2 += (x[:, 1, None] - pts[None, :, 1]) ** 2
-        g = d2.min(axis=1)
-        inside, vis = convex_polygon_masks(hull_pts, x)
-        outside = ~inside
-        if outside.any():
-            d2h = np.where(vis[outside], d2[np.ix_(outside, hull)], np.inf)
-            g[outside] = g[outside] - d2h.min(axis=1)
-        return g
-
-    return field
+    rest = sorted(set(range(len(pts))) - set(hull))
+    corners = pts[list(hull) + rest]
+    return lambda x: functional2d._g_points(corners, len(hull), np.asarray(x, float))
 
 
 def cell_decomposition_check(d: Triangulation2, samples: int = 10**6, seed: int = 0):

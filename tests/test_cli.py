@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vorfunc import cli
@@ -181,3 +182,45 @@ def test_samples_floor_enforced(capsys):
     )
     assert code == 2
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("command", ["functional", "render"])
+@pytest.mark.parametrize("points", [[1, 2, 3], []])
+def test_points_not_a_point_list_exits_2(tmp_path, capsys, command, points):
+    path = write_points(tmp_path, "flat.json", points)
+    code, out, err = run_cli([command, "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_functional_dim3_needs_six_points(tmp_path, capsys):
+    pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    path = write_points(tmp_path, "five.json", pts)
+    code, out, err = run_cli(["functional", "--input", path, "--dim", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "got 5" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1000"])
+def test_functional_non_finite_rf_exits_2(tmp_path, capsys, alpha, fmt):
+    # Circumradius 0.07: its -1000th power overflows to inf.
+    path = write_points(tmp_path, "small.json", [[0, 0], [0.1, 0], [0, 0.1]])
+    argv = ["functional", "--input", path, "--which", "rf", f"--alpha={alpha}", "--format", fmt]
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("which", ["vf", "rajan"])
+def test_functional_overflow_exits_2(tmp_path, capsys, which):
+    path = write_points(tmp_path, "huge.json", [[0, 0], [1e100, 0], [0, 1e100]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(["functional", "--input", path, "--which", which], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err

@@ -247,6 +247,18 @@ def test_cancellation_sign_census(rng):
     assert saw_negative, "expected at least one folded star in random instances"
 
 
+def test_cancellation_translation_invariant(rng):
+    # Grid coordinates move by 1e6 exactly, so both sides must not move either.
+    for _ in range(3):
+        d = grid_delaunay(rng, 12)
+        moved = Triangulation2(d.points + 1e6, d.triangles, _normalize=False)
+        for v in set(range(12)) - d.boundary_vertices():
+            lhs, rhs = interior_cancellation_check(d, v)
+            lhs_moved, rhs_moved = interior_cancellation_check(moved, v)
+            assert lhs_moved == pytest.approx(lhs, rel=1e-9)
+            assert rhs_moved == pytest.approx(rhs, rel=1e-9)
+
+
 def test_voronoi_polygon_symmetric_center():
     pts = np.array([[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]], float)
     poly = voronoi_polygon(pts, 4)
