@@ -97,6 +97,15 @@ def cmd_functional(args) -> int:
     if not math.isfinite(args.alpha):
         _fail(2, f"--alpha must be finite, got {args.alpha!r}")
     pts = _load_points(args.input)
+    # Overflow and 0/0 in the closed forms end as a non-finite total, which
+    # _report_text rejects with exit 2; numpy's warnings would only precede it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = _functional_report(args, pts)
+    _emit(_report_text(report, args.format), args.out)
+    return 0
+
+
+def _functional_report(args, pts) -> FunctionalReport:
     if args.dim == 3:
         if pts.shape[1] != 3:
             _fail(2, f"--dim 3 expects 3D points, got shape {pts.shape}")
@@ -106,9 +115,7 @@ def cmd_functional(args) -> int:
             values = [vf3(TetComplex(tc.points, [tet])) for tet in tc.tets]
         except (ValueError, VorfuncError) as exc:
             _fail(2, str(exc))
-        report = FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))
-        _emit(_report_text(report, args.format), args.out)
-        return 0
+        return FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))
     if pts.shape[1] != 2:
         _fail(2, f"expected 2D points, got shape {pts.shape}")
     try:
@@ -118,15 +125,12 @@ def cmd_functional(args) -> int:
     except FlipBudgetExceeded as exc:
         _fail(3, str(exc))
     if args.which == "vf":
-        report = vf_triangulation(d)
-    elif args.which == "rajan":
-        report = rajan_triangulation(d)
-    elif args.which == "rf":
-        report = radius_functional(d, args.alpha)
-    else:
-        _fail(2, f"unknown functional {args.which!r}")
-    _emit(_report_text(report, args.format), args.out)
-    return 0
+        return vf_triangulation(d)
+    if args.which == "rajan":
+        return rajan_triangulation(d)
+    if args.which == "rf":
+        return radius_functional(d, args.alpha)
+    _fail(2, f"unknown functional {args.which!r}")
 
 
 def cmd_scan(args) -> int:

@@ -25,6 +25,8 @@ integral of g over the whole plane.  Triangulation-level values are the
 orientation-signed sums over triangles.  One kernel, ``_g_points``, evaluates
 g for a triangle, for the flip quadrangle's four triangles and, with the hull
 as the polygon, for a whole point set (``nearest_minus_visible_field``).
+A triangle's g vanishes outside the hull of its corners and circumcenter, so
+``g_field`` runs the kernel only on the points in that hull's padded box.
 
 The six corner terms of mu_terms are the flags of the triangle's barycentric
 subdivision; ``_flag_terms`` evaluates them, from the same edge vectors, for
@@ -245,6 +247,13 @@ def _g_points(corners: np.ndarray, h: int, pts: np.ndarray) -> np.ndarray:
     the convex polygon ``corners[:h]``, the nearest squared distance to a
     visible corner of that polygon.  Points on the polygon boundary count as
     inside (measure zero; keeps the inside/outside split total).
+
+    Where the nearest corner is visible the two terms are the same float and
+    g is exactly 0.0.  For one triangle that holds outside the convex hull of
+    its corners and its circumcenter: outside the triangle a corner A is
+    hidden only beyond the opposite edge, inside the wedge at A, and the part
+    of that wedge nearest to A is the kite (A, midpoints of the two edges at
+    A, circumcenter), which crosses the opposite edge only when A is obtuse.
     """
     d2 = (pts[:, 0, None] - corners[None, :, 0]) ** 2
     d2 += (pts[:, 1, None] - corners[None, :, 1]) ** 2
@@ -270,19 +279,56 @@ def g_triangle(t: Triangle2, p) -> float:
     return float(g_triangle_points(t, np.asarray(p, float)[None, :])[0])
 
 
+# Relative pad of the boxes that g is evaluated in: far wider than the
+# TAU_GEOM band of convex_polygon_masks and the rounding of squared distances,
+# so every point left out is one where the kernel gives exactly 0.0.
+_SUPPORT_PAD = 1e-6
+
+
+def _padded_box(lo, hi):
+    """(lo, hi) widened on every side by _SUPPORT_PAD of the largest extent.
+
+    Works on (2,) corners or on (T, 2) rows of them.
+    """
+    pad = _SUPPORT_PAD * (hi - lo).max(axis=-1, keepdims=True)
+    return lo - pad, hi + pad
+
+
+def _box_indices(x, y, lo, hi):
+    """Indices of the points (x[i], y[i]) not outside the box [lo, hi].
+
+    ``x`` and ``y`` are contiguous coordinate columns, ``lo`` and ``hi``
+    pairs of floats.  NaN samples and a box with non-finite corners keep every
+    point they touch, so the kernel still sees them.
+    """
+    (lx, ly), (hx, hy) = lo, hi
+    return np.flatnonzero(~((x < lx) | (x > hx) | (y < ly) | (y > hy)))
+
+
 def g_field(t: Triangulation2, x):
     """Orientation-signed sum of per-triangle g over a triangulation.
 
     Accepts a single point (2,) or an array (m, 2) and returns a float or an
-    (m,) array accordingly.
+    (m,) array accordingly.  Each triangle's g vanishes outside the convex
+    hull of its corners and circumcenter (``_g_points``), so the kernel runs
+    only on the points inside that hull's padded bounding box; the value is
+    the same as summing the kernel over every point.
     """
     pts = np.asarray(x, float)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
     out = np.zeros(len(pts))
-    for sign, tri in zip(t.signs, t.triangles):
-        out += sign * _g_points(t.points[list(tri)], 3, pts)
+    _, p = _corners(t.points, t.triangles)
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    # Where the circumcenter overflows, the non-finite box keeps every point.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        center = p[:, 0] + np.stack(circumcenter_offset(u[:, 0], u[:, 1], v[:, 0], v[:, 1]), axis=1)
+        lo, hi = _padded_box(np.minimum(p.min(axis=1), center), np.maximum(p.max(axis=1), center))
+    xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
+    for sign, corners, tri_lo, tri_hi in zip(t.signs, p, lo.tolist(), hi.tolist()):
+        sel = _box_indices(xs, ys, tri_lo, tri_hi)
+        out[sel] += sign * _g_points(corners, 3, pts[sel])
     return float(out[0]) if single else out
 
 
@@ -302,9 +348,16 @@ def support_box(t: Triangulation2, pad_factor: float = 1.0) -> Box:
 def assert_vanishes_on_boundary(t: Triangulation2, box: Box, n_samples: int = 256):
     """Spot-check that g_field is zero on the box boundary before trusting MC.
 
-    Raises InvalidRegion otherwise.
+    Evaluates the kernel of every triangle at every border point, without
+    g_field's support filter, so the check tests g itself.  Raises
+    InvalidRegion otherwise.
     """
-    check_vanishes_on_boundary(lambda x: g_field(t, x), box, n_samples)
+    _, p = _corners(t.points, t.triangles)
+
+    def field(x):
+        return sum(sign * _g_points(corners, 3, x) for sign, corners in zip(t.signs, p))
+
+    check_vanishes_on_boundary(field, box, n_samples)
 
 
 # ---------------------------------------------------------------------------

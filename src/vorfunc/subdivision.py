@@ -22,7 +22,9 @@ The star-cancellation check reads the same flag terms: the cells owned by an
 interior vertex sum to the integral over its Voronoi cell, which is clipped
 and integrated in coordinates relative to the vertex.  The plane integrand
 ``nearest_minus_visible_field`` is functional2d's g kernel with the hull as
-the polygon.
+the polygon; it vanishes outside the box of the points and the Delaunay
+circumcenters, and the plane-decomposition check runs the kernel only on
+the Monte Carlo samples inside that box.
 """
 
 from __future__ import annotations
@@ -379,16 +381,44 @@ def nearest_minus_visible_field(points: np.ndarray):
     return lambda x: functional2d._g_points(corners, len(hull), np.asarray(x, float))
 
 
+def _support_field(d: Triangulation2):
+    """nearest_minus_visible_field of d's points, evaluated only inside the
+    padded box of the points and the circumcenters of d's triangles and 0.0
+    outside it.  Exact when d is Delaunay (cell_decomposition_check).
+    """
+    field = nearest_minus_visible_field(d.points)
+    _, _, centers = functional2d._flag_terms(d.points, d.triangles)
+    ext = np.concatenate([d.points, centers])
+    lo, hi = (c.tolist() for c in functional2d._padded_box(ext.min(axis=0), ext.max(axis=0)))
+
+    def support_field(x):
+        out = np.zeros(len(x))
+        sel = functional2d._box_indices(x[:, 0].copy(), x[:, 1].copy(), lo, hi)
+        out[sel] = field(x[sel])
+        return out
+
+    return support_field
+
+
 def cell_decomposition_check(d: Triangulation2, samples: int = 10**6, seed: int = 0):
     """Closed-form functional vs Monte Carlo of the plane integrand.
 
-    Returns (closed_form, McEstimate).  The integrand vanishes outside the
-    inflated bounding box, which is spot-checked before integrating
+    ``d`` is the Delaunay triangulation of its points.  Returns (closed_form,
+    McEstimate).  The integrand vanishes outside the inflated bounding box,
+    which is spot-checked on the unfiltered integrand before integrating
     (InvalidRegion if it does not).
+
+    The integrand is also exactly 0.0 outside the box of the points and the
+    Delaunay circumcenters, so samples there skip the kernel.  Outside the
+    hull the nearest point is an interior point or a hull vertex p.  An
+    interior point's Voronoi cell is the hull of the circumcenters of its
+    Delaunay triangles.  A hull vertex p is hidden only inside the wedge
+    between its two hull edges, and the part of its Voronoi cell in that
+    wedge is bounded by circumcenters, p and the midpoints of p's hull edges.
+    Everywhere else the nearest point is a visible hull vertex.
     """
     closed = functional2d.vf_triangulation(d).total
     box = functional2d.support_box(d)
-    field = nearest_minus_visible_field(d.points)
-    check_vanishes_on_boundary(field, box)
-    est = mc_integrate(box, field, samples, seed)
+    check_vanishes_on_boundary(nearest_minus_visible_field(d.points), box)
+    est = mc_integrate(box, _support_field(d), samples, seed)
     return float(closed), est

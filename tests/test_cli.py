@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -224,3 +225,22 @@ def test_functional_overflow_exits_2(tmp_path, capsys, which):
     assert code == 2
     assert out == ""
     assert "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "points, options",
+    [
+        ([[0, 0], [1e100, 0], [0, 1e100]], ["--which", "vf"]),
+        ([[0, 0], [1e100, 0], [0, 1e100]], ["--which", "rajan"]),
+        ([[0, 0], [0.1, 0], [0, 0.1]], ["--which", "rf", "--alpha=-1000"]),
+    ],
+)
+def test_functional_non_finite_exits_2_without_warnings(tmp_path, capsys, points, options):
+    # The error line is all that reaches stderr: no numpy RuntimeWarning.
+    path = write_points(tmp_path, "pts.json", points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["functional", "--input", path, *options], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -7,6 +7,7 @@ from vorfunc.errors import DegenerateSimplex, NonConvexQuad
 from vorfunc.geom import Triangle2
 from vorfunc.integrate import mc_integrate
 from vorfunc.functional2d import (
+    _g_points,
     assert_vanishes_on_boundary,
     flip_delta,
     flip_delta_law,
@@ -22,7 +23,14 @@ from vorfunc.functional2d import (
     vf_triangle,
     vf_triangulation,
 )
-from vorfunc.tri2d import PointSet2, Triangulation2, convex_hull, delaunay, enumerate_triangulations
+from vorfunc.tri2d import (
+    PointSet2,
+    Triangulation2,
+    convex_hull,
+    delaunay,
+    enumerate_triangulations,
+    make_topological,
+)
 
 from conftest import grid_delaunay, random_delaunay, random_triangle
 
@@ -283,6 +291,42 @@ def test_g_field_single_triangle_matches(rng):
     direct = g_triangle_points(RIGHT_ISO, p)
     assert np.allclose(g_field(t, p), direct)
     assert vf_triangulation(t).total == pytest.approx(vf_triangle(RIGHT_ISO))
+
+
+def _g_field_unfiltered(t, pts):
+    """Reference g_field: the kernel over every point for every triangle."""
+    out = np.zeros(len(pts))
+    for sign, tri in zip(t.signs, t.triangles):
+        out += sign * _g_points(t.points[list(tri)], 3, pts)
+    return out
+
+
+def _support_samples(t, rng, m):
+    box = support_box(t)
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    return lo + rng.random((m, 2)) * (hi - lo)
+
+
+def test_g_field_box_filter_is_exact(rng):
+    # g_field skips the kernel outside each triangle's padded box of corners
+    # and circumcenter; the values must be the unfiltered sum, bit for bit.
+    from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
+
+    folded = delaunay(FOLDED_POINTS)
+    cases = [folded, make_topological(folded, FOLDED_SWAP)]
+    for n in (6, 8, 10, 12):
+        d = random_delaunay(rng, n)
+        swap = np.arange(n)
+        swap[[0, n - 1]] = swap[[n - 1, 0]]
+        cases += [d, make_topological(d, swap)]
+    # One angle of 174 degrees: the circumcenter lies 10 below the long edge.
+    cases.append(Triangulation2(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.05]]), [(0, 1, 2)]))
+    grid = grid_delaunay(rng, 12)
+    cases.append(Triangulation2(grid.points + 1e6, grid.triangles))
+    assert any(s < 0 for t in cases for s in t.signs)
+    for t in cases:
+        pts = _support_samples(t, rng, 20000)
+        assert np.array_equal(g_field(t, pts), _g_field_unfiltered(t, pts))
 
 
 def test_vf_triangulation_report_consistency(rng):

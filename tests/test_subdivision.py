@@ -326,6 +326,25 @@ def test_decomposition_integrand_outside_behaviour(rng):
     assert field(probes).min() < 0
 
 
+def test_support_field_equals_plane_integrand(rng):
+    # The cell check's integrand skips the kernel outside the box of the
+    # points and the Delaunay circumcenters; it must not change a value.
+    from vorfunc.experiments import FOLDED_POINTS
+    from vorfunc.functional2d import support_box
+    from vorfunc.subdivision import _support_field
+
+    sets = [delaunay(FOLDED_POINTS)]
+    while len(sets) < 6 or not any(_hull_opposite_obtuse_edges(d) for d in sets):
+        sets.append(random_delaunay(rng, int(rng.integers(6, 15))))
+    grid = grid_delaunay(rng, 12)
+    sets.append(Triangulation2(grid.points + 1e6, grid.triangles))
+    for d in sets:
+        box = support_box(d)
+        lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+        pts = lo + rng.random((20000, 2)) * (hi - lo)
+        assert np.array_equal(_support_field(d)(pts), nearest_minus_visible_field(d.points)(pts))
+
+
 def test_sd_json_dump(rng):
     d = random_delaunay(rng, 5)
     sd = barycentric_subdivide(d)
