@@ -31,7 +31,7 @@ from .functional2d import (
     support_box,
     vf_triangulation,
 )
-from .subdivision import TetComplex, barycentric_subdivide, vf3
+from .subdivision import TetComplex, _flag_terms3, barycentric_subdivide, vf3
 from .tri2d import (
     PointSet2,
     Triangulation2,
@@ -437,14 +437,8 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
     pts = FOLD_TET_POINTS
     tc = TetComplex(pts, [(0, 1, 2, 3)])
     sd = barycentric_subdivide(tc)
-    preserved = reversed_ = 0
-    for c in sd.cells:
-        vol = signed_volume(*sd.gamma[list(c.verts)])
-        sgn = 0 if vol == 0 else (1 if vol > 0 else -1)
-        if sgn == c.source_sign:
-            preserved += 1
-        elif sgn == -c.source_sign:
-            reversed_ += 1
+    sign, integral, _ = _flag_terms3(tc.points, tc.tets)
+    preserved, reversed_ = int((sign * integral > 0).sum()), int((sign * integral < 0).sum())
     flipped_flags = _flipped_boundary_flags(sd)
     flips_at_ac = all(e == (0, 2) for _, e, _ in flipped_flags)
 

@@ -13,9 +13,11 @@ The planar predicates have one kernel each on plain Python floats,
 ``orient2_xy`` and ``in_circle_xy``: loops that test many triples (Lawson
 flipping, the sweep, flip-graph enumeration) convert their coordinates once
 and call the kernels directly, and ``orient2``/``in_circle`` delegate to them.
-``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays,
-and ``circumcenter_offset`` the circumcenter from edge vectors; both serve
-the array kernels of ``functional2d`` too.
+``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays.
+``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
+``circumsphere_offset`` (in space) give circumcenters from edge vectors,
+elementwise on arrays; they serve the array kernels of ``functional2d`` and
+``subdivision`` too.
 """
 
 from __future__ import annotations
@@ -168,16 +170,32 @@ def circumcircle2(t: Triangle2) -> CircumData:
     return CircumData(np.array([ax + ox, ay + oy]), math.hypot(ox, oy))
 
 
+def _dot(u, v):
+    return (u * v).sum(axis=-1, keepdims=True)
+
+
+def circumcenter_offset3(u, v):
+    """Circumcenter minus a of the triangle (a, a + u, a + v) in space, on (..., 3) arrays:
+    (|v|^2 (|u|^2 - u.v) u + |u|^2 (|v|^2 - u.v) v) / (2 (|u|^2 |v|^2 - (u.v)^2))."""
+    uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
+    denom = 2.0 * (uu * vv - uv * uv)
+    return vv * (uu - uv) / denom * u + uu * (vv - uv) / denom * v
+
+
+def circumsphere_offset(u, v, w):
+    """Circumcenter minus a of the tetrahedron (a, a + u, a + v, a + w), on (..., 3) arrays:
+    (|u|^2 v x w + |v|^2 w x u + |w|^2 u x v) / (2 u . (v x w))."""
+    vw, wu, uv = np.cross(v, w), np.cross(w, u), np.cross(u, v)
+    return (_dot(u, u) * vw + _dot(v, v) * wu + _dot(w, w) * uv) / (2.0 * _dot(u, vw))
+
+
 def circumsphere3(t: Tetrahedron3) -> CircumData:
     """Center and radius of the sphere through the four vertices of t."""
     a, b, c, d = t.a, t.b, t.c, t.d
     if orient3(a, b, c, d) == 0:
         raise DegenerateSimplex(f"coplanar tetrahedron {a}, {b}, {c}, {d}")
-    m = 2.0 * np.array([b - a, c - a, d - a])
-    rhs = np.array([b @ b - a @ a, c @ c - a @ a, d @ d - a @ a])
-    center = np.linalg.solve(m, rhs)
-    radius = float(np.linalg.norm(center - a))
-    return CircumData(center, radius)
+    offset = circumsphere_offset(b - a, c - a, d - a)
+    return CircumData(a + offset, float(np.linalg.norm(offset)))
 
 
 def circumcircle3(a, b, c) -> CircumData:
@@ -191,13 +209,8 @@ def circumcircle3(a, b, c) -> CircumData:
     n2 = float(n @ n)
     if n2 <= (TAU_GEOM * np.abs(u).sum() * np.abs(v).sum()) ** 2:
         raise DegenerateSimplex(f"collinear 3D triangle {a}, {b}, {c}")
-    # Known closed form: offset from a within the plane spanned by u, v.
-    uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
-    denom = 2.0 * (uu * vv - uv * uv)
-    s = vv * (uu - uv) / denom
-    r = uu * (vv - uv) / denom
-    center = a + s * u + r * v
-    return CircumData(center, float(np.linalg.norm(center - a)))
+    offset = circumcenter_offset3(u, v)
+    return CircumData(a + offset, float(np.linalg.norm(offset)))
 
 
 def in_circle_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
@@ -276,12 +289,6 @@ def nearest_vertex(t: Triangle2, p) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def _polygon_signed_area(verts: np.ndarray) -> float:
-    # Shoelace about the first vertex; for a triangle this is signed_area.
-    x, y = (verts - verts[0]).T
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def convex_polygon_masks(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Containment (m,) and visibility (m, k) masks for a convex polygon.
 
@@ -294,7 +301,10 @@ def convex_polygon_masks(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray
     points only.  Accepts either orientation; columns follow ``verts``.
     """
     verts = np.asarray(verts, float)
-    reversed_order = _polygon_signed_area(verts) < 0.0
+    # Orientation from the first three corners: for a triangle this is the
+    # shoelace value, for a strictly convex polygon it has the same sign.
+    (ax, ay), (bx, by), (cx, cy) = verts[:3].tolist()
+    reversed_order = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0
     v = verts[::-1] if reversed_order else verts
     pts = np.asarray(pts, float)
     k = len(v)

@@ -12,11 +12,12 @@ the cell, signed by whether the circumcenter map preserves the cell's
 orientation.  Summing cells reproduces the planar functional exactly and
 defines its generalization for tetrahedral complexes.
 
-Planar complexes take one array pass: ``functional2d._flag_terms`` gives, for
-a (T, 3) triangle array, the six flag signs, image integrals and
-circumcenters per triangle from edge vectors; ``vf_via_sd`` sums it and
-``barycentric_subdivide`` numbers its vertices and cells.  Tetrahedral
-complexes are built flag by flag.
+Both dimensions take one array pass: ``functional2d._flag_terms`` for a
+(T, 3) triangle array and ``_flag_terms3`` for a (T, 4) tetrahedron array
+give every flag's sign, image integral and circumcenters from edge vectors;
+``vf_via_sd`` and ``vf3`` sum them exactly rounded, and one routine numbers
+the vertices and cells of ``barycentric_subdivide`` from the flag table of
+either dimension.
 
 The star-cancellation check reads the same flag terms: the cells owned by an
 interior vertex sum to the integral over its Voronoi cell, which is clipped
@@ -29,7 +30,6 @@ the Monte Carlo samples inside that box.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,8 +41,8 @@ from .errors import NotInteriorVertex
 from .geom import (
     Tetrahedron3,
     Triangle2,
-    circumcircle3,
-    circumsphere3,
+    circumcenter_offset3,
+    circumsphere_offset,
     signed_volume,
 )
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
@@ -112,75 +112,100 @@ class SubdividedComplex:
         )
 
 
-def _simplex_circum(pts, labels):
-    """Circumcenter and radius of a 0/1/2/3-simplex of 3D points given by labels."""
-    v = pts[list(labels)]
-    if len(labels) == 1:
-        return v[0], 0.0
-    if len(labels) == 2:
-        center = 0.5 * (v[0] + v[1])
-        return center, float(np.linalg.norm(v[0] - center))
-    if len(labels) == 3:
-        cd = circumcircle3(v[0], v[1], v[2])
-        return cd.center, cd.radius
-    cd = circumsphere3(Tetrahedron3(v[0], v[1], v[2], v[3]))
-    return cd.center, cd.radius
+# The flags of a triangle (corner X, edge XY) and of a tetrahedron (corner X,
+# edge XY, face XYZ) as corner positions X, Y[, Z] and the last corner W, in
+# lexicographic order: for a label-sorted simplex the order in which
+# barycentric_subdivide lists its cells.
+_FLAGS2 = np.stack([functional2d._FLAG_X, functional2d._FLAG_Y, functional2d._FLAG_W], axis=1)
+_FLAGS3 = np.array([(x, y, z, 6 - x - y - z) for x in range(4) for y in range(4) for z in range(4) if x != y != z != x])
 
 
-# Positions, in each triangle's row of subdivision-vertex keys, of the keys
-# over its sorted labels (s0, s1, s2, and -1 as padding):
-# s0, s0s1, face, s0s2, s1, s1s2, s2 -- the order in which its flags first
-# reach them.
-_KEY_LABELS = np.array(
-    [[0, 3, 3], [0, 1, 3], [0, 1, 2], [0, 2, 3], [1, 3, 3], [1, 2, 3], [2, 3, 3]]
-)
-# (vertex, edge, face) key positions of each flag, in functional2d's flag order.
-_CELL_KEYS = np.array([[0, 1, 2], [0, 3, 2], [4, 1, 2], [4, 5, 2], [6, 3, 2], [6, 5, 2]])
+def _det3(u, v, w):
+    return (u * np.cross(v, w)).sum(axis=-1)
 
 
-def _subdivide_triangulation(t: Triangulation2) -> SubdividedComplex:
-    """The planar subdivision from one pass of functional2d._flag_terms.
+def _flag_terms3(points, tets):
+    """Cell signs, image integrals and circumcenters of the 3D subdivision.
 
-    Subdivision vertices are numbered in the order the flags of the triangles,
-    in triangle order, first reach them; the cells of each triangle follow its
-    flags in label order.
+    For each tetrahedron of the (T, 4) label array and each of its 24 flags
+    (X, XY, XYZ) in _FLAGS3 order, with W the fourth corner:
+
+    * ``sign`` (T, 24): +1 when (X, Y, Z, W), and so the cell, is positively
+      oriented, -1 otherwise;
+    * ``center`` (T, 24, 4, 3): the cell's image X, X + m, X + z, X + w under
+      the circumcenter map, that is X and the circumcenters of XY, XYZ and
+      the tetrahedron;
+    * ``integral`` (T, 24): the integral of |x - X|^2 over that image, signed
+      by its orientation: det(m, z, w) / 120 (|m|^2 + |z|^2 + |w|^2 + |m + z + w|^2).
+
+    All but ``center`` come from edge vectors relative to each tetrahedron's
+    first corner, so they do not depend on where it sits.
     """
-    pts = t.points
-    tri = np.sort(np.asarray(t.triangles, int).reshape(-1, 3), axis=1)
-    sign, _, center = functional2d._flag_terms(pts, tri)
-    padded = np.concatenate([tri, np.full((len(tri), 1), -1)], axis=1)
-    keys = padded[:, _KEY_LABELS].reshape(-1, 3)
-    unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    p = np.asarray(points, float)[np.asarray(tets, int).reshape(-1, 4)]
+    rel = p - p[:, :1]
+    x, y, z, w = (rel[:, c] for c in _FLAGS3.T)
+    e, f = y - x, z - x
+    sign = np.where(_det3(e, f, w - x) > 0.0, 1, -1)
+    tet = circumsphere_offset(rel[:, 1], rel[:, 2], rel[:, 3])[:, None] - x
+    image = np.stack([np.zeros_like(e), 0.5 * e, circumcenter_offset3(e, f), tet], axis=2)
+    total = image.sum(axis=2)
+    norms = (image * image).sum(axis=(2, 3)) + (total * total).sum(axis=2)
+    integral = _det3(image[:, :, 1], image[:, :, 2], image[:, :, 3]) / 120.0 * norms
+    return sign, integral, (p[:, :1] + x)[:, :, None] + image
+
+
+def _first_reach(rows):
+    """The distinct rows of a 2D array in the order they first occur, the
+    index of each first occurrence and, per row, the rank of its distinct row."""
+    unique, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    ids = rank[inverse.reshape(-1)].reshape(-1, 7)
-    labels = unique[order]
-    size = (labels >= 0).sum(axis=1)
+    return unique[order], first[order], rank[inverse.reshape(-1)]
 
-    corners = pts[np.maximum(labels, 0)]
-    vertices = corners[:, 0] + np.where(size[:, None] >= 2, corners[:, 1], 0.0)
-    vertices = (vertices + np.where(size[:, None] == 3, corners[:, 2], 0.0)) / size[:, None]
-    # A vertex is its own circumcenter, an edge's is its midpoint; faces take
-    # the circumcenter of the triangle that first reached them.
-    gamma = np.where(size[:, None] == 3, center[first[order] // 7], vertices)
+
+def _subdivide(pts, simplices, sign, centers, flags) -> SubdividedComplex:
+    """The subdivision of a (T, n) array of label-sorted simplices, given the
+    cell signs (T, F) of the ``flags`` and the circumcenters (T, F, n, dim) of
+    each flag's chain; only those of three or more corners are read.
+
+    Subdivision vertices are numbered in the order the flags of the
+    simplices, in simplex order, first reach them; the cells follow the flags.
+    """
+    (t, n), count = simplices.shape, len(pts)
+    # One simplex's keys: its flags' chain simplices as sorted corner
+    # positions padded with n; column n of `padded` is the label `count`,
+    # past every point, so the label keys stay sorted too.
+    chain = np.sort(np.where(np.tri(n, dtype=bool), flags[:, None, :], n), axis=-1)
+    keys, key_first, key_of = _first_reach(chain.reshape(-1, n))
+    padded = np.concatenate([simplices, np.full((t, 1), count)], axis=1)
+    labels, first, rank = _first_reach(padded[:, keys].reshape(-1, n))
+    owner, key = np.divmod(first, len(keys))
+    size = (labels < count).sum(axis=1)
+
+    corners = pts[np.minimum(labels, count - 1)]
+    vertices = corners[:, 0]
+    for j in range(1, n):
+        vertices = vertices + np.where(size[:, None] > j, corners[:, j], 0.0)
+    vertices = vertices / size[:, None]
+    # A vertex is its own circumcenter and an edge's is its midpoint; larger
+    # simplices take the circumcenter of the flag that first reached them.
+    gamma = vertices.copy()
+    big = size >= 3
+    gamma[big] = centers[(owner[big],) + np.unravel_index(key_first[key[big]], chain.shape[:2])]
     r2 = np.where(size == 1, 0.0, ((corners[:, 0] - gamma) ** 2).sum(axis=1))
     height = (gamma * gamma).sum(axis=1) - r2
 
-    # One int object per id and label, shared by every cell naming it, and
-    # Python lists one triangle at a time: the cells stay as small as a
-    # flag-by-flag build makes them.
+    # One int object per id, label and simplex index, shared by every cell
+    # naming it: the cells stay as small as a flag-by-flag build makes them.
     vid = list(range(len(labels)))
-    lab = list(range(len(pts)))
+    lab = list(range(count))
     sources = tuple(tuple(lab[i] for i in row[:k]) for row, k in zip(labels.tolist(), size.tolist()))
-    cell_ids = ids[:, _CELL_KEYS]
-    owners = tri[:, functional2d._FLAG_X]
-    cells = tuple(
-        SdCell((vid[i], vid[j], vid[k]), lab[x], s, index)
-        for index in range(len(tri))
-        for (i, j, k), x, s in zip(cell_ids[index].tolist(), owners[index].tolist(), sign[index].tolist())
-    )
-    return SubdividedComplex(2, pts, vertices, gamma, height, sources, cells)
+    ids = [vid[i] for i in rank.reshape(-1, len(keys))[:, key_of].ravel().tolist()]
+    owners = [lab[x] for x in simplices[:, flags[:, 0]].ravel().tolist()]
+    index = [i for i in range(t) for _ in flags]
+    cells = tuple(map(SdCell, zip(*(ids[j::n] for j in range(n))), owners, sign.ravel().tolist(), index))
+    return SubdividedComplex(n - 1, pts, vertices, gamma, height, sources, cells)
 
 
 def barycentric_subdivide(source) -> SubdividedComplex:
@@ -189,50 +214,15 @@ def barycentric_subdivide(source) -> SubdividedComplex:
     Every flag becomes one cell; 6 per triangle, 24 per tetrahedron.
     """
     if isinstance(source, Triangulation2):
-        return _subdivide_triangulation(source)
-    if not isinstance(source, TetComplex):
-        raise TypeError(f"cannot subdivide {type(source).__name__}")
-    pts = source.points
-
-    index = {}
-    verts, gamma, height, sources = [], [], [], []
-
-    def vertex_id(labels):
-        key = tuple(sorted(labels))
-        if key not in index:
-            center, radius = _simplex_circum(pts, key)
-            index[key] = len(verts)
-            verts.append(pts[list(key)].mean(axis=0))
-            gamma.append(np.asarray(center, float))
-            height.append(float(center @ center - radius * radius))
-            sources.append(key)
-        return index[key]
-
-    cells = []
-    for top_idx, top in enumerate(source.tets):
-        for flag in _flags(top):
-            ids = tuple(vertex_id(s) for s in flag)
-            sign = 1 if signed_volume(*[verts[i] for i in ids]) > 0 else -1
-            cells.append(SdCell(ids, flag[0][0], sign, top_idx))
-
-    return SubdividedComplex(
-        dim=3,
-        source_points=pts,
-        vertices=np.asarray(verts),
-        gamma=np.asarray(gamma),
-        height=np.asarray(height),
-        source_simplices=tuple(sources),
-        cells=tuple(cells),
-    )
-
-
-def _flags(top):
-    """All flags of one top simplex: nested faces built by adding one vertex at a time."""
-    out = set()
-    for perm in itertools.permutations(top):
-        chain = tuple(tuple(sorted(perm[: k + 1])) for k in range(len(top)))
-        out.add(chain)
-    return sorted(out)
+        tri = np.sort(np.asarray(source.triangles, int).reshape(-1, 3), axis=1)
+        sign, _, center = functional2d._flag_terms(source.points, tri)
+        centers = np.broadcast_to(center[:, None, None], (len(tri), 6, 3, 2))  # read for the triangle only
+        return _subdivide(source.points, tri, sign, centers, _FLAGS2)
+    if isinstance(source, TetComplex):
+        tets = np.sort(np.asarray(source.tets, int).reshape(-1, 4), axis=1)
+        sign, _, center = _flag_terms3(source.points, tets)
+        return _subdivide(source.points, tets, sign, center, _FLAGS3)
+    raise TypeError(f"cannot subdivide {type(source).__name__}")
 
 
 def vf_sd_cell(cell: SdCell, sd: SubdividedComplex) -> float:
@@ -265,9 +255,13 @@ def vf_via_sd(t: Triangulation2) -> float:
 
 
 def vf3(tc: TetComplex) -> float:
-    """Generalized functional of a tetrahedral complex via its subdivision."""
-    sd = barycentric_subdivide(tc)
-    return float(sum(vf_sd_cell(c, sd) for c in sd.cells))
+    """Generalized functional of a tetrahedral complex via its subdivision.
+
+    The exactly rounded sum of sign * image integral over all flags of one
+    ``_flag_terms3`` pass; equals the sum of vf_sd_cell over the cells.
+    """
+    sign, integral, _ = _flag_terms3(tc.points, tc.tets)
+    return math.fsum((sign * integral).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,21 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from vorfunc.errors import NotInteriorVertex
-from vorfunc.geom import Triangle2, circumcircle2, signed_area, tangent_value
+from vorfunc.experiments import FOLD_TET_POINTS, OCTA_POINTS, octahedron_decomposition
+from vorfunc.geom import (
+    Tetrahedron3,
+    Triangle2,
+    circumcircle2,
+    circumcircle3,
+    circumsphere3,
+    signed_area,
+    tangent_value,
+)
 from vorfunc.functional2d import vf_triangle, vf_triangulation
 from vorfunc.subdivision import (
     SdCell,
@@ -53,12 +64,13 @@ def test_gamma_fixes_vertices_and_edge_midpoints(rng):
 def test_height_is_tangent_plane_value(rng):
     # For every cell corner v with source vertex A: H(v) = 2<Gamma(v), A> - |A|^2.
     d = random_delaunay(rng, 8)
-    sd = barycentric_subdivide(d)
-    for cell in sd.cells:
-        a = sd.source_points[cell.source_vertex]
-        for vid in cell.verts:
-            expect = tangent_value(a, sd.gamma[vid])
-            assert sd.height[vid] == pytest.approx(expect, rel=1e-10, abs=1e-10)
+    octahedron = octahedron_decomposition(OCTA_POINTS, (0, 2))
+    for sd in (barycentric_subdivide(d), barycentric_subdivide(octahedron)):
+        for cell in sd.cells:
+            a = sd.source_points[cell.source_vertex]
+            for vid in cell.verts:
+                expect = 2.0 * (sd.gamma[vid] @ a) - a @ a
+                assert sd.height[vid] == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
 
 def test_gluing_heights_at_edge_barycenters(rng):
@@ -122,16 +134,19 @@ def test_vf_via_sd_matches_triangulation(rng):
 
 def _reference_subdivision(t):
     # One flag at a time, as the definition reads: each simplex gets an id the
-    # first time a flag reaches it, triangles in order and the flags of each
-    # (vertex, then edge at that vertex) in label order.
+    # first time a flag reaches it, top simplices in order and the flags of
+    # each (vertex, then edge at that vertex[, then face at that edge]) in
+    # label order.
     pts = t.points
     index, verts, gamma, height, sources, cells = {}, [], [], [], [], []
 
     def vertex_id(key):
         if key not in index:
             v = pts[list(key)]
-            if len(key) == 3:
-                cd = circumcircle2(Triangle2(*v))
+            if len(key) == 4:
+                center, radius = circumsphere3(Tetrahedron3(*v))
+            elif len(key) == 3:
+                cd = circumcircle2(Triangle2(*v)) if v.shape[1] == 2 else circumcircle3(*v)
                 center, radius = cd.center, cd.radius
             else:
                 center = v.mean(axis=0)
@@ -143,14 +158,13 @@ def _reference_subdivision(t):
             sources.append(key)
         return index[key]
 
-    for top_idx, tri in enumerate(t.triangles):
-        face = tuple(sorted(tri))
-        for x in face:
-            for y in face:
-                if y != x:
-                    ids = (vertex_id((x,)), vertex_id(tuple(sorted((x, y)))), vertex_id(face))
-                    sign = 1 if signed_area(*(verts[i] for i in ids)) > 0 else -1
-                    cells.append(SdCell(ids, x, sign, top_idx))
+    tops = t.tets if isinstance(t, TetComplex) else t.triangles
+    for top_idx, top in enumerate(tops):
+        for flag in itertools.permutations(sorted(top)):
+            ids = tuple(vertex_id(tuple(sorted(flag[: k + 1]))) for k in range(len(flag)))
+            corners = np.array([verts[i] for i in ids])
+            sign = 1 if np.linalg.det(corners[1:] - corners[0]) > 0 else -1
+            cells.append(SdCell(ids, flag[0], sign, top_idx))
     return np.array(verts), np.array(gamma), np.array(height), tuple(sources), tuple(cells)
 
 
@@ -164,7 +178,7 @@ def test_subdivision_matches_per_flag_reference(rng):
     d = random_delaunay(rng, 40)
     moved = grid_delaunay(rng, 30)
     moved = Triangulation2(moved.points + 1e6, moved.triangles, _normalize=False)
-    for t in (d, _swapped(d, 3, 17), moved):
+    for t in [d, _swapped(d, 3, 17), moved] + _complexes_3d():
         sd = barycentric_subdivide(t)
         verts, gamma, height, sources, cells = _reference_subdivision(t)
         assert sd.source_simplices == sources
@@ -370,3 +384,48 @@ def test_vf3_regular_tetrahedron_matches_nearest_mc():
 
     est = mc_integrate(Tetrahedron3(*v), nearest_sq, 4 * 10**5, seed=5)
     assert abs(vf3(tc) - est.value) <= 3 * est.std_error
+
+
+def _complexes_3d():
+    """Both diagonal decompositions of the octahedron and the fold tetrahedron."""
+    return [
+        octahedron_decomposition(OCTA_POINTS, (1, 4)),
+        octahedron_decomposition(OCTA_POINTS, (0, 2)),
+        TetComplex(FOLD_TET_POINTS, [(0, 1, 2, 3)]),
+    ]
+
+
+def test_vf3_translation_invariant():
+    # On a 2^-20 grid the moved coordinates and their differences are exact,
+    # so the functional must not move either.
+    for tc in _complexes_3d():
+        grid = TetComplex(np.round(tc.points * 2**20) / 2**20, tc.tets)
+        base = vf3(grid)
+        for shift in (1e3, 1e6, 1e7):
+            moved = TetComplex(grid.points + shift * np.array([3.0, -1.0, 2.0]), grid.tets)
+            assert abs(vf3(moved) - base) <= 1e-12 * abs(base)
+
+
+def test_vf3_scales_as_fifth_power():
+    # A volume times a squared length; 2^k scaling is exact in floating point.
+    for tc in _complexes_3d():
+        base = vf3(tc)
+        for k in (-3, 1, 5):
+            scaled = TetComplex(tc.points * 2.0**k, tc.tets)
+            assert vf3(scaled) == base * 2.0 ** (5 * k)
+
+
+def test_vf3_relabeling_invariant(rng):
+    for tc in _complexes_3d():
+        perm = rng.permutation(len(tc.points))
+        points = np.empty_like(tc.points)
+        points[perm] = tc.points
+        relabeled = TetComplex(points, [tuple(perm[list(t)][::-1]) for t in tc.tets])
+        assert vf3(relabeled) == pytest.approx(vf3(tc), rel=1e-13)
+
+
+def test_vf3_equals_sum_of_cells():
+    for tc in _complexes_3d():
+        sd = barycentric_subdivide(tc)
+        values = [vf_sd_cell(c, sd) for c in sd.cells]
+        assert abs(vf3(tc) - math.fsum(values)) <= 1e-12 * abs(math.fsum(values))
