@@ -37,7 +37,7 @@ from .experiments import (
 )
 from .functional2d import FunctionalReport, radius_functional, rajan_triangulation, vf_triangulation
 from .render import svg_gamma_image, svg_subdivision, svg_triangulation
-from .subdivision import TetComplex, vf3
+from .subdivision import _flag_terms3
 from .tri2d import PointSet2, delaunay
 
 
@@ -112,7 +112,9 @@ def _functional_report(args, pts) -> FunctionalReport:
         try:
             diag = _parse_diagonal(args.diagonal, len(pts))
             tc = octahedron_decomposition(pts, diag)
-            values = [vf3(TetComplex(tc.points, [tet])) for tet in tc.tets]
+            sign, integral, _ = _flag_terms3(tc.points, tc.tets)
+            # One row per tetrahedron, each summed as vf3 sums a one-tet complex.
+            values = [math.fsum(row) for row in (sign * integral).tolist()]
         except (ValueError, VorfuncError) as exc:
             _fail(2, str(exc))
         return FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import Tetrahedron3, circumcircle3, in_sphere, signed_volume
+from .geom import Tetrahedron3, circumcircle3, det3, in_sphere
 from .integrate import mc_integrate
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -31,7 +31,7 @@ from .functional2d import (
     support_box,
     vf_triangulation,
 )
-from .subdivision import TetComplex, _flag_terms3, barycentric_subdivide, vf3
+from .subdivision import _FLAGS3, TetComplex, _flag_terms3, vf3
 from .tri2d import (
     PointSet2,
     Triangulation2,
@@ -89,21 +89,12 @@ def random_point_set(n: int, rng) -> PointSet2:
 # ---------------------------------------------------------------------------
 
 
-def optimality_scan(
-    n: int,
-    trials: int,
-    seed: int = DEFAULT_SEED,
-    functional: str = "vf",
-    pointwise_samples: int = 0,
-    cap: int = 5000,
-):
+def optimality_scan(n: int, trials: int, seed: int = DEFAULT_SEED, functional: str = "vf"):
     """Enumerate all triangulations of random point sets and rank the Delaunay one.
 
     For functional="vf" the verdict passes when the Delaunay triangulation
     attains the maximum in every trial (ties within 1e-9); for "rf2" it must
-    attain the minimum of the squared-radius functional.  With
-    pointwise_samples > 0 the pointwise field dominance g_K <= g_D is also
-    checked at that many sampled points per trial.
+    attain the minimum of the squared-radius functional.
 
     Returns (ExperimentResult, rows) where rows are per-triangulation tuples
     (trial, index, value, is_delaunay, is_max) for CSV reporting.
@@ -115,47 +106,27 @@ def optimality_scan(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     rows = []
     worst_gap = np.inf  # signed distance of Delaunay value from the required extreme
-    pointwise_worst = np.inf
     tol = 1e-9
     for trial in range(trials):
-        ps = random_point_set(n, rng)
-        dtri = delaunay(ps)
-        tris = enumerate_triangulations(ps, cap=cap)
+        # enumerate_triangulations lists the Delaunay triangulation first.
+        tris = enumerate_triangulations(random_point_set(n, rng))
         if functional == "vf":
             vals = [vf_triangulation(t).total for t in tris]
         elif functional == "rf2":
             vals = [radius_functional(t, 2.0).total for t in tris]
         else:
             raise ValueError(f"unknown functional {functional!r}")
-        d_key = dtri.canonical()
-        d_val = next(v for t, v in zip(tris, vals) if t.canonical() == d_key)
         best = max(vals) if functional == "vf" else min(vals)
-        gap = d_val - best if functional == "vf" else best - d_val
+        gap = vals[0] - best if functional == "vf" else best - vals[0]
         worst_gap = min(worst_gap, gap)
-        for idx, (t, v) in enumerate(zip(tris, vals)):
-            is_d = t.canonical() == d_key
-            is_best = abs(v - best) <= tol
-            rows.append((trial, idx, v, is_d, is_best))
-        if pointwise_samples > 0:
-            box = support_box(dtri)
-            lo = np.asarray(box.lo)
-            hi = np.asarray(box.hi)
-            pts = lo + rng.random((pointwise_samples, 2)) * (hi - lo)
-            g_d = g_field(dtri, pts)
-            for t in tris:
-                gap_pw = float((g_d - g_field(t, pts)).min())
-                pointwise_worst = min(pointwise_worst, gap_pw)
-    ok = worst_gap >= -tol and (pointwise_samples == 0 or pointwise_worst >= -tol)
-    values = {"n": n, "trials": trials, "worst_gap": float(worst_gap)}
-    if pointwise_samples > 0:
-        values["pointwise_worst_gap"] = float(pointwise_worst)
+        rows.extend((trial, idx, v, idx == 0, abs(v - best) <= tol) for idx, v in enumerate(vals))
     result = ExperimentResult(
         name=f"optimality_scan_{functional}",
         seed=seed,
         inputs={"n": n, "trials": trials, "functional": functional},
-        values=values,
+        values={"n": n, "trials": trials, "worst_gap": float(worst_gap)},
         sigma={},
-        verdict="pass" if ok else "fail",
+        verdict="pass" if worst_gap >= -tol else "fail",
         margin=float(worst_gap),
     )
     return result, rows
@@ -395,34 +366,42 @@ FOLD_TET_POINTS = np.array(
 )
 
 
-def _point_in_tet(tet_pts, x) -> bool:
-    a, b, c, d = tet_pts
-    s0 = signed_volume(a, b, c, d)
-    for rep in range(4):
-        q = [a, b, c, d]
-        q[rep] = x
-        if signed_volume(*q) * s0 < -1e-15:
-            return False
-    return True
+def _inside_tets(tets, x):
+    """(C, m) closed containment of the points x (m, 3) in the tetrahedra
+    tets (C, 4, 3), in one array pass.
 
-
-def sd_local_density(sd, x) -> float:
-    """Signed pointwise density of the subdivision functional at x.
-
-    Sums, over the cells whose circumcenter-map image contains x, the signed
-    squared distance to the cell's source vertex.
+    A point is inside when no corner replaced by it turns the volume against
+    the tetrahedron's, beyond a product of -1e-15.
     """
-    x = np.asarray(x, float)
-    total = 0.0
-    for c in sd.cells:
-        img = sd.gamma[list(c.verts)]
-        vol = signed_volume(*img)
-        if abs(vol) < 1e-14:
-            continue
-        if _point_in_tet(img, x):
-            a = sd.source_points[c.source_vertex]
-            total += c.source_sign * (1 if vol > 0 else -1) * float(((x - a) ** 2).sum())
-    return total
+    corners = [tets[:, None, k] for k in range(4)]
+    whole = det3(corners[1] - corners[0], corners[2] - corners[0], corners[3] - corners[0]) / 6.0
+    inside = np.ones((len(tets), len(x)), dtype=bool)
+    for k in range(4):
+        q = corners.copy()
+        q[k] = x
+        inside &= det3(q[1] - q[0], q[2] - q[0], q[3] - q[0]) / 6.0 * whole >= -1e-15
+    return inside
+
+
+def sd_local_density(tc: TetComplex, x) -> np.ndarray:
+    """Signed pointwise density of the subdivision functional at the points x (m, 3).
+
+    Sums, over the cells whose circumcenter-map image contains a point, the
+    signed squared distance to the cell's source vertex.  The cells, in
+    ``barycentric_subdivide``'s order, and their signs come from one
+    ``_flag_terms3`` pass; cells whose image has volume below 1e-14
+    contribute nothing.
+    """
+    x = np.asarray(x, float).reshape(-1, 3)
+    tets = np.sort(np.asarray(tc.tets, int).reshape(-1, 4), axis=1)
+    sign, _, center = _flag_terms3(tc.points, tets)
+    image = center.reshape(-1, 4, 3)
+    vol = det3(image[:, 1] - image[:, 0], image[:, 2] - image[:, 0], image[:, 3] - image[:, 0]) / 6.0
+    source = tc.points[tets[:, _FLAGS3[:, 0]]].reshape(-1, 3)
+    holds = _inside_tets(image, x) & (np.abs(vol) >= 1e-14)[:, None]
+    signed = (sign.ravel() * np.where(vol > 0, 1, -1))[:, None] * ((x - source[:, None]) ** 2).sum(axis=2)
+    # Adds the cells to 0.0 in order, as a walk over them would.
+    return np.cumsum(np.concatenate([np.zeros((1, len(x))), np.where(holds, signed, 0.0)]), axis=0)[-1]
 
 
 def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
@@ -432,43 +411,31 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
     (expected 16/8), checks that exactly the four boundary flags at the
     midpoint of the long edge AC flip within their faces, and exhibits a point
     outside the tetrahedron whose local density d(x,C)^2 - d(x,B)^2 is
-    positive with d(x,B) < d(x,C) < d(x,A).
+    positive with d(x,B) < d(x,C) < d(x,A): the first of 20000 seeded draws
+    near the circumcenter of BAC that qualifies.
     """
     pts = FOLD_TET_POINTS
     tc = TetComplex(pts, [(0, 1, 2, 3)])
-    sd = barycentric_subdivide(tc)
     sign, integral, _ = _flag_terms3(tc.points, tc.tets)
     preserved, reversed_ = int((sign * integral > 0).sum()), int((sign * integral < 0).sum())
-    flipped_flags = _flipped_boundary_flags(sd)
+    flipped_flags = _flipped_face_flags(tc)
     flips_at_ac = all(e == (0, 2) for _, e, _ in flipped_flags)
 
     e_center = circumcircle3(pts[1], pts[0], pts[2]).center
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    found = None
-    for _ in range(20000):
-        x = e_center + rng.uniform(-0.4, 0.4, 3)
-        d_a = np.linalg.norm(x - pts[0])
-        d_b = np.linalg.norm(x - pts[1])
-        d_c = np.linalg.norm(x - pts[2])
-        if not d_b < d_c < d_a or _point_in_tet(pts, x):
-            continue
-        density = sd_local_density(sd, x)
-        expected = d_c**2 - d_b**2
-        if density > 0 and abs(density - expected) <= 1e-9:
-            found = (x, density)
-            break
-    ok = (
-        (preserved, reversed_) == (16, 8)
-        and len(flipped_flags) == 4
-        and flips_at_ac
-        and found is not None
-    )
+    x = e_center + rng.uniform(-0.4, 0.4, (20000, 3))
+    d_a, d_b, d_c = (np.linalg.norm(x - pts[i], axis=1) for i in range(3))
+    keep = (d_b < d_c) & (d_c < d_a) & ~_inside_tets(pts[None], x)[0]
+    x, expected = x[keep], (d_c**2 - d_b**2)[keep]
+    density = sd_local_density(tc, x)
+    hits = np.flatnonzero((density > 0) & (np.abs(density - expected) <= 1e-9))
+    ok = (preserved, reversed_) == (16, 8) and len(flipped_flags) == 4 and flips_at_ac and len(hits) > 0
     if not ok:
         raise ConstructionFailed(
             f"fold probe failed: census {(preserved, reversed_)}, "
-            f"flipped {len(flipped_flags)}, point {found is not None}"
+            f"flipped {len(flipped_flags)}, point {len(hits) > 0}"
         )
-    x, density = found
+    x, density = x[hits[0]], float(density[hits[0]])
     return ExperimentResult(
         name="fold_region_probe",
         seed=seed,
@@ -482,25 +449,27 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
         },
         sigma={},
         verdict="pass",
-        margin=float(density),
+        margin=density,
     )
 
 
-def _flipped_boundary_flags(sd) -> list:
-    """Face flags (vertex, edge, face) of a one-tetrahedron subdivision whose
-    in-plane orientation the circumcenter map reverses.
+def _flipped_face_flags(tc: TetComplex) -> list:
+    """Face flags (vertex, edge, face), as label tuples, whose in-plane
+    orientation the circumcenter map reverses, per tetrahedron of ``tc``.
 
-    Each of the 24 cells starts with one face flag; barycenters, images and
-    face normals are read from ``sd``.
+    The barycentric face cell of a flag (X, XY, XYZ) is always positively
+    oriented against the normal (Y - X) x (Z - X), so the flag flips exactly
+    when the image of X, XY and XYZ (``_flag_terms3``'s centers) is
+    negatively oriented against it.  Listed in ``barycentric_subdivide``'s
+    cell order.
     """
-    out = []
-    for cell in sd.cells:
-        ids = list(cell.verts[:3])
-        fp = sd.source_points[list(sd.source_simplices[ids[2]])]
-        n = np.cross(fp[1] - fp[0], fp[2] - fp[0])
-        bary, image = sd.vertices[ids], sd.gamma[ids]
-        src = np.cross(bary[1] - bary[0], bary[2] - bary[0]) @ n
-        img = np.cross(image[1] - image[0], image[2] - image[0]) @ n
-        if src * img < 0:
-            out.append(tuple(sd.source_simplices[i] for i in ids))
-    return out
+    tets = np.sort(np.asarray(tc.tets, int).reshape(-1, 4), axis=1)
+    _, _, center = _flag_terms3(tc.points, tets)
+    p = tc.points[tets]
+    x, y, z = (p[:, c] for c in _FLAGS3.T[:3])
+    image = center[:, :, 1:3] - center[:, :, :1]
+    flipped = det3(image[:, :, 0], image[:, :, 1], np.cross(y - x, z - x)) < 0.0
+    return [
+        ((a,), tuple(sorted((a, b))), tuple(sorted((a, b, c))))
+        for a, b, c in tets[:, _FLAGS3[:, :3]][flipped].tolist()
+    ]

@@ -332,20 +332,20 @@ def g_field(t: Triangulation2, x):
     return float(out[0]) if single else out
 
 
-def support_box(t: Triangulation2, pad_factor: float = 1.0) -> Box:
+def support_box(t: Triangulation2) -> Box:
     """Bounding box of the points inflated by the largest circumdiameter.
 
     Outside this box every triangle's g vanishes (nearest equals nearest
     visible), so it bounds the support of g_field.
     """
     _, _, r2 = _closed_form_terms(t.points, t.triangles)
-    pad = 2.0 * np.sqrt(r2.max(initial=0.0)) * pad_factor + 1e-9
+    pad = 2.0 * np.sqrt(r2.max(initial=0.0)) + 1e-9
     lo = t.points.min(axis=0) - pad
     hi = t.points.max(axis=0) + pad
     return Box(tuple(lo), tuple(hi))
 
 
-def assert_vanishes_on_boundary(t: Triangulation2, box: Box, n_samples: int = 256):
+def assert_vanishes_on_boundary(t: Triangulation2, box: Box):
     """Spot-check that g_field is zero on the box boundary before trusting MC.
 
     Evaluates the kernel of every triangle at every border point, without
@@ -357,7 +357,7 @@ def assert_vanishes_on_boundary(t: Triangulation2, box: Box, n_samples: int = 25
     def field(x):
         return sum(sign * _g_points(corners, 3, x) for sign, corners in zip(t.signs, p))
 
-    check_vanishes_on_boundary(field, box, n_samples)
+    check_vanishes_on_boundary(field, box)
 
 
 # ---------------------------------------------------------------------------

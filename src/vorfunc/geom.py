@@ -14,6 +14,9 @@ The planar predicates have one kernel each on plain Python floats,
 flipping, the sweep, flip-graph enumeration) convert their coordinates once
 and call the kernels directly, and ``orient2``/``in_circle`` delegate to them.
 ``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays.
+``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
+``orient3`` and the 3D subdivision kernel use it, and only ``in_sphere``'s
+lifted 4x4 determinant goes through ``np.linalg.det``.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
 elementwise on arrays; they serve the array kernels of ``functional2d`` and
@@ -96,11 +99,19 @@ def signed_area(a, b, c) -> float:
     return 0.5 * float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
+def det3(u, v, w):
+    """Triple product u . (v x w), the determinant of the rows u, v, w.
+
+    Elementwise over the leading axes of (..., 3) arrays; the one 3D
+    determinant of the package (``in_sphere``'s lifted 4x4 aside).
+    """
+    return (u * np.cross(v, w)).sum(axis=-1)
+
+
 def signed_volume(a, b, c, d) -> float:
     """Signed volume of tetrahedron (a, b, c, d); positive for right-handed order."""
     a = np.asarray(a, float)
-    m = np.array([np.asarray(b, float) - a, np.asarray(c, float) - a, np.asarray(d, float) - a])
-    return float(np.linalg.det(m)) / 6.0
+    return float(det3(np.asarray(b, float) - a, np.asarray(c, float) - a, np.asarray(d, float) - a)) / 6.0
 
 
 def collinear2(det, ux, uy, vx, vy):
@@ -136,7 +147,7 @@ def orient3(a, b, c, d) -> int:
     """Sign of the signed volume of (a, b, c, d), with relative tolerance."""
     a = np.asarray(a, float)
     rows = [np.asarray(v, float) - a for v in (b, c, d)]
-    det = float(np.linalg.det(np.array(rows)))
+    det = float(det3(*rows))
     scale = 1.0
     for r in rows:
         scale *= np.abs(r).sum()

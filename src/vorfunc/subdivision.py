@@ -43,7 +43,7 @@ from .geom import (
     Triangle2,
     circumcenter_offset3,
     circumsphere_offset,
-    signed_volume,
+    det3,
 )
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
@@ -54,7 +54,9 @@ from . import functional2d
 class TetComplex:
     """A list of tetrahedra (label 4-tuples) over labeled 3D points.
 
-    Tetrahedra are normalized to positive orientation at construction.
+    Tetrahedra are normalized to positive orientation at construction, all
+    with one array determinant; a coplanar one raises ValueError naming the
+    first.
     """
 
     points: np.ndarray
@@ -62,15 +64,15 @@ class TetComplex:
 
     def __init__(self, points, tets):
         pts = np.asarray(points, float)
-        fixed = []
-        for t in tets:
-            t = tuple(int(v) for v in t)
-            vol = signed_volume(*pts[list(t)])
-            if vol == 0.0:
-                raise ValueError(f"degenerate tetrahedron {t}")
-            fixed.append(t if vol > 0 else (t[0], t[1], t[3], t[2]))
+        tets = np.array(tets, int).reshape(-1, 4)  # a copy: reoriented in place below
+        p = pts[tets]
+        vol = det3(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
+        if (vol == 0.0).any():
+            raise ValueError(f"degenerate tetrahedron {tuple(tets[np.argmax(vol == 0.0)].tolist())}")
+        flip = ~(vol > 0.0)
+        tets[flip] = tets[flip][:, [0, 1, 3, 2]]
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tets", tuple(fixed))
+        object.__setattr__(self, "tets", tuple(map(tuple, tets.tolist())))
 
 
 class SdCell(NamedTuple):
@@ -120,10 +122,6 @@ _FLAGS2 = np.stack([functional2d._FLAG_X, functional2d._FLAG_Y, functional2d._FL
 _FLAGS3 = np.array([(x, y, z, 6 - x - y - z) for x in range(4) for y in range(4) for z in range(4) if x != y != z != x])
 
 
-def _det3(u, v, w):
-    return (u * np.cross(v, w)).sum(axis=-1)
-
-
 def _flag_terms3(points, tets):
     """Cell signs, image integrals and circumcenters of the 3D subdivision.
 
@@ -145,12 +143,12 @@ def _flag_terms3(points, tets):
     rel = p - p[:, :1]
     x, y, z, w = (rel[:, c] for c in _FLAGS3.T)
     e, f = y - x, z - x
-    sign = np.where(_det3(e, f, w - x) > 0.0, 1, -1)
+    sign = np.where(det3(e, f, w - x) > 0.0, 1, -1)
     tet = circumsphere_offset(rel[:, 1], rel[:, 2], rel[:, 3])[:, None] - x
     image = np.stack([np.zeros_like(e), 0.5 * e, circumcenter_offset3(e, f), tet], axis=2)
     total = image.sum(axis=2)
     norms = (image * image).sum(axis=(2, 3)) + (total * total).sum(axis=2)
-    integral = _det3(image[:, :, 1], image[:, :, 2], image[:, :, 3]) / 120.0 * norms
+    integral = det3(image[:, :, 1], image[:, :, 2], image[:, :, 3]) / 120.0 * norms
     return sign, integral, (p[:, :1] + x)[:, :, None] + image
 
 
@@ -286,7 +284,7 @@ def _clip_halfplane(poly, n, c):
     return out
 
 
-def _voronoi_cell(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
+def _voronoi_cell(points: np.ndarray, i: int) -> np.ndarray:
     """voronoi_polygon of point i in coordinates relative to point i.
 
     Clips the half-planes 2 x . d_j <= |d_j|^2 with d_j = p_j - p_i, so the
@@ -317,8 +315,6 @@ def _voronoi_cell(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
         detached = bool(np.all(arr > lo_m) and np.all(arr < hi_m))
         return arr, detached
 
-    if pad is not None:
-        return clipped(pad)[0]
     box_pad = 4.0 * base
     for _ in range(40):
         poly, detached = clipped(box_pad)
@@ -328,17 +324,17 @@ def _voronoi_cell(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
     return poly
 
 
-def voronoi_polygon(points: np.ndarray, i: int, pad: float = None) -> np.ndarray:
+def voronoi_polygon(points: np.ndarray, i: int) -> np.ndarray:
     """Voronoi cell of point i clipped to a large box, as ccw polygon vertices.
 
     Computed by intersecting the bisector half-planes of i against all other
-    points, in coordinates relative to point i.  Without an explicit pad the
-    box is grown until the cell detaches from it, so bounded cells (interior
-    vertices) come out unclipped even when sliver triangles push their
-    circumcenters far outside the point cloud; unbounded cells stop growing
-    after a fixed number of doublings.
+    points, in coordinates relative to point i.  The box is grown until the
+    cell detaches from it, so bounded cells (interior vertices) come out
+    unclipped even when sliver triangles push their circumcenters far outside
+    the point cloud; unbounded cells stop growing after a fixed number of
+    quadruplings.
     """
-    return np.asarray(points, float)[i] + _voronoi_cell(points, i, pad)
+    return np.asarray(points, float)[i] + _voronoi_cell(points, i)
 
 
 def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, float]:

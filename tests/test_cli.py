@@ -244,3 +244,19 @@ def test_functional_non_finite_exits_2_without_warnings(tmp_path, capsys, points
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("diagonal", [(1, 4), (0, 2), (3, 5)])
+def test_functional_dim3_per_tet_equals_one_tet_vf3(tmp_path, capsys, diagonal):
+    from vorfunc.experiments import OCTA_LABELS, OCTA_POINTS, octahedron_decomposition
+    from vorfunc.subdivision import TetComplex, vf3
+
+    path = write_points(tmp_path, "octa.json", OCTA_POINTS.tolist())
+    name = "".join(OCTA_LABELS[i] for i in diagonal)
+    code, out, _ = run_cli(["functional", "--input", path, "--dim", "3", "--diagonal", name], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    tc = octahedron_decomposition(OCTA_POINTS, diagonal)
+    expected = [vf3(TetComplex(tc.points, [tet])) for tet in tc.tets]
+    assert [v for _, v in obj["per_simplex"]] == expected
+    assert obj["total"] == sum(expected)

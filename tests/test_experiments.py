@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from vorfunc.geom import inside_convex_polygon_mask
+from vorfunc.geom import circumcircle3, inside_convex_polygon_mask, signed_volume
 from vorfunc.functional2d import g_field
 from vorfunc.tri2d import delaunay, make_topological
+from vorfunc.subdivision import TetComplex, barycentric_subdivide
 from vorfunc.experiments import (
+    FOLD_TET_POINTS,
     FOLDED_POINTS,
     FOLDED_SWAP,
     FOLDED_TRIANGLES,
@@ -18,7 +20,9 @@ from vorfunc.experiments import (
     octahedron_counterexample,
     octahedron_decomposition,
     optimality_scan,
+    sd_local_density,
     topological_counterexample,
+    _flipped_face_flags,
 )
 
 
@@ -182,3 +186,77 @@ def test_experiment_json_stable():
     obj = json.loads(a)
     assert obj["schema"] == 1
     assert set(obj) == {"schema", "name", "seed", "inputs", "values", "sigma", "verdict", "margin"}
+
+
+def test_scan_enumerates_sets_past_5000_triangulations():
+    # Seed 21 draws an 11-point set with 5390 triangulations.
+    result, rows = optimality_scan(11, 1, seed=21)
+    assert result.verdict == "pass"
+    assert len(rows) == 5390
+    assert [idx for _, idx, _, is_d, _ in rows if is_d] == [0]
+
+
+def _reference_point_in_tet(tet_pts, x):
+    a, b, c, d = tet_pts
+    s0 = signed_volume(a, b, c, d)
+    for rep in range(4):
+        q = [a, b, c, d]
+        q[rep] = x
+        if signed_volume(*q) * s0 < -1e-15:
+            return False
+    return True
+
+
+def _reference_density(sd, x):
+    """Per-cell walk over a SubdividedComplex: the signed squared distance to
+    each cell's source vertex, summed over the cells whose image holds x."""
+    total = 0.0
+    for c in sd.cells:
+        img = sd.gamma[list(c.verts)]
+        vol = signed_volume(*img)
+        if abs(vol) < 1e-14:
+            continue
+        if _reference_point_in_tet(img, x):
+            a = sd.source_points[c.source_vertex]
+            total += c.source_sign * (1 if vol > 0 else -1) * float(((x - a) ** 2).sum())
+    return total
+
+
+def _reference_flipped_flags(sd):
+    """Face flags (vertex, edge, face) whose in-plane orientation the
+    circumcenter map reverses, read cell by cell from a SubdividedComplex."""
+    out = []
+    for cell in sd.cells:
+        ids = list(cell.verts[:3])
+        fp = sd.source_points[list(sd.source_simplices[ids[2]])]
+        n = np.cross(fp[1] - fp[0], fp[2] - fp[0])
+        bary, image = sd.vertices[ids], sd.gamma[ids]
+        src = np.cross(bary[1] - bary[0], bary[2] - bary[0]) @ n
+        img = np.cross(image[1] - image[0], image[2] - image[0]) @ n
+        if src * img < 0:
+            out.append(tuple(sd.source_simplices[i] for i in ids))
+    return out
+
+
+def test_fold_density_matches_per_cell_reference():
+    tc = TetComplex(FOLD_TET_POINTS, [(0, 1, 2, 3)])
+    sd = barycentric_subdivide(tc)
+    e_center = circumcircle3(*FOLD_TET_POINTS[[1, 0, 2]]).center
+    x = e_center + np.random.default_rng(11).uniform(-0.6, 0.6, (300, 3))
+    got = sd_local_density(tc, x)
+    assert got.tolist() == [_reference_density(sd, p) for p in x]
+    # Some draws lie in the images of cells, the others in none.
+    assert (got > 0).sum() >= 20 and (got == 0).any()
+
+
+def test_flipped_face_flags_match_per_cell_reference():
+    complexes = [TetComplex(FOLD_TET_POINTS, [(0, 1, 2, 3)])]
+    complexes += [octahedron_decomposition(OCTA_POINTS, d) for d in ((1, 4), (0, 2), (3, 5))]
+    for tc in complexes:
+        assert _flipped_face_flags(tc) == _reference_flipped_flags(barycentric_subdivide(tc))
+    assert _flipped_face_flags(complexes[0]) == [
+        ((0,), (0, 2), (0, 1, 2)),
+        ((0,), (0, 2), (0, 2, 3)),
+        ((2,), (0, 2), (0, 1, 2)),
+        ((2,), (0, 2), (0, 2, 3)),
+    ]

@@ -44,6 +44,16 @@ def test_counts_single_triangle():
     assert len(sd.cells) == 6
 
 
+def test_tet_complex_orients_tets_and_names_the_first_coplanar_one():
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]], float)
+    # (0, 1, 2, 3) is positively oriented; the other two are not and swap their last corners.
+    tc = TetComplex(pts, [(0, 1, 2, 3), (0, 2, 1, 3), np.array([1, 0, 2, 3])])
+    assert tc.tets == ((0, 1, 2, 3), (0, 2, 3, 1), (1, 0, 3, 2))
+    assert all(type(v) is int for t in tc.tets for v in t)
+    with pytest.raises(ValueError, match=r"degenerate tetrahedron \(0, 1, 4, 2\)$"):
+        TetComplex(pts, [(0, 1, 2, 3), (0, 1, 4, 2), (1, 2, 4, 0)])
+
+
 def test_counts_single_tetrahedron():
     tc = TetComplex(np.eye(4, 3) * 1.0, [(0, 1, 2, 3)])
     sd = barycentric_subdivide(tc)
