@@ -50,6 +50,9 @@ def test_tet_complex_orients_tets_and_names_the_first_coplanar_one():
     tc = TetComplex(pts, [(0, 1, 2, 3), (0, 2, 1, 3), np.array([1, 0, 2, 3])])
     assert tc.tets == ((0, 1, 2, 3), (0, 2, 3, 1), (1, 0, 3, 2))
     assert all(type(v) is int for t in tc.tets for v in t)
+    tets = np.array([[0, 2, 1, 3]])
+    assert TetComplex(pts, tets).tets == ((0, 2, 3, 1),)
+    assert tets.tolist() == [[0, 2, 1, 3]]  # the caller's array is not reoriented
     with pytest.raises(ValueError, match=r"degenerate tetrahedron \(0, 1, 4, 2\)$"):
         TetComplex(pts, [(0, 1, 2, 3), (0, 1, 4, 2), (1, 2, 4, 0)])
 
