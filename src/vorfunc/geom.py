@@ -16,7 +16,7 @@ and call the kernels directly, and ``orient2``/``in_circle`` delegate to them.
 ``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays.
 ``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
 ``orient3`` and the 3D subdivision kernel use it, and only ``in_sphere``'s
-lifted 4x4 determinant goes through ``np.linalg.det``.
+lifted 4x4 determinant goes through numpy's general determinant.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
 elementwise on arrays; they serve the array kernels of ``functional2d`` and
