@@ -29,6 +29,7 @@ import numpy as np
 from .errors import FlipBudgetExceeded, NotGeneralPosition, VorfuncError
 from .experiments import (
     DEFAULT_SEED,
+    OCTA_LABELS,
     fold_region_probe,
     octahedron_counterexample,
     octahedron_decomposition,
@@ -37,7 +38,7 @@ from .experiments import (
 )
 from .functional2d import FunctionalReport, radius_functional, rajan_triangulation, vf_triangulation
 from .render import svg_gamma_image, svg_subdivision, svg_triangulation
-from .subdivision import _flag_terms3
+from .geom import flag_terms
 from .tri2d import PointSet2, delaunay
 
 
@@ -67,17 +68,27 @@ def _emit(text: str, out_path: str):
 
 
 def _parse_diagonal(spec: str, n: int) -> tuple:
-    labels = "ABCDEX" if n == 6 else "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n]
+    if n != 6:
+        raise ValueError(f"an octahedron has 6 points, got {n}")
     spec = spec.strip()
     if "," in spec:
         i, j = (int(s) for s in spec.split(","))
-    elif len(spec) == 2 and spec.upper()[0] in labels and spec.upper()[1] in labels:
-        i, j = labels.index(spec.upper()[0]), labels.index(spec.upper()[1])
+    elif len(spec) == 2 and set(spec.upper()) <= set(OCTA_LABELS):
+        i, j = (OCTA_LABELS.index(c) for c in spec.upper())
     else:
         raise ValueError(f"cannot parse diagonal {spec!r}")
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError(f"diagonal {spec!r} out of range")
     return i, j
+
+
+def _delaunay(pts):
+    try:
+        return delaunay(PointSet2(pts))
+    except NotGeneralPosition as exc:
+        _fail(3, f"not in general position: labels {exc.labels}")
+    except FlipBudgetExceeded as exc:
+        _fail(3, str(exc))
 
 
 def _report_text(report: FunctionalReport, fmt: str) -> str:
@@ -112,7 +123,7 @@ def _functional_report(args, pts) -> FunctionalReport:
         try:
             diag = _parse_diagonal(args.diagonal, len(pts))
             tc = octahedron_decomposition(pts, diag)
-            sign, integral, _ = _flag_terms3(tc.points, tc.tets)
+            sign, integral, _ = flag_terms(tc.points, tc.tets)
             # One row per tetrahedron, each summed as vf3 sums a one-tet complex.
             values = [math.fsum(row) for row in (sign * integral).tolist()]
         except (ValueError, VorfuncError) as exc:
@@ -120,12 +131,7 @@ def _functional_report(args, pts) -> FunctionalReport:
         return FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))
     if pts.shape[1] != 2:
         _fail(2, f"expected 2D points, got shape {pts.shape}")
-    try:
-        d = delaunay(PointSet2(pts))
-    except NotGeneralPosition as exc:
-        _fail(3, f"not in general position: labels {exc.labels}")
-    except FlipBudgetExceeded as exc:
-        _fail(3, str(exc))
+    d = _delaunay(pts)
     if args.which == "vf":
         return vf_triangulation(d)
     if args.which == "rajan":
@@ -174,12 +180,7 @@ def cmd_render(args) -> int:
     pts = _load_points(args.input)
     if pts.shape[1] != 2:
         _fail(2, f"render expects 2D points, got shape {pts.shape}")
-    try:
-        d = delaunay(PointSet2(pts))
-    except NotGeneralPosition as exc:
-        _fail(3, f"not in general position: labels {exc.labels}")
-    except FlipBudgetExceeded as exc:
-        _fail(3, str(exc))
+    d = _delaunay(pts)
     if args.what == "triangulation":
         text = svg_triangulation(d)
     elif args.what == "subdivision":

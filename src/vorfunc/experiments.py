@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import Tetrahedron3, circumcircle3, det3, in_sphere
+from .geom import FLAGS, Tetrahedron3, circumcircle3, det3, flag_terms, in_sphere
 from .integrate import mc_integrate
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -31,7 +31,7 @@ from .functional2d import (
     support_box,
     vf_triangulation,
 )
-from .subdivision import _FLAGS3, TetComplex, _flag_terms3, vf3
+from .subdivision import TetComplex, vf3
 from .tri2d import (
     PointSet2,
     Triangulation2,
@@ -171,19 +171,19 @@ FOLDED_SWAP = (0, 2, 1, 3, 4, 5, 6, 7)
 _FOLDED_CANON = tuple(sorted(tuple(sorted(t)) for t in FOLDED_TRIANGLES))
 
 
-def _all_acute(t: Triangulation2, margin: float = 1e-3) -> bool:
+def _all_acute(t: Triangulation2) -> bool:
     for tri in t.triangles:
         v = t.points[list(tri)]
         for i in range(3):
             u1 = v[(i + 1) % 3] - v[i]
             u2 = v[(i + 2) % 3] - v[i]
-            if (u1 @ u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)) < margin:
+            if (u1 @ u2) / (np.linalg.norm(u1) * np.linalg.norm(u2)) < 1e-3:
                 return False
     return True
 
 
-def build_folded_configuration(seed: int = DEFAULT_SEED, attempts: int = 500) -> Triangulation2:
-    """Search jittered template parameters for a valid folded configuration.
+def build_folded_configuration(seed: int = DEFAULT_SEED) -> Triangulation2:
+    """Search 500 jitters of the template for a valid folded configuration.
 
     The accepted configuration must be in general position, have the expected
     all-acute Delaunay combinatorics, and flip exactly the two central
@@ -196,7 +196,7 @@ def build_folded_configuration(seed: int = DEFAULT_SEED, attempts: int = 500) ->
         float,
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(41,)))
-    for _ in range(attempts):
+    for _ in range(500):
         pts = base + rng.uniform(-0.05, 0.05, size=(8, 2))
         cfg = _check_folded(pts)
         if cfg is not None:
@@ -389,15 +389,15 @@ def sd_local_density(tc: TetComplex, x) -> np.ndarray:
     Sums, over the cells whose circumcenter-map image contains a point, the
     signed squared distance to the cell's source vertex.  The cells, in
     ``barycentric_subdivide``'s order, and their signs come from one
-    ``_flag_terms3`` pass; cells whose image has volume below 1e-14
+    ``flag_terms`` pass; cells whose image has volume below 1e-14
     contribute nothing.
     """
     x = np.asarray(x, float).reshape(-1, 3)
     tets = np.sort(np.asarray(tc.tets, int).reshape(-1, 4), axis=1)
-    sign, _, center = _flag_terms3(tc.points, tets)
+    sign, _, center = flag_terms(tc.points, tets)
     image = center.reshape(-1, 4, 3)
     vol = det3(image[:, 1] - image[:, 0], image[:, 2] - image[:, 0], image[:, 3] - image[:, 0]) / 6.0
-    source = tc.points[tets[:, _FLAGS3[:, 0]]].reshape(-1, 3)
+    source = tc.points[tets[:, FLAGS[3][:, 0]]].reshape(-1, 3)
     holds = _inside_tets(image, x) & (np.abs(vol) >= 1e-14)[:, None]
     signed = (sign.ravel() * np.where(vol > 0, 1, -1))[:, None] * ((x - source[:, None]) ** 2).sum(axis=2)
     # Adds the cells to 0.0 in order, as a walk over them would.
@@ -416,7 +416,7 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
     """
     pts = FOLD_TET_POINTS
     tc = TetComplex(pts, [(0, 1, 2, 3)])
-    sign, integral, _ = _flag_terms3(tc.points, tc.tets)
+    sign, integral, _ = flag_terms(tc.points, tc.tets)
     preserved, reversed_ = int((sign * integral > 0).sum()), int((sign * integral < 0).sum())
     flipped_flags = _flipped_face_flags(tc)
     flips_at_ac = all(e == (0, 2) for _, e, _ in flipped_flags)
@@ -459,17 +459,17 @@ def _flipped_face_flags(tc: TetComplex) -> list:
 
     The barycentric face cell of a flag (X, XY, XYZ) is always positively
     oriented against the normal (Y - X) x (Z - X), so the flag flips exactly
-    when the image of X, XY and XYZ (``_flag_terms3``'s centers) is
+    when the image of X, XY and XYZ (``flag_terms``' centers) is
     negatively oriented against it.  Listed in ``barycentric_subdivide``'s
     cell order.
     """
     tets = np.sort(np.asarray(tc.tets, int).reshape(-1, 4), axis=1)
-    _, _, center = _flag_terms3(tc.points, tets)
+    _, _, center = flag_terms(tc.points, tets)
     p = tc.points[tets]
-    x, y, z = (p[:, c] for c in _FLAGS3.T[:3])
+    x, y, z = (p[:, c] for c in FLAGS[3].T[:3])
     image = center[:, :, 1:3] - center[:, :, :1]
     flipped = det3(image[:, :, 0], image[:, :, 1], np.cross(y - x, z - x)) < 0.0
     return [
         ((a,), tuple(sorted((a, b))), tuple(sorted((a, b, c))))
-        for a, b, c in tets[:, _FLAGS3[:, :3]][flipped].tolist()
+        for a, b, c in tets[:, FLAGS[3][:, :3]][flipped].tolist()
     ]

@@ -29,8 +29,8 @@ A triangle's g vanishes outside the hull of its corners and circumcenter, so
 ``g_field`` runs the kernel only on the points in that hull's padded box.
 
 The six corner terms of mu_terms are the flags of the triangle's barycentric
-subdivision; ``_flag_terms`` evaluates them, from the same edge vectors, for
-all triangles at once and serves the planar subdivision too.
+subdivision, evaluated by geom's flag kernel ``flag_terms``, the one that
+serves the subdivision in both dimensions.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ from .errors import DegenerateSimplex, NonConvexQuad
 from .geom import (
     Triangle2,
     circumcenter_offset,
-    collinear2,
     convex_polygon_masks,
+    flag_terms,
     in_circle_xy,
     orient2,
+    reject_collinear,
+    second_moment,
     signed_area,
 )
 from .integrate import Box, check_vanishes_on_boundary
@@ -79,14 +81,6 @@ def _corners(points, triangles):
     return tri, np.asarray(points, float)[tri]
 
 
-def _reject_collinear(tri, cross, ux, uy, vx, vy):
-    """Raise DegenerateSimplex, naming the labels, for the first triangle orient2 calls collinear."""
-    collinear = collinear2(cross, ux, uy, vx, vy)
-    if np.any(collinear):
-        labels = tuple(int(i) for i in np.reshape(tri, (-1, 3))[np.argmax(collinear)])
-        raise DegenerateSimplex(f"collinear triangle {labels}")
-
-
 def _closed_form(tri, ux, uy, vx, vy):
     """Area, squared-edge sum and squared circumradius from edge-vector components.
 
@@ -94,7 +88,7 @@ def _closed_form(tri, ux, uy, vx, vy):
     arithmetic; ``tri`` holds the labels named when a triangle is collinear.
     """
     cross = ux * vy - uy * vx
-    _reject_collinear(tri, cross, ux, uy, vx, vy)
+    reject_collinear(tri, cross, ux, uy, vx, vy)
     wx, wy = ux - vx, uy - vy
     uu, vv, ww = ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy
     return 0.5 * abs(cross), uu + vv + ww, uu * vv * ww / (4.0 * cross * cross)
@@ -158,56 +152,8 @@ def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
 
 
 # ---------------------------------------------------------------------------
-# Flags of the barycentric subdivision
+# Corner terms
 # ---------------------------------------------------------------------------
-
-# The six flags (corner X, edge XY) of a triangle as corner positions X, Y and
-# the third corner W; for a label-sorted triangle this is the order in which
-# barycentric_subdivide lists its cells.
-_FLAG_X = np.array([0, 0, 1, 1, 2, 2])
-_FLAG_Y = np.array([1, 2, 0, 2, 0, 1])
-_FLAG_W = 3 - _FLAG_X - _FLAG_Y
-
-
-def _image_integral(mx, my, zx, zy):
-    """Integral of |x - A|^2 over the triangle (A, A + m, A + z).
-
-    Signed by the triangle's orientation; the edge-midpoint rule, exact for
-    this quadratic.  Floats or equal-shape arrays.
-    """
-    sx, sy = mx + zx, my + zy
-    return (mx * zy - my * zx) / 24.0 * ((mx * mx + my * my) + (sx * sx + sy * sy) + (zx * zx + zy * zy))
-
-
-def _flag_terms(points, triangles):
-    """Cell signs, image integrals and circumcenters of the planar subdivision.
-
-    For each triangle (a, b, c) of the (T, 3) label array and each of its six
-    flags (corner X, edge XY), in _FLAG order:
-
-    * ``sign`` (T, 6): +1 when the cell (X, midpoint of XY, barycenter) is
-      counterclockwise, that is when (X, Y, W) is, and -1 otherwise;
-    * ``integral`` (T, 6): the integral of |x - X|^2 over the cell's image
-      (X, midpoint of XY, circumcenter) under the circumcenter map, signed by
-      the image's orientation;
-    * ``center`` (T, 2): the circumcenter a + circumcenter_offset(b - a, c - a).
-
-    The cell contributes sign * integral to the functional.  Everything but
-    ``center`` comes from edge vectors.  Raises DegenerateSimplex, naming the
-    labels, for a triangle orient2 calls collinear.
-    """
-    tri, p = _corners(points, triangles)
-    a = p[:, 0]
-    rel = p - a[:, None, :]  # (0, u, v) per triangle
-    ux, uy, vx, vy = rel[:, 1, 0], rel[:, 1, 1], rel[:, 2, 0], rel[:, 2, 1]
-    _reject_collinear(tri, ux * vy - uy * vx, ux, uy, vx, vy)
-    offset = np.stack(circumcenter_offset(ux, uy, vx, vy), axis=1)
-    e = p[:, _FLAG_Y] - p[:, _FLAG_X]
-    f = p[:, _FLAG_W] - p[:, _FLAG_X]
-    sign = np.where(e[..., 0] * f[..., 1] - e[..., 1] * f[..., 0] > 0.0, 1, -1)
-    z = offset[:, None, :] - rel[:, _FLAG_X]  # circumcenter minus X
-    integral = _image_integral(0.5 * e[..., 0], 0.5 * e[..., 1], z[..., 0], z[..., 1])
-    return sign, integral, a + offset
 
 
 def mu_term(apex, mid, cc) -> float:
@@ -216,8 +162,7 @@ def mu_term(apex, mid, cc) -> float:
     Signed by the orientation of that triangle; degenerate input gives 0.
     """
     t = Triangle2(apex, mid, cc)
-    (mx, my), (zx, zy) = (t.b - t.a).tolist(), (t.c - t.a).tolist()
-    return _image_integral(mx, my, zx, zy)
+    return float(second_moment(t.vertices() - t.a))
 
 
 def mu_terms(t: Triangle2) -> list:
@@ -231,7 +176,7 @@ def mu_terms(t: Triangle2) -> list:
     (b, ab), (b, bc), (c, bc), (c, ca).
     """
     ccw = (0, 1, 2) if signed_area(t.a, t.b, t.c) >= 0.0 else (2, 1, 0)
-    sign, integral, _ = _flag_terms(t.vertices(), [ccw])
+    sign, integral, _ = flag_terms(t.vertices(), [ccw])
     return (sign[0] * integral[0])[[1, 0, 2, 3, 5, 4]].tolist()
 
 

@@ -15,16 +15,18 @@ flipping, the sweep, flip-graph enumeration) convert their coordinates once
 and call the kernels directly, and ``orient2``/``in_circle`` delegate to them.
 ``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays.
 ``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
-``orient3`` and the 3D subdivision kernel use it, and only ``in_sphere``'s
-lifted 4x4 determinant goes through numpy's general determinant.
+``orient3`` and the flag kernel use it, and only ``in_sphere``'s lifted 4x4
+determinant goes through numpy's general determinant.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
-elementwise on arrays; they serve the array kernels of ``functional2d`` and
-``subdivision`` too.
+elementwise on arrays.  With them ``flag_terms``, the one flag kernel, gives
+the barycentric subdivision's cells for triangles and tetrahedra alike, from
+one flag table ``FLAGS`` and one simplex integral ``second_moment``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -121,6 +123,14 @@ def collinear2(det, ux, uy, vx, vy):
     and elementwise on equal-shape arrays, with the same arithmetic.
     """
     return abs(det) <= TAU_GEOM * ((abs(ux) + abs(uy)) * (abs(vx) + abs(vy)))
+
+
+def reject_collinear(labels, det, ux, uy, vx, vy):
+    """Raise DegenerateSimplex, naming its label triple, for the first triangle collinear2 accepts."""
+    collinear = collinear2(det, ux, uy, vx, vy)
+    if np.any(collinear):
+        labels = tuple(int(i) for i in np.reshape(labels, (-1, 3))[np.argmax(collinear)])
+        raise DegenerateSimplex(f"collinear triangle {labels}")
 
 
 def orient2_xy(ax, ay, bx, by, cx, cy) -> int:
@@ -383,3 +393,70 @@ def tangent_value(a, x) -> float:
     a = _as_point(a, 2)
     x = _as_point(x, 2)
     return float(2.0 * (x @ a) - a @ a)
+
+
+# ---------------------------------------------------------------------------
+# Flags of the barycentric subdivision, in the plane and in space.
+# ---------------------------------------------------------------------------
+
+# The flags of a d-simplex, d = 2 or 3, as corner positions (X, Y[, Z], W):
+# the chain corner X, edge XY[, face XYZ], whole simplex.  Every ordering of
+# the corners, in lexicographic order: for a label-sorted simplex the order in
+# which barycentric_subdivide lists its cells.
+FLAGS = {d: np.array(list(itertools.permutations(range(d + 1)))) for d in (2, 3)}
+
+
+def _det(v):
+    """Determinant of the d rows of (..., d, d) arrays, d = 2 or 3."""
+    if v.shape[-1] == 2:
+        return v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
+    return det3(v[..., 0, :], v[..., 1, :], v[..., 2, :])
+
+
+def second_moment(v):
+    """Integral of |x|^2 over the simplex with corners v (..., d + 1, d), row 0 at the origin,
+    signed by its orientation: det(v_1..v_d) / (d! (d + 1) (d + 2)) (sum |v_k|^2 + |sum v_k|^2)."""
+    d = v.shape[-1]
+    # Row by row: the sum v[..., 1:, :].sum(axis=-2) gives, without numpy's
+    # slow reduction over a short strided axis.
+    total = sum((v[..., k, :] for k in range(2, d + 1)), v[..., 1, :])
+    norms = (v * v).sum(axis=(-2, -1)) + (total * total).sum(axis=-1)
+    return _det(v[..., 1:, :]) / (math.factorial(d) * (d + 1) * (d + 2)) * norms
+
+
+def flag_terms(points, simplices):
+    """Signs, image integrals and image corners of the barycentric subdivision's cells.
+
+    For each simplex of the (T, d + 1) label array over (n, d) points, d = 2
+    or 3, and each flag (X, Y[, Z], W) in FLAGS[d] order: ``sign`` (T, F) is
+    +1 when (X, Y[, Z], W), and so the cell, is positively oriented;
+    ``center`` (T, F, d + 1, d) is the cell's image under the circumcenter
+    map, X and the circumcenters of XY[, XYZ] and the simplex; ``integral``
+    (T, F) is the second_moment of that image about X.  The cell adds
+    sign * integral to the functional.  All but ``center`` come from edge
+    vectors relative to each simplex's first corner, and flag 0's image
+    corners are exactly that corner plus their offsets.  Raises
+    DegenerateSimplex, naming the labels, for a triangle orient2 calls
+    collinear.
+    """
+    p = np.asarray(points, float)
+    d = p.shape[1]
+    labels = np.asarray(simplices, int).reshape(-1, d + 1)
+    p = p[labels]
+    rel = p - p[:, :1]
+    x = rel[:, FLAGS[d][:, 0]]
+    edges = rel[:, FLAGS[d][:, 1:]] - x[:, :, None]  # Y - X[, Z - X], W - X
+    sign = np.where(_det(edges) > 0.0, 1, -1)
+    image = np.zeros(x.shape[:2] + (d + 1, d))  # about X: X, XY[, XYZ], the simplex
+    image[:, :, 1] = 0.5 * edges[:, :, 0]
+    if d == 2:
+        (ux, uy), (vx, vy) = rel[:, 1].T, rel[:, 2].T
+        reject_collinear(labels, ux * vy - uy * vx, ux, uy, vx, vy)
+        top = np.stack(circumcenter_offset(ux, uy, vx, vy), axis=1)
+    else:
+        image[:, :, 2] = circumcenter_offset3(edges[:, :, 0], edges[:, :, 1])
+        top = circumsphere_offset(rel[:, 1], rel[:, 2], rel[:, 3])
+    image[:, :, d] = top[:, None] - x
+    integral = second_moment(image)
+    image += (p[:, :1] + x)[:, :, None]  # offsets about X -> the image corners, in place
+    return sign, integral, image

@@ -12,12 +12,11 @@ the cell, signed by whether the circumcenter map preserves the cell's
 orientation.  Summing cells reproduces the planar functional exactly and
 defines its generalization for tetrahedral complexes.
 
-Both dimensions take one array pass: ``functional2d._flag_terms`` for a
-(T, 3) triangle array and ``_flag_terms3`` for a (T, 4) tetrahedron array
-give every flag's sign, image integral and circumcenters from edge vectors;
-``vf_via_sd`` and ``vf3`` sum them exactly rounded, and one routine numbers
-the vertices and cells of ``barycentric_subdivide`` from the flag table of
-either dimension.
+Both dimensions take one array pass of geom's flag kernel ``flag_terms``,
+which gives every flag's sign, image integral and circumcenters from edge
+vectors for a (T, 3) triangle or a (T, 4) tetrahedron array; ``vf_via_sd``
+and ``vf3`` sum them exactly rounded, and one routine numbers the vertices
+and cells of ``barycentric_subdivide`` from the flag table ``FLAGS``.
 
 The star-cancellation check reads the same flag terms: the cells owned by an
 interior vertex sum to the integral over its Voronoi cell, which is clipped
@@ -38,32 +37,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotInteriorVertex
-from .geom import (
-    Tetrahedron3,
-    Triangle2,
-    circumcenter_offset3,
-    circumsphere_offset,
-    det3,
-)
+from .geom import FLAGS, Tetrahedron3, Triangle2, det3, flag_terms, second_moment
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
 from . import functional2d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TetComplex:
     """A list of tetrahedra (label 4-tuples) over labeled 3D points.
 
     Tetrahedra are normalized to positive orientation at construction, all
     with one array determinant; a coplanar one raises ValueError naming the
-    first.
+    first.  ``points`` is a read-only copy of the input, so the complex
+    cannot go stale; ``==`` and ``hash`` are by identity.
     """
 
     points: np.ndarray
     tets: tuple
 
     def __init__(self, points, tets):
-        pts = np.asarray(points, float)
+        pts = np.array(points, float)
+        pts.setflags(write=False)
         tets = np.array(tets, int).reshape(-1, 4)  # a copy: reoriented in place below
         p = pts[tets]
         vol = det3(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
@@ -114,44 +109,6 @@ class SubdividedComplex:
         )
 
 
-# The flags of a triangle (corner X, edge XY) and of a tetrahedron (corner X,
-# edge XY, face XYZ) as corner positions X, Y[, Z] and the last corner W, in
-# lexicographic order: for a label-sorted simplex the order in which
-# barycentric_subdivide lists its cells.
-_FLAGS2 = np.stack([functional2d._FLAG_X, functional2d._FLAG_Y, functional2d._FLAG_W], axis=1)
-_FLAGS3 = np.array([(x, y, z, 6 - x - y - z) for x in range(4) for y in range(4) for z in range(4) if x != y != z != x])
-
-
-def _flag_terms3(points, tets):
-    """Cell signs, image integrals and circumcenters of the 3D subdivision.
-
-    For each tetrahedron of the (T, 4) label array and each of its 24 flags
-    (X, XY, XYZ) in _FLAGS3 order, with W the fourth corner:
-
-    * ``sign`` (T, 24): +1 when (X, Y, Z, W), and so the cell, is positively
-      oriented, -1 otherwise;
-    * ``center`` (T, 24, 4, 3): the cell's image X, X + m, X + z, X + w under
-      the circumcenter map, that is X and the circumcenters of XY, XYZ and
-      the tetrahedron;
-    * ``integral`` (T, 24): the integral of |x - X|^2 over that image, signed
-      by its orientation: det(m, z, w) / 120 (|m|^2 + |z|^2 + |w|^2 + |m + z + w|^2).
-
-    All but ``center`` come from edge vectors relative to each tetrahedron's
-    first corner, so they do not depend on where it sits.
-    """
-    p = np.asarray(points, float)[np.asarray(tets, int).reshape(-1, 4)]
-    rel = p - p[:, :1]
-    x, y, z, w = (rel[:, c] for c in _FLAGS3.T)
-    e, f = y - x, z - x
-    sign = np.where(det3(e, f, w - x) > 0.0, 1, -1)
-    tet = circumsphere_offset(rel[:, 1], rel[:, 2], rel[:, 3])[:, None] - x
-    image = np.stack([np.zeros_like(e), 0.5 * e, circumcenter_offset3(e, f), tet], axis=2)
-    total = image.sum(axis=2)
-    norms = (image * image).sum(axis=(2, 3)) + (total * total).sum(axis=2)
-    integral = det3(image[:, :, 1], image[:, :, 2], image[:, :, 3]) / 120.0 * norms
-    return sign, integral, (p[:, :1] + x)[:, :, None] + image
-
-
 def _first_reach(rows):
     """The distinct rows of a 2D array in the order they first occur, the
     index of each first occurrence and, per row, the rank of its distinct row."""
@@ -162,15 +119,22 @@ def _first_reach(rows):
     return unique[order], first[order], rank[inverse.reshape(-1)]
 
 
-def _subdivide(pts, simplices, sign, centers, flags) -> SubdividedComplex:
-    """The subdivision of a (T, n) array of label-sorted simplices, given the
-    cell signs (T, F) of the ``flags`` and the circumcenters (T, F, n, dim) of
-    each flag's chain; only those of three or more corners are read.
+def barycentric_subdivide(source) -> SubdividedComplex:
+    """Subdivision of a planar Triangulation2 or a TetComplex.
 
-    Subdivision vertices are numbered in the order the flags of the
-    simplices, in simplex order, first reach them; the cells follow the flags.
+    Every flag becomes one cell; 6 per triangle, 24 per tetrahedron.  The
+    simplices are label-sorted and their cells follow FLAGS; subdivision
+    vertices are numbered in the order the flags, in simplex order, first
+    reach them.
     """
+    if not isinstance(source, (Triangulation2, TetComplex)):
+        raise TypeError(f"cannot subdivide {type(source).__name__}")
+    pts = source.points
+    simplices = source.triangles if isinstance(source, Triangulation2) else source.tets
+    simplices = np.sort(np.asarray(simplices, int).reshape(-1, pts.shape[1] + 1), axis=1)
+    sign, _, center = flag_terms(pts, simplices)
     (t, n), count = simplices.shape, len(pts)
+    flags = FLAGS[n - 1]
     # One simplex's keys: its flags' chain simplices as sorted corner
     # positions padded with n; column n of `padded` is the label `count`,
     # past every point, so the label keys stay sorted too.
@@ -190,7 +154,8 @@ def _subdivide(pts, simplices, sign, centers, flags) -> SubdividedComplex:
     # simplices take the circumcenter of the flag that first reached them.
     gamma = vertices.copy()
     big = size >= 3
-    gamma[big] = centers[(owner[big],) + np.unravel_index(key_first[key[big]], chain.shape[:2])]
+    gamma[big] = center[(owner[big],) + np.unravel_index(key_first[key[big]], chain.shape[:2])]
+    del center  # the pass's largest array: freed before the cells are built
     r2 = np.where(size == 1, 0.0, ((corners[:, 0] - gamma) ** 2).sum(axis=1))
     height = (gamma * gamma).sum(axis=1) - r2
 
@@ -204,23 +169,6 @@ def _subdivide(pts, simplices, sign, centers, flags) -> SubdividedComplex:
     index = [i for i in range(t) for _ in flags]
     cells = tuple(map(SdCell, zip(*(ids[j::n] for j in range(n))), owners, sign.ravel().tolist(), index))
     return SubdividedComplex(n - 1, pts, vertices, gamma, height, sources, cells)
-
-
-def barycentric_subdivide(source) -> SubdividedComplex:
-    """Subdivision of a planar Triangulation2 or a TetComplex.
-
-    Every flag becomes one cell; 6 per triangle, 24 per tetrahedron.
-    """
-    if isinstance(source, Triangulation2):
-        tri = np.sort(np.asarray(source.triangles, int).reshape(-1, 3), axis=1)
-        sign, _, center = functional2d._flag_terms(source.points, tri)
-        centers = np.broadcast_to(center[:, None, None], (len(tri), 6, 3, 2))  # read for the triangle only
-        return _subdivide(source.points, tri, sign, centers, _FLAGS2)
-    if isinstance(source, TetComplex):
-        tets = np.sort(np.asarray(source.tets, int).reshape(-1, 4), axis=1)
-        sign, _, center = _flag_terms3(source.points, tets)
-        return _subdivide(source.points, tets, sign, center, _FLAGS3)
-    raise TypeError(f"cannot subdivide {type(source).__name__}")
 
 
 def vf_sd_cell(cell: SdCell, sd: SubdividedComplex) -> float:
@@ -240,26 +188,24 @@ def vf_sd_cell(cell: SdCell, sd: SubdividedComplex) -> float:
     return cell.source_sign * val
 
 
-def vf_via_sd(t: Triangulation2) -> float:
-    """Triangulation functional as the sum of subdivision-cell contributions.
-
-    Sums sign * image integral over all flags of one array pass, without
-    building the SubdividedComplex; equals the sum of vf_sd_cell over its cells.
-    The sum is exactly rounded: the cells of a sliver with a far circumcenter
-    are many orders of magnitude larger than their total.
-    """
-    sign, integral, _ = functional2d._flag_terms(t.points, t.triangles)
+def _flag_sum(points, simplices) -> float:
+    """The exactly rounded sum of sign * image integral over the flags of one
+    ``flag_terms`` pass: the cells of a sliver with a far circumcenter are
+    many orders of magnitude larger than their total."""
+    sign, integral, _ = flag_terms(points, simplices)
     return math.fsum((sign * integral).ravel().tolist())
+
+
+def vf_via_sd(t: Triangulation2) -> float:
+    """Triangulation functional as the sum of the subdivision's flag terms,
+    without building the SubdividedComplex; equals the sum of vf_sd_cell."""
+    return _flag_sum(t.points, t.triangles)
 
 
 def vf3(tc: TetComplex) -> float:
-    """Generalized functional of a tetrahedral complex via its subdivision.
-
-    The exactly rounded sum of sign * image integral over all flags of one
-    ``_flag_terms3`` pass; equals the sum of vf_sd_cell over the cells.
-    """
-    sign, integral, _ = _flag_terms3(tc.points, tc.tets)
-    return math.fsum((sign * integral).ravel().tolist())
+    """Generalized functional of a tetrahedral complex as the sum of its
+    subdivision's flag terms; equals the sum of vf_sd_cell."""
+    return _flag_sum(tc.points, tc.tets)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +288,7 @@ def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, 
 
     Left: exact integral of squared distance over the Voronoi polygon of the
     vertex, a fan of image integrals about the vertex.  Right: signed sum of
-    the flag terms (``functional2d._flag_terms``) of the subdivision cells
+    the flag terms (``flag_terms``) of the subdivision cells
     owned by the vertex.  Both come from coordinates relative to the vertex
     or to a triangle corner, and agree for Delaunay input.
     """
@@ -350,10 +296,10 @@ def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, 
         raise NotInteriorVertex(f"vertex {vertex} lies on the hull")
     poly = _voronoi_cell(d.points, vertex)
     nxt = np.roll(poly, -1, axis=0)
-    fan = functional2d._image_integral(poly[:, 0], poly[:, 1], nxt[:, 0], nxt[:, 1])
+    fan = second_moment(np.stack([np.zeros_like(poly), poly, nxt], axis=1))
     lhs = math.fsum(fan.tolist())
-    sign, integral, _ = functional2d._flag_terms(d.points, d.triangles)
-    owned = np.asarray(d.triangles, int)[:, functional2d._FLAG_X] == vertex
+    sign, integral, _ = flag_terms(d.points, d.triangles)
+    owned = np.asarray(d.triangles, int)[:, FLAGS[2][:, 0]] == vertex
     rhs = math.fsum((sign * integral)[owned].tolist())
     return lhs, rhs
 
@@ -377,8 +323,8 @@ def _support_field(d: Triangulation2):
     outside it.  Exact when d is Delaunay (cell_decomposition_check).
     """
     field = nearest_minus_visible_field(d.points)
-    _, _, centers = functional2d._flag_terms(d.points, d.triangles)
-    ext = np.concatenate([d.points, centers])
+    _, _, center = flag_terms(d.points, d.triangles)
+    ext = np.concatenate([d.points, center[:, 0, 2]])
     lo, hi = (c.tolist() for c in functional2d._padded_box(ext.min(axis=0), ext.max(axis=0)))
 
     def support_field(x):

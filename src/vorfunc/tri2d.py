@@ -34,27 +34,24 @@ GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet2:
-    """Ordered, labeled planar points; label i is row i of ``points``."""
+    """Ordered, labeled planar points; label i is row i of ``points``, a
+    read-only copy of the input.  ``==`` and ``hash`` are by identity."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, float)
+        pts = np.array(self.points, float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite coordinates in point set")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
         return len(self.points)
-
-    def diameter(self) -> float:
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
 
     @classmethod
     def from_json(cls, text: str) -> "PointSet2":

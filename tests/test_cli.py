@@ -204,6 +204,15 @@ def test_functional_dim3_needs_six_points(tmp_path, capsys):
     assert err.startswith("error:") and "got 5" in err
 
 
+def test_functional_dim3_counts_points_before_the_diagonal(tmp_path, capsys):
+    pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, 0, 1], [0, 2, 1]]
+    path = write_points(tmp_path, "seven.json", pts)
+    code, out, err = run_cli(["functional", "--input", path, "--dim", "3", "--diagonal", "1,9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "got 7" in err
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-1000"])
 def test_functional_non_finite_rf_exits_2(tmp_path, capsys, alpha, fmt):

@@ -13,6 +13,7 @@ from vorfunc.geom import (
     circumcircle2,
     circumcircle3,
     circumsphere3,
+    flag_terms,
     signed_area,
     tangent_value,
 )
@@ -55,6 +56,18 @@ def test_tet_complex_orients_tets_and_names_the_first_coplanar_one():
     assert tets.tolist() == [[0, 2, 1, 3]]  # the caller's array is not reoriented
     with pytest.raises(ValueError, match=r"degenerate tetrahedron \(0, 1, 4, 2\)$"):
         TetComplex(pts, [(0, 1, 2, 3), (0, 1, 4, 2), (1, 2, 4, 0)])
+
+
+def test_tet_complex_keeps_a_read_only_copy():
+    pts = OCTA_POINTS.copy()
+    tc = TetComplex(pts, [(1, 4, 0, 3)])
+    before = vf3(tc)
+    pts[0] += 1.0
+    assert vf3(tc) == before
+    with pytest.raises(ValueError):
+        tc.points[0, 0] = 0.0
+    assert hash(tc) == hash(tc) and tc == tc
+    assert tc != TetComplex(OCTA_POINTS, [(1, 4, 0, 3)])
 
 
 def test_counts_single_tetrahedron():
@@ -207,6 +220,17 @@ def test_vf_via_sd_equals_sum_of_cells(rng):
         sd = barycentric_subdivide(t)
         values = [vf_sd_cell(c, sd) for c in sd.cells]
         assert abs(vf_via_sd(t) - sum(values)) <= 1e-12 * sum(abs(v) for v in values)
+
+
+def test_flag_terms_equal_each_cell(rng):
+    d = random_delaunay(rng, 30)
+    octahedra = [octahedron_decomposition(OCTA_POINTS, diag) for diag in ((1, 4), (0, 2), (3, 5))]
+    for t in [d, _swapped(d, 2, 11), TetComplex(FOLD_TET_POINTS, [(0, 1, 2, 3)])] + octahedra:
+        sd = barycentric_subdivide(t)
+        simplices = t.triangles if isinstance(t, Triangulation2) else t.tets
+        sign, integral, _ = flag_terms(t.points, np.sort(simplices, axis=1))
+        want = np.array([vf_sd_cell(c, sd) for c in sd.cells])
+        np.testing.assert_allclose((sign * integral).ravel(), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_vf_via_sd_translation_invariant(rng):

@@ -31,6 +31,19 @@ def test_delaunay_single_triangle():
     assert d.canonical() == ((0, 1, 2),)
 
 
+def test_point_set_keeps_a_read_only_copy(rng):
+    pts = rng.random((20, 2))
+    want = delaunay(pts.copy())
+    ps = PointSet2(pts)
+    pts[0] += 1.0
+    got = delaunay(ps)
+    assert got.triangles == want.triangles and np.array_equal(got.points, want.points)
+    assert delaunay(pts).points is not pts
+    with pytest.raises(ValueError):
+        ps.points[0, 0] = 0.0
+    assert hash(ps) == hash(ps) and ps == ps and ps != PointSet2(pts)
+
+
 def test_delaunay_unit_square_rejected():
     with pytest.raises(NotGeneralPosition) as exc:
         delaunay(np.array([[0, 0], [1, 0], [0, 1], [1, 1]], float))
