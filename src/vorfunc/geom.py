@@ -417,8 +417,8 @@ def second_moment(v):
     """Integral of |x|^2 over the simplex with corners v (..., d + 1, d), row 0 at the origin,
     signed by its orientation: det(v_1..v_d) / (d! (d + 1) (d + 2)) (sum |v_k|^2 + |sum v_k|^2)."""
     d = v.shape[-1]
-    # Row by row: the sum v[..., 1:, :].sum(axis=-2) gives, without numpy's
-    # slow reduction over a short strided axis.
+    # Row by row: bit for bit the sum v[..., 1:, :].sum(axis=-2), without
+    # numpy's slow reduction over a short strided axis.
     total = sum((v[..., k, :] for k in range(2, d + 1)), v[..., 1, :])
     norms = (v * v).sum(axis=(-2, -1)) + (total * total).sum(axis=-1)
     return _det(v[..., 1:, :]) / (math.factorial(d) * (d + 1) * (d + 2)) * norms
