@@ -12,7 +12,7 @@ Subcommands:
 
 Exit codes: 0 ok, 2 input/parse error (also a non-finite --alpha or functional
 value, which never reaches the output), 3 degenerate input (the diagnostic
-names the offending labels, or Lawson flipping ran out of its flip budget),
+names the offending labels, or the Delaunay sweep ran out of its flip budget),
 4 experiment verdict failed.  Identical invocations produce byte-identical
 output.
 """

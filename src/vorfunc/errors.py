@@ -21,7 +21,7 @@ class NotGeneralPosition(VorfuncError):
 
 
 class FlipBudgetExceeded(VorfuncError):
-    """Lawson flipping used up its flip budget without reaching a Delaunay triangulation."""
+    """The Delaunay sweep used up its flip budget (4 n^2 + 256 flips) without legalizing every new fan."""
 
 
 class NonConvexQuad(VorfuncError):

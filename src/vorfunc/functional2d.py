@@ -81,6 +81,12 @@ def _corners(points, triangles):
     return tri, np.asarray(points, float)[tri]
 
 
+def _circumcenters(p):
+    """Circumcenters (T, 2) of triangles with corners ``p`` (T, 3, 2), from edge vectors."""
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return p[:, 0] + np.stack(circumcenter_offset(u[:, 0], u[:, 1], v[:, 0], v[:, 1]), axis=1)
+
+
 def _closed_form(tri, ux, uy, vx, vy):
     """Area, squared-edge sum and squared circumradius from edge-vector components.
 
@@ -265,10 +271,9 @@ def g_field(t: Triangulation2, x):
         pts = pts[None, :]
     out = np.zeros(len(pts))
     _, p = _corners(t.points, t.triangles)
-    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     # Where the circumcenter overflows, the non-finite box keeps every point.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        center = p[:, 0] + np.stack(circumcenter_offset(u[:, 0], u[:, 1], v[:, 0], v[:, 1]), axis=1)
+        center = _circumcenters(p)
         lo, hi = _padded_box(np.minimum(p.min(axis=1), center), np.maximum(p.max(axis=1), center))
     xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
     for sign, corners, tri_lo, tri_hi in zip(t.signs, p, lo.tolist(), hi.tolist()):

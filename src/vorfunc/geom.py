@@ -10,13 +10,14 @@ determinant): at distances below about 1e-7 it falls under the rounding
 error, and a nonzero sign may be wrong there.
 
 The planar predicates have one kernel each on plain Python floats,
-``orient2_xy`` and ``in_circle_xy``: loops that test many triples (Lawson
-flipping, the sweep, flip-graph enumeration) convert their coordinates once
-and call the kernels directly, and ``orient2``/``in_circle`` delegate to them.
+``orient2_xy`` and ``in_circle_xy``: loops that test many triples (the
+Delaunay sweep and its flips, flip-graph enumeration) convert their
+coordinates once and call the kernels directly, and ``orient2``/``in_circle``
+delegate to them.
 ``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays.
 ``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
-``orient3`` and the flag kernel use it, and only ``in_sphere``'s lifted 4x4
-determinant goes through numpy's general determinant.
+``orient3``, the flag kernel and ``in_sphere`` (by cofactors of its lifted
+4x4) use it.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
 elementwise on arrays.  With them ``flag_terms``, the one flag kernel, gives
@@ -105,7 +106,7 @@ def det3(u, v, w):
     """Triple product u . (v x w), the determinant of the rows u, v, w.
 
     Elementwise over the leading axes of (..., 3) arrays; the one 3D
-    determinant of the package (``in_sphere``'s lifted 4x4 aside).
+    determinant of the package.
     """
     return (u * np.cross(v, w)).sum(axis=-1)
 
@@ -276,17 +277,15 @@ def in_sphere(t: Tetrahedron3, p) -> int:
     a, b, c, d = t.a, t.b, t.c, t.d
     if orient3(a, b, c, d) == 0:
         raise DegenerateSimplex("coplanar tetrahedron")
-    p = _as_point(p, 3)
-    rows = []
-    scale = 1.0
-    for v in (a, b, c, d):
-        e = v - p
-        rows.append([e[0], e[1], e[2], e @ e])
-        scale *= np.abs(e[:3]).sum()
-    # Row order (a, b, c, d) flips the inside sign relative to the 2D case.
-    det = -float(np.linalg.det(np.array(rows)))
-    lift_scale = max(abs(r[3]) for r in rows)
-    tol = TAU_GEOM * scale * max(lift_scale, 1e-300)
+    e = np.stack([a, b, c, d]) - _as_point(p, 3)
+    lift = (e * e).sum(axis=1)
+    # Rows (e, |e|^2) for a, b, c, d; cofactor expansion along the lift
+    # column.  Row order (a, b, c, d) flips the inside sign relative to the
+    # 2D case.
+    minors = det3(e[[1, 0, 0, 0]], e[[2, 2, 1, 1]], e[[3, 3, 3, 2]])
+    det = float(lift @ (minors * [1.0, -1.0, 1.0, -1.0]))
+    scale = math.prod(np.abs(e).sum(axis=1).tolist())
+    tol = TAU_GEOM * scale * max(float(lift.max()), 1e-300)
     if abs(det) <= tol:
         return 0
     return 1 if det > 0 else -1

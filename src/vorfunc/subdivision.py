@@ -323,8 +323,8 @@ def _support_field(d: Triangulation2):
     outside it.  Exact when d is Delaunay (cell_decomposition_check).
     """
     field = nearest_minus_visible_field(d.points)
-    _, _, center = flag_terms(d.points, d.triangles)
-    ext = np.concatenate([d.points, center[:, 0, 2]])
+    _, corners = functional2d._corners(d.points, d.triangles)
+    ext = np.concatenate([d.points, functional2d._circumcenters(corners)])
     lo, hi = (c.tolist() for c in functional2d._padded_box(ext.min(axis=0), ext.max(axis=0)))
 
     def support_field(x):

@@ -6,11 +6,11 @@ orientation signs +1; topological triangulations (label complexes mapped
 through permuted positions) keep their combinatorics and carry the sign of
 each mapped triangle.
 
-Delaunay construction is a lexicographic sweep building an arbitrary
-triangulation, followed by Lawson flips until every interior edge passes the
-in-circle test; the same flip primitive drives flip() and the depth-first
-enumeration of the flip graph.  Degeneracies are rejected (NotGeneralPosition),
-never perturbed.
+Delaunay construction is one lexicographic sweep that legalizes each new
+point's fan as it is added, with triangles in a canonical order (ccw,
+smallest label first, sorted); its quad and convexity helpers also drive
+flip() and the depth-first enumeration of the flip graph.  Degeneracies are
+rejected (NotGeneralPosition), never perturbed.
 """
 
 from __future__ import annotations
@@ -98,10 +98,17 @@ def _canonical(triangles) -> tuple:
 
 
 class Triangulation2:
-    """Indexed simplicial complex over a PointSet2 with per-triangle signs."""
+    """Indexed simplicial complex over a PointSet2 with per-triangle signs.
+
+    ``points`` is read-only: an input array that is read-only and owns its
+    data (a PointSet2's) is shared, any other is copied."""
 
     def __init__(self, points, triangles, kind=GEOMETRIC, _normalize=True):
-        self.points = np.asarray(points, float)
+        pts = np.asarray(points, float)
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.setflags(write=False)
+        self.points = pts
         tris = [tuple(int(v) for v in t) for t in triangles]
         if kind == GEOMETRIC and _normalize:
             xy = self.points.tolist()
@@ -316,8 +323,8 @@ def _strictly_convex(xy, u, v, k, l) -> bool:
     return orient2_xy(*xy[l], *xy[v], *xy[k]) > 0 and orient2_xy(*xy[k], *xy[u], *xy[l]) > 0
 
 
-def _scan_triangulation(pts):
-    """Any valid triangulation by lexicographic sweep; raises on hull collinearity."""
+def _sweep_delaunay(pts):
+    """Delaunay triangles of ``pts`` in canonical order, by the one sweep of ``delaunay``."""
     order = [int(i) for i in np.lexsort((pts[:, 1], pts[:, 0]))]
     xy = pts.tolist()
     for a, b in zip(order, order[1:]):
@@ -328,7 +335,15 @@ def _scan_triangulation(pts):
     if s == 0:
         raise NotGeneralPosition(f"collinear points {i0}, {i1}, {i2}", (i0, i1, i2))
     hull = [i0, i1, i2] if s > 0 else [i0, i2, i1]
-    tris = [tuple(hull)]
+    # Directed edge (u, v) of a ccw triangle -> its third corner.
+    opp = {}
+
+    def add(a, b, c):
+        opp[a, b], opp[b, c], opp[c, a] = c, a, b
+
+    add(*hull)
+    flips = 0
+    budget = 4 * len(pts) ** 2 + 256
     for p in order[3:]:
         m = len(hull)
         px, py = xy[p]
@@ -348,80 +363,58 @@ def _scan_triangulation(pts):
         while visible[(start + run) % m]:
             run += 1
         chain = [hull[(start + k) % m] for k in range(run + 1)]
+        # Edge (u, v) of ccw triangle (u, v, p) is legal or is flipped to (p, q),
+        # where (v, u, q) is the triangle across it.
+        work = []
         for u, v in zip(chain, chain[1:]):
-            tris.append((u, p, v))
+            add(u, p, v)
+            work.append((v, u))
+        while work:
+            u, v = work.pop()
+            q = opp.get((v, u))
+            if q is None:
+                continue
+            s = in_circle_xy(*xy[u], *xy[v], *xy[p], *xy[q])
+            if s == 0:
+                raise NotGeneralPosition(f"cocircular points {u}, {v}, {p}, {q}", (u, v, p, q))
+            if s < 0:
+                continue
+            if not _strictly_convex(xy, u, v, p, q):
+                raise NotGeneralPosition(
+                    f"cannot restore edge ({u}, {v}): flip quad is degenerate", (u, v, p, q)
+                )
+            flips += 1
+            if flips > budget:
+                raise FlipBudgetExceeded(f"Delaunay flipping did not terminate within {budget} flips")
+            del opp[u, v], opp[v, u]
+            add(u, q, p)
+            add(v, p, q)
+            work += [(u, q), (q, v)]
         # Keep the invisible arc (chain end around to chain start), append p.
         keep = [hull[(start + run + k) % m] for k in range(m - run + 1)]
         hull = keep + [p]
-    return tris
-
-
-def _legalize(pts, tris):
-    """Lawson flips until every interior edge passes the in-circle test."""
-    xy = pts.tolist()
-    triangles = {i: t for i, t in enumerate(tris)}
-    edge2tris = {}
-
-    def add_edges(tid):
-        i, j, k = triangles[tid]
-        for p, q in ((i, j), (j, k), (k, i)):
-            edge2tris.setdefault((p, q) if p < q else (q, p), set()).add(tid)
-
-    def drop_edges(tid):
-        i, j, k = triangles[tid]
-        for p, q in ((i, j), (j, k), (k, i)):
-            edge2tris[(p, q) if p < q else (q, p)].discard(tid)
-
-    for tid in triangles:
-        add_edges(tid)
-    work = list(edge2tris.keys())
-    next_id = len(tris)
-    flips = 0
-    budget = 4 * len(pts) ** 2 + 256
-    while work:
-        edge = work.pop()
-        tids = edge2tris.get(edge, set())
-        if len(tids) != 2:
-            continue
-        t1_id, t2_id = sorted(tids)
-        u, v, k, l = _edge_quad(triangles[t1_id], triangles[t2_id], edge)
-        s = in_circle_xy(*xy[u], *xy[v], *xy[k], *xy[l])
-        if s == 0:
-            raise NotGeneralPosition(f"cocircular points {u}, {v}, {k}, {l}", (u, v, k, l))
-        if s < 0:
-            continue
-        if not _strictly_convex(xy, u, v, k, l):
-            raise NotGeneralPosition(
-                f"cannot restore edge ({u}, {v}): flip quad is degenerate", (u, v, k, l)
-            )
-        flips += 1
-        if flips > budget:
-            raise FlipBudgetExceeded(f"Lawson flipping did not terminate within {budget} flips")
-        drop_edges(t1_id)
-        drop_edges(t2_id)
-        del triangles[t1_id], triangles[t2_id]
-        for new_tri in ((u, l, k), (v, k, l)):
-            triangles[next_id] = new_tri
-            add_edges(next_id)
-            next_id += 1
-        for p, q in ((u, l), (l, v), (v, k), (k, u)):
-            work.append((p, q) if p < q else (q, p))
-    return list(triangles.values())
+    # Each triangle once, from its smallest corner: ccw, smallest label first.
+    return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
 
 def delaunay(ps) -> Triangulation2:
-    """Delaunay triangulation of a general-position point set.
+    """Delaunay triangulation of a general-position point set, in one sweep.
 
-    Raises NotGeneralPosition (with the offending labels) when a collinear
-    triple on the hull or a cocircular quadruple is detected within tolerance.
+    Points are added in lexicographic order; each new point's fan over the
+    hull edges it sees is legalized at once, by flipping the edges opposite
+    the point until each passes the in-circle test.  Triangles come in a
+    canonical order: each ccw, smallest label first, the list sorted.
+
+    Raises NotGeneralPosition (with the offending labels) for duplicates, a
+    collinear triple on the hull, or a cocircular quadruple within tolerance
+    among the quads the sweep tests: each edge opposite a new point against
+    the triangle across it.  FlipBudgetExceeded after 4 n^2 + 256 flips.
     """
     if not isinstance(ps, PointSet2):
         ps = PointSet2(np.asarray(ps, float))
     if len(ps) < 3:
         raise ValueError("need at least 3 points")
-    tris = _scan_triangulation(ps.points)
-    tris = _legalize(ps.points, tris)
-    return Triangulation2(ps.points, tris, kind=GEOMETRIC, _normalize=False)
+    return Triangulation2(ps.points, _sweep_delaunay(ps.points), kind=GEOMETRIC, _normalize=False)
 
 
 def empty_circumcircle_violations(t: Triangulation2) -> list:
@@ -517,4 +510,5 @@ def make_topological(t: Triangulation2, relabeling) -> Triangulation2:
     if sorted(perm) != list(range(len(t.points))):
         raise ValueError("relabeling must be a permutation of the vertex labels")
     new_points = t.points[perm]
+    new_points.setflags(write=False)
     return Triangulation2(new_points, t.triangles, kind=TOPOLOGICAL)

@@ -396,6 +396,20 @@ def test_support_field_equals_plane_integrand(rng):
         assert np.array_equal(_support_field(d)(pts), nearest_minus_visible_field(d.points)(pts))
 
 
+def test_circumcenters_equal_the_flag_kernels(rng):
+    # g_field and the cell check's box read one circumcenter helper; it gives
+    # flag_terms' circumcenter corner bit for bit, so the check's
+    # (value, std_error) is what it was when the box read flag_terms.
+    from vorfunc.functional2d import _circumcenters, _corners
+
+    sets = [random_delaunay(rng, n) for n in (3, 6, 9, 14, 40)]
+    grid = grid_delaunay(rng, 12)
+    sets.append(Triangulation2(grid.points + 1e6, grid.triangles))
+    for d in sets:
+        _, _, center = flag_terms(d.points, d.triangles)
+        assert np.array_equal(_circumcenters(_corners(d.points, d.triangles)[1]), center[:, 0, 2])
+
+
 def test_sd_json_dump(rng):
     d = random_delaunay(rng, 5)
     sd = barycentric_subdivide(d)

@@ -61,20 +61,80 @@ def test_delaunay_random_empty_circumcircle(rng):
     assert empty_circumcircle_violations(d) == []
 
 
-@pytest.mark.parametrize("kind", ["uniform", "anisotropic"])
-def test_delaunay_matches_scipy_at_n_1000(kind):
+def _scipy_triangles(pts):
     from scipy.spatial import Delaunay
 
+    return {tuple(sorted(int(i) for i in s)) for s in Delaunay(pts).simplices}
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("uniform", 1000), ("anisotropic", 1000), ("uniform", 10000)], ids=str
+)
+def test_delaunay_matches_scipy_at_cli_sizes(kind, n):
     rng = np.random.default_rng(1000)
     if kind == "uniform":
-        pts = rng.random((1000, 2))
+        pts = rng.random((n, 2))
     else:
         # Gaussian with 20:1 axes, rotated: long thin triangles.
         ang = rng.uniform(0.0, np.pi)
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        pts = (rng.standard_normal((1000, 2)) * [1.0, 0.05]) @ rot.T
-    got = set(delaunay(pts).canonical())
-    assert got == {tuple(sorted(int(i) for i in s)) for s in Delaunay(pts).simplices}
+        pts = (rng.standard_normal((n, 2)) * [1.0, 0.05]) @ rot.T
+    assert set(delaunay(pts).canonical()) == _scipy_triangles(pts)
+
+
+def _in_circle_int(a, b, c, d):
+    """Exact in-circle determinant of integer points: > 0 when d is inside ccw (a, b, c)."""
+    rows = [(p[0] - d[0], p[1] - d[1]) for p in (a, b, c)]
+    (ax, ay), (bx, by), (cx, cy) = rows
+    return (
+        (ax * ax + ay * ay) * (bx * cy - by * cx)
+        + (bx * bx + by * by) * (cx * ay - cy * ax)
+        + (cx * cx + cy * cy) * (ax * by - ay * bx)
+    )
+
+
+def test_delaunay_on_integer_points_near_a_circle_is_exact_or_rejected():
+    # The 12 integer points on x^2 + y^2 = 25 give many exactly cocircular
+    # quads; random integer points add collinear triples and duplicates.
+    circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    rng = np.random.default_rng(25)
+    accepted = 0
+    for _ in range(400):
+        on = rng.choice(len(circle), size=rng.integers(4, 8), replace=False)
+        pts = [circle[i] for i in on] + rng.integers(-6, 7, size=(rng.integers(0, 6), 2)).tolist()
+        pts = [tuple(int(c) for c in pts[i]) for i in rng.permutation(len(pts))]
+        try:
+            d = delaunay(np.array(pts, float))
+        except NotGeneralPosition:
+            continue
+        accepted += 1
+        assert set(d.canonical()) == _scipy_triangles(np.array(pts, float))
+        for (i, j), tids in d.edge_map().items():
+            if len(tids) == 2:
+                t1, t2 = (d.triangles[k] for k in tids)
+                (l,) = set(t2) - {i, j}
+                assert _in_circle_int(*(pts[k] for k in t1), pts[l]) < 0
+    assert accepted > 0
+
+
+def test_delaunay_triangles_are_in_canonical_order(rng):
+    d = random_delaunay(rng, 200)
+    assert list(d.triangles) == sorted(d.triangles)
+    for t in d.triangles:
+        assert t[0] == min(t)
+        assert signed_area(*d.points[list(t)]) > 0
+
+
+def test_triangulation_keeps_a_read_only_point_array(rng):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    t = Triangulation2(pts, [(0, 1, 2)])
+    pts[1, 0] = -1.0
+    assert t.points[1, 0] == 1.0 and t.signs == (1,)
+    with pytest.raises(ValueError):
+        t.points[0, 0] = 2.0
+    # A point set's array, read-only and owning its data, is shared.
+    ps = PointSet2(random_delaunay(rng, 7).points)
+    assert all(u.points is ps.points for u in enumerate_triangulations(ps))
 
 
 def test_flip_rectangle_diagonal():
