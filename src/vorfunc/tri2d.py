@@ -364,7 +364,8 @@ def _sweep_delaunay(pts):
             run += 1
         chain = [hull[(start + k) % m] for k in range(run + 1)]
         # Edge (u, v) of ccw triangle (u, v, p) is legal or is flipped to (p, q),
-        # where (v, u, q) is the triangle across it.
+        # where (v, u, q) is the triangle across it.  Errors label the quad
+        # (v, u, q, p), as _edge_quad does with the older triangle first.
         work = []
         for u, v in zip(chain, chain[1:]):
             add(u, p, v)
@@ -376,12 +377,12 @@ def _sweep_delaunay(pts):
                 continue
             s = in_circle_xy(*xy[u], *xy[v], *xy[p], *xy[q])
             if s == 0:
-                raise NotGeneralPosition(f"cocircular points {u}, {v}, {p}, {q}", (u, v, p, q))
+                raise NotGeneralPosition(f"cocircular points {v}, {u}, {q}, {p}", (v, u, q, p))
             if s < 0:
                 continue
             if not _strictly_convex(xy, u, v, p, q):
                 raise NotGeneralPosition(
-                    f"cannot restore edge ({u}, {v}): flip quad is degenerate", (u, v, p, q)
+                    f"cannot restore edge ({v}, {u}): flip quad is degenerate", (v, u, q, p)
                 )
             flips += 1
             if flips > budget:
