@@ -41,6 +41,8 @@ from .tri2d import (
 )
 
 DEFAULT_SEED = 50331
+# Points at which topological_counterexample compares the two g fields.
+POINTWISE_SAMPLES = 10**4
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,7 @@ def _check_folded(pts) -> Triangulation2 | None:
     return d
 
 
-def topological_counterexample(
-    samples: int = 10**7, seed: int = DEFAULT_SEED, pointwise_samples: int = 10**4
-) -> ExperimentResult:
+def topological_counterexample(samples: int = 10**7, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Compare the folded topological triangulation against its Delaunay source.
 
     The Delaunay value is exact (closed form); the folded value is a Monte
@@ -241,7 +241,7 @@ def topological_counterexample(
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
     lo = np.asarray(box.lo)
     hi = np.asarray(box.hi)
-    pts = lo + rng.random((pointwise_samples, 2)) * (hi - lo)
+    pts = lo + rng.random((POINTWISE_SAMPLES, 2)) * (hi - lo)
     pointwise_min = float((g_field(k, pts) - g_field(d, pts)).min())
 
     gap = est.value - vf_d
@@ -249,7 +249,7 @@ def topological_counterexample(
     return ExperimentResult(
         name="topological_counterexample",
         seed=seed,
-        inputs={"points": 8, "samples": samples, "pointwise_samples": pointwise_samples},
+        inputs={"points": 8, "samples": samples, "pointwise_samples": POINTWISE_SAMPLES},
         values={
             "vf_delaunay": vf_d,
             "vf_topological_mc": est.value,

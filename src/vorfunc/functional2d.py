@@ -286,9 +286,13 @@ def support_box(t: Triangulation2) -> Box:
     """Bounding box of the points inflated by the largest circumdiameter.
 
     Outside this box every triangle's g vanishes (nearest equals nearest
-    visible), so it bounds the support of g_field.
+    visible), so it bounds the support of g_field.  Each triple is rotated to
+    start at its smallest label first, so the box does not depend on the
+    triangles' corner rotation or order.
     """
-    _, _, r2 = _closed_form_terms(t.points, t.triangles)
+    tri = np.asarray(t.triangles, int).reshape(-1, 3)
+    tri = np.take_along_axis(tri, (tri.argmin(axis=1)[:, None] + np.arange(3)) % 3, axis=1)
+    _, _, r2 = _closed_form_terms(t.points, tri)
     pad = 2.0 * np.sqrt(r2.max(initial=0.0)) + 1e-9
     lo = t.points.min(axis=0) - pad
     hi = t.points.max(axis=0) + pad

@@ -6,17 +6,21 @@ orientation signs +1; topological triangulations (label complexes mapped
 through permuted positions) keep their combinatorics and carry the sign of
 each mapped triangle.
 
-Delaunay construction is one lexicographic sweep that legalizes each new
-point's fan as it is added, with triangles in a canonical order (ccw,
-smallest label first, sorted); its quad and convexity helpers also drive
-flip() and the depth-first enumeration of the flip graph.  Degeneracies are
-rejected (NotGeneralPosition), never perturbed.
+One adjacency serves every algorithm here: a directed-edge map from edge
+(u, v) of a consistently oriented triangle to its third corner, with one flip
+step on it.  Delaunay construction is one lexicographic sweep: each new point
+finds the hull edges it sees by walking the hull from the point added before
+it, and its fan is legalized with that flip as it is added; triangles come in
+a canonical order (ccw, smallest label first, sorted).  flip() and the
+depth-first enumeration of the flip graph use the same map and flip.
+Degeneracies are rejected (NotGeneralPosition), never perturbed.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -216,6 +220,8 @@ class Triangulation2:
 
     def _check_boundary_cycle(self):
         boundary = self.boundary_edges()
+        if not boundary:
+            raise ValueError("triangulation has no boundary: a closed surface, not a disk")
         deg = {}
         for i, j in boundary:
             deg[i] = deg.get(i, 0) + 1
@@ -301,26 +307,66 @@ class Triangulation2:
 # ---------------------------------------------------------------------------
 
 
-def _edge_quad(tri1, tri2, edge):
-    """Labels (u, v, k, l) of the quad around an interior edge of two ccw triples.
+def _directed_edges(triangles) -> dict:
+    """Directed-edge map of ``triangles``: edge (u, v) of each triple (u, v, w) -> w.
 
-    (u, v) is ``edge`` directed so that (u, v, k) is a rotation of tri1 and
-    (v, u, l) one of tri2; the flip replaces diagonal (u, v) by (k, l).
+    Keys come three per triangle, in list order, so _triangles reads the list
+    back.  ValueError when a directed edge repeats: the triangles are not
+    consistently oriented.
     """
-    u, v = edge
-    if tri1[(tri1.index(u) + 1) % 3] != v:
-        u, v = v, u
-    (k,) = set(tri1).difference(edge)
-    (l,) = set(tri2).difference(edge)
-    return u, v, k, l
+    opp = {}
+    for a, b, c in triangles:
+        opp[a, b], opp[b, c], opp[c, a] = c, a, b
+    if len(opp) != 3 * len(triangles):
+        raise ValueError("triangles are not consistently oriented: a directed edge repeats")
+    return opp
+
+
+def _triangles(opp) -> list:
+    """The triangles of a directed-edge map, in the order they were added."""
+    return [(a, b, c) for (a, b), c in islice(opp.items(), 0, None, 3)]
+
+
+def _interior_edges(opp):
+    """Each interior edge of a directed-edge map once, directed as in its earlier triangle.
+
+    The order is that of Triangulation2.edge_map over the map's triangle list.
+    """
+    done = set()
+    for u, v in opp:
+        if (v, u) in opp and (v, u) not in done:
+            done.add((u, v))
+            yield u, v
 
 
 def _strictly_convex(xy, u, v, k, l) -> bool:
-    """Whether quad (u, l, v, k) of an _edge_quad is strictly convex, so (k, l) can replace (u, v).
+    """Whether quad (u, l, v, k) of triangles (u, v, k), (v, u, l) is strictly convex.
 
-    ``xy`` holds the coordinates as a list of [x, y] float pairs.
+    Only then can diagonal (k, l) replace (u, v).  ``xy`` holds the
+    coordinates as a list of [x, y] float pairs.
     """
     return orient2_xy(*xy[l], *xy[v], *xy[k]) > 0 and orient2_xy(*xy[k], *xy[u], *xy[l]) > 0
+
+
+def _flip(opp, u, v):
+    """Flip diagonal (u, v) of triangles (u, v, k), (v, u, l) to (k, l), in place.
+
+    Both triangles leave the map; (u, l, k) and (v, k, l) are added after the
+    rest, three keys each, so the map stays readable by _triangles.
+    """
+    k, l = opp[u, v], opp[v, u]
+    for e in ((u, v), (v, k), (k, u), (v, u), (u, l), (l, v)):
+        del opp[e]
+    opp[u, l], opp[l, k], opp[k, u] = k, u, l
+    opp[v, k], opp[k, l], opp[l, v] = l, v, k
+
+
+def _sees(xy, a, b, p) -> bool:
+    """Whether p lies strictly right of hull edge (a, b), so the edge is visible from p."""
+    s = orient2_xy(*xy[a], *xy[b], *xy[p])
+    if s == 0:
+        raise NotGeneralPosition(f"point {p} collinear with hull edge ({a}, {b})", (a, b, p))
+    return s < 0
 
 
 def _sweep_delaunay(pts):
@@ -334,41 +380,31 @@ def _sweep_delaunay(pts):
     s = orient2_xy(*xy[i0], *xy[i1], *xy[i2])
     if s == 0:
         raise NotGeneralPosition(f"collinear points {i0}, {i1}, {i2}", (i0, i1, i2))
-    hull = [i0, i1, i2] if s > 0 else [i0, i2, i1]
-    # Directed edge (u, v) of a ccw triangle -> its third corner.
-    opp = {}
-
-    def add(a, b, c):
-        opp[a, b], opp[b, c], opp[c, a] = c, a, b
-
-    add(*hull)
+    # The ccw hull always ends with the last point added, the rightmost so far.
+    hull = [i0, i1, i2] if s > 0 else [i1, i0, i2]
+    opp = _directed_edges([hull])
     flips = 0
     budget = 4 * len(pts) ** 2 + 256
     for p in order[3:]:
+        # Hull edge j is (hull[j - 1], hull[j]); edges 0 and m - 1 meet at the
+        # last point, which p always sees.  Walk forward over the visible edges
+        # j < f, then back over j >= b, testing each run's first hidden edge.
         m = len(hull)
-        px, py = xy[p]
-        sgn = [orient2_xy(*xy[hull[k]], *xy[hull[(k + 1) % m]], px, py) for k in range(m)]
-        if any(s == 0 for s in sgn):
-            k = sgn.index(0)
-            raise NotGeneralPosition(
-                f"point {p} collinear with hull edge ({hull[k]}, {hull[(k + 1) % m]})",
-                (hull[k], hull[(k + 1) % m], p),
-            )
-        visible = [s < 0 for s in sgn]
-        if all(visible) or not any(visible):
+        f = 0
+        while f < m and _sees(xy, hull[f - 1], hull[f], p):
+            f += 1
+        b = m
+        while b - 1 > f and _sees(xy, hull[b - 2], hull[b - 1], p):
+            b -= 1
+        if f == m or (f == 0 and b == m):
             raise NotGeneralPosition(f"point {p} has no consistent hull view", (p,))
-        # Rotate so the visible run is contiguous from index 0.
-        start = next(k for k in range(m) if visible[k] and not visible[(k - 1) % m])
-        run = 0
-        while visible[(start + run) % m]:
-            run += 1
-        chain = [hull[(start + k) % m] for k in range(run + 1)]
+        chain = hull[b - 1 :] + hull[:f]
         # Edge (u, v) of ccw triangle (u, v, p) is legal or is flipped to (p, q),
         # where (v, u, q) is the triangle across it.  Errors label the quad
-        # (v, u, q, p), as _edge_quad does with the older triangle first.
+        # (v, u, q, p): the triangle across the edge first, then the new point.
         work = []
         for u, v in zip(chain, chain[1:]):
-            add(u, p, v)
+            opp[u, p], opp[p, v], opp[v, u] = v, u, p
             work.append((v, u))
         while work:
             u, v = work.pop()
@@ -387,13 +423,10 @@ def _sweep_delaunay(pts):
             flips += 1
             if flips > budget:
                 raise FlipBudgetExceeded(f"Delaunay flipping did not terminate within {budget} flips")
-            del opp[u, v], opp[v, u]
-            add(u, q, p)
-            add(v, p, q)
+            _flip(opp, u, v)
             work += [(u, q), (q, v)]
-        # Keep the invisible arc (chain end around to chain start), append p.
-        keep = [hull[(start + run + k) % m] for k in range(m - run + 1)]
-        hull = keep + [p]
+        # Keep the hidden arc, from the chain's end round to its start, then p.
+        hull = (hull[f - 1 : b] if f else hull[-1:] + hull[:b]) + [p]
     # Each triangle once, from its smallest corner: ccw, smallest label first.
     return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
@@ -407,9 +440,11 @@ def delaunay(ps) -> Triangulation2:
     canonical order: each ccw, smallest label first, the list sorted.
 
     Raises NotGeneralPosition (with the offending labels) for duplicates, a
-    collinear triple on the hull, or a cocircular quadruple within tolerance
-    among the quads the sweep tests: each edge opposite a new point against
-    the triangle across it.  FlipBudgetExceeded after 4 n^2 + 256 flips.
+    collinear first triple, a new point on the line of a hull edge the walk
+    tests (those it sees and the two next to them), or a cocircular
+    quadruple within tolerance among the quads the sweep tests: each edge
+    opposite a new point against the triangle across it.
+    FlipBudgetExceeded after 4 n^2 + 256 flips.
     """
     if not isinstance(ps, PointSet2):
         ps = PointSet2(np.asarray(ps, float))
@@ -434,45 +469,21 @@ def empty_circumcircle_violations(t: Triangulation2) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _flipped(t: Triangulation2, edge, tids, xy):
-    """Triangles of t with interior ``edge`` (shared by ``tids``) flipped.
-
-    None when the quad around the edge is not strictly convex.  ``xy`` is
-    ``t.points.tolist()``.
-    """
-    first, second = tids
-    tris = t.triangles
-    u, v, k, l = _edge_quad(tris[first], tris[second], edge)
-    if not _strictly_convex(xy, u, v, k, l):
-        return None
-    # edge_map lists a triangle pair in index order, so first < second.
-    return tris[:first] + tris[first + 1 : second] + tris[second + 1 :] + ((u, l, k), (v, k, l))
-
-
 def flip(t: Triangulation2, move: FlipMove) -> Triangulation2:
-    """Replace the diagonal of the convex quadrangle across an interior edge."""
-    edge = tuple(sorted(move.edge))
-    tids = t.edge_map().get(edge, [])
-    if len(tids) != 2:
-        raise NotInteriorEdge(f"edge {edge} is not an interior edge")
-    new_tris = _flipped(t, edge, tids, t.points.tolist())
-    if new_tris is None:
-        raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
-    return Triangulation2(t.points, new_tris, kind=t.kind, _normalize=False)
+    """Replace the diagonal of the convex quadrangle across an interior edge.
 
-
-def _legal_flips(t: Triangulation2, xy=None):
-    """(edge, flipped triangles) for each flippable interior edge, in edge_map order.
-
-    ``xy`` is ``t.points.tolist()``, computed here when not given.
+    The two triangles leave the list and the two new ones are appended.
+    ValueError when the triangles are not consistently oriented.
     """
-    if xy is None:
-        xy = t.points.tolist()
-    for edge, tids in t.edge_map().items():
-        if len(tids) == 2:
-            new_tris = _flipped(t, edge, tids, xy)
-            if new_tris is not None:
-                yield edge, new_tris
+    edge = tuple(sorted(move.edge))
+    opp = _directed_edges(t.triangles)
+    u, v = next((e for e in _interior_edges(opp) if tuple(sorted(e)) == edge), (None, None))
+    if u is None:
+        raise NotInteriorEdge(f"edge {edge} is not an interior edge")
+    if not _strictly_convex(t.points.tolist(), u, v, opp[u, v], opp[v, u]):
+        raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
+    _flip(opp, u, v)
+    return Triangulation2(t.points, _triangles(opp), kind=t.kind, _normalize=False)
 
 
 def enumerate_triangulations(ps, cap: int = 100000) -> list:
@@ -486,16 +497,22 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
     root = delaunay(ps)
     xy = root.points.tolist()
     seen = {root.canonical(): root}
-    stack = [root]
+    # Each state is a directed-edge map; its moves are its interior edges in
+    # edge_map order, each flipped on a copy when its quad is strictly convex.
+    stack = [_directed_edges(root.triangles)]
     while stack:
         cur = stack.pop()
-        for _, new_tris in _legal_flips(cur, xy):
-            key = _canonical(new_tris)
+        for u, v in _interior_edges(cur):
+            if not _strictly_convex(xy, u, v, cur[u, v], cur[v, u]):
+                continue
+            nxt = dict(cur)
+            _flip(nxt, u, v)
+            tris = _triangles(nxt)
+            key = _canonical(tris)
             if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"more than {cap} triangulations")
-                nxt = Triangulation2(cur.points, new_tris, kind=cur.kind, _normalize=False)
-                seen[key] = nxt
+                seen[key] = Triangulation2(root.points, tris, kind=root.kind, _normalize=False)
                 stack.append(nxt)
     return list(seen.values())
 

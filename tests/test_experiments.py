@@ -106,8 +106,8 @@ def test_topological_counterexample_passes():
 
 
 def test_topological_counterexample_deterministic():
-    a = topological_counterexample(samples=10**5 * 2, pointwise_samples=1000)
-    b = topological_counterexample(samples=10**5 * 2, pointwise_samples=1000)
+    a = topological_counterexample(samples=10**5 * 2)
+    b = topological_counterexample(samples=10**5 * 2)
     assert a.to_json() == b.to_json()
 
 

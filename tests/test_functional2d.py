@@ -458,3 +458,15 @@ def test_pointwise_and_global_dominance(rng):
         for k in tris:
             assert vf_triangulation(k).total <= vf_d + 1e-9
             assert float((g_field(k, pts) - g_d).max()) <= 1e-9
+
+
+def test_support_box_ignores_corner_rotation_and_triangle_order(rng):
+    for _ in range(20):
+        d = random_delaunay(rng, int(rng.integers(6, 15)))
+        want = support_box(d)
+        for r in range(3):
+            rotated = [t[r:] + t[:r] for t in d.triangles]
+            assert support_box(Triangulation2(d.points, rotated)) == want
+        mixed = [d.triangles[i] for i in rng.permutation(len(d.triangles))]
+        mixed = [t[r:] + t[:r] for t, r in zip(mixed, rng.integers(0, 3, len(mixed)))]
+        assert support_box(Triangulation2(d.points, mixed)) == want

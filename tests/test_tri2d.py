@@ -248,13 +248,15 @@ def test_flip_from_delaunay_decreases_angle_vector(rng):
                 )
         return sorted(angs)
 
-    from vorfunc.tri2d import _legal_flips
-
     for _ in range(10):
         d = random_delaunay(rng, 8)
         base = angle_vector(d)
-        for edge, _ in _legal_flips(d):
-            assert angle_vector(flip(d, FlipMove(edge))) < base
+        for edge in d.interior_edges():
+            try:
+                flipped = flip(d, FlipMove(edge))
+            except NonConvexQuad:
+                continue
+            assert angle_vector(flipped) < base
 
 
 def test_make_topological_identity(rng):
@@ -346,3 +348,73 @@ def test_json_round_trip(rng):
     t2 = Triangulation2.from_json(d.to_json(), ps2.points)
     assert t2.canonical() == d.canonical()
     assert json.loads(d.to_json())["kind"] == "geometric"
+
+
+def test_delaunay_names_the_hull_edge_a_new_point_is_collinear_with():
+    # The first triple (0, 1, 2) is clockwise; point 3 lies on the line of hull edge (0, 2).
+    with pytest.raises(NotGeneralPosition) as exc:
+        delaunay(np.array([[0, 0], [0, 1], [1, 0], [2, 0]], float))
+    assert exc.value.args[0] == "point 3 collinear with hull edge (0, 2)"
+    assert exc.value.labels == (0, 2, 3)
+
+
+def test_delaunay_names_duplicate_points_by_their_labels():
+    with pytest.raises(NotGeneralPosition) as exc:
+        delaunay(np.array([[0, 0], [1, 0], [0, 1], [1, 0], [2, 2]], float))
+    assert exc.value.args[0] == "duplicate points 1, 3"
+    assert exc.value.labels == (1, 3)
+
+
+@pytest.mark.parametrize("first", ["ccw", "cw"])
+def test_delaunay_hull_walk_matches_scipy_on_thin_sets(first):
+    # Thin sets give long visible hull chains on both sides of the last point.
+    Delaunay = pytest.importorskip("scipy.spatial").Delaunay
+    rng = np.random.default_rng(12 if first == "ccw" else 13)
+    for _ in range(20):
+        pts = rng.standard_normal((300, 2)) * [1.0, 1e-3]
+        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        (ax, ay), (bx, by), (cx, cy) = pts[order[:3]]
+        if ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0) != (first == "ccw"):
+            pts[:, 1] *= -1.0
+        got = delaunay(pts)
+        want = {tuple(sorted(s)) for s in Delaunay(pts).simplices.tolist()}
+        assert set(got.canonical()) == want
+
+
+def test_flip_keeps_the_other_triangles_and_appends_the_new_pair():
+    # Edge (0, 3) runs as (3, 0) in the earlier triangle (0, 2, 3): the new
+    # triangles are (3, 4, 2) and (0, 2, 4), in that order, after (0, 1, 2).
+    pts = np.array([[0, 0], [2, 0], [3, 1], [1, 2], [-1, 1]], float)
+    t = Triangulation2(pts, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+    assert flip(t, FlipMove((0, 3))).triangles == ((0, 1, 2), (3, 4, 2), (0, 2, 4))
+
+
+def test_flip_errors_keep_their_messages():
+    pts = np.array([[0, 0], [4, 0], [2, 3], [2, 1]], float)
+    t = Triangulation2(pts, [(0, 1, 3), (1, 2, 3), (0, 3, 2)])
+    with pytest.raises(NotInteriorEdge, match=r"^edge \(0, 1\) is not an interior edge$"):
+        flip(t, FlipMove((1, 0)))
+    with pytest.raises(NotInteriorEdge, match=r"^edge \(0, 2\) is not an interior edge$"):
+        flip(t, FlipMove((2, 0)))
+    with pytest.raises(NonConvexQuad, match=r"^quad around edge \(0, 3\) is not strictly convex$"):
+        flip(t, FlipMove((3, 0)))
+
+
+def test_flip_rejects_inconsistently_oriented_triangles():
+    # Both triangles run along directed edge (0, 1): no consistent orientation.
+    pts = np.array([[0, 0], [1, 0], [0, 1], [1, -1]], float)
+    t = Triangulation2(pts, [(0, 1, 2), (0, 1, 3)], kind="topological")
+    with pytest.raises(ValueError, match="not consistently oriented") as exc:
+        flip(t, FlipMove((0, 1)))
+    assert type(exc.value) is ValueError
+
+
+def test_validate_rejects_a_closed_surface():
+    # The 6-vertex projective plane: a closed surface with Euler characteristic 1.
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    ang = np.arange(5) * 2 * np.pi / 5
+    pts = np.vstack([[0.0, 0.0], np.c_[np.cos(ang), np.sin(ang)]])
+    text = json.dumps({"triangles": tris, "kind": "topological"})
+    with pytest.raises(ValueError, match="no boundary"):
+        Triangulation2.from_json(text, pts)
