@@ -105,6 +105,8 @@ def optimality_scan(n: int, trials: int, seed: int = DEFAULT_SEED, functional: s
         raise ValueError("scan expects 4 <= n <= 12")
     if trials < 1:
         raise ValueError("scan expects at least one trial")
+    if functional not in ("vf", "rf2"):
+        raise ValueError(f"unknown functional {functional!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
     rows = []
     worst_gap = np.inf  # signed distance of Delaunay value from the required extreme
@@ -114,10 +116,8 @@ def optimality_scan(n: int, trials: int, seed: int = DEFAULT_SEED, functional: s
         tris = enumerate_triangulations(random_point_set(n, rng))
         if functional == "vf":
             vals = [vf_triangulation(t).total for t in tris]
-        elif functional == "rf2":
-            vals = [radius_functional(t, 2.0).total for t in tris]
         else:
-            raise ValueError(f"unknown functional {functional!r}")
+            vals = [radius_functional(t, 2.0).total for t in tris]
         best = max(vals) if functional == "vf" else min(vals)
         gap = vals[0] - best if functional == "vf" else best - vals[0]
         worst_gap = min(worst_gap, gap)

@@ -16,6 +16,13 @@ integral over the triangle of the squared distance to the nearest vertex when
 all angles are acute, and is defined by the same closed form (possibly
 negative) in the obtuse case.
 
+The triangulations that one enumerate_triangulations call returns share one
+table of these terms over their distinct ordered corner triples, filled by one
+array pass on first use.  Each functional gathers its triangulation's rows
+from it; the arithmetic is elementwise, so every row equals the value the
+triangulation would get alone.  The last bits depend on which corner comes
+first, so rows are keyed by the ordered triple.
+
 The pointwise field g carries the same information locally:
 
     g(x) = d(x, nearest vertex)^2 - d(x, nearest visible vertex)^2
@@ -114,6 +121,29 @@ def _closed_form_terms(points, triangles):
     return _closed_form(tri, u[:, 0], u[:, 1], v[:, 0], v[:, 1])
 
 
+def _terms(t: Triangulation2):
+    """_closed_form_terms of ``t``'s triangles.
+
+    An enumerated triangulation gathers its rows from its enumeration's
+    table, filled on first use by one _closed_form_terms call over the
+    distinct ordered triples of all its triangulations.  The arithmetic is
+    elementwise, so each row equals the value computed alone.  If a triple
+    of the table is collinear, every triangulation of it takes its own call,
+    which raises for those that hold that triple, naming it, as before.
+    """
+    table = t._table
+    if table is not None:
+        if table.terms is None:
+            try:
+                table.terms = np.stack(_closed_form_terms(t.points, list(table.rows)))
+            except DegenerateSimplex:
+                table.terms = ()  # empty: each triangulation takes its own call
+        if len(table.terms):
+            rows = table.rows
+            return table.terms[:, [rows[x] for x in t.triangles]]
+    return _closed_form_terms(t.points, t.triangles)
+
+
 def _triangle_terms(t: Triangle2):
     """_closed_form_terms of one triangle, on plain floats."""
     (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
@@ -139,13 +169,13 @@ def _report(kind: str, values: np.ndarray) -> FunctionalReport:
 
 def vf_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of vf_triangle over all triangles."""
-    area, e2, r2 = _closed_form_terms(t.points, t.triangles)
+    area, e2, r2 = _terms(t)
     return _report("vf", np.asarray(t.signs) * (area / 12.0 * (e2 - 4.0 * r2)))
 
 
 def rajan_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of rajan_triangle over all triangles."""
-    area, e2, _ = _closed_form_terms(t.points, t.triangles)
+    area, e2, _ = _terms(t)
     return _report("rajan", np.asarray(t.signs) * (area / 12.0 * e2))
 
 
@@ -153,7 +183,7 @@ def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
     """Sum over triangles of circumradius**alpha times area (geometric only)."""
     if t.kind != GEOMETRIC:
         raise ValueError("radius functional is defined for geometric triangulations")
-    area, _, r2 = _closed_form_terms(t.points, t.triangles)
+    area, _, r2 = _terms(t)
     return _report(f"rf{alpha:g}", r2 ** (alpha / 2.0) * area)
 
 

@@ -14,6 +14,15 @@ it, and its fan is legalized with that flip as it is added; triangles come in
 a canonical order (ccw, smallest label first, sorted).  flip() and the
 depth-first enumeration of the flip graph use the same map and flip.
 Degeneracies are rejected (NotGeneralPosition), never perturbed.
+
+Enumeration decides each move before doing its work.  Every triangle gets a
+bit the first time a move meets it, and a triangulation's key is the OR of
+its triangles' bits, so a move's key is its parent's with four bits
+toggled.  Each quad's convexity is decided once, by the test flip() uses,
+and only moves to unseen keys copy the map and flip it.  The triangulations
+of one enumeration share their points, their sign tuple, their triangle
+tuples and one table of their distinct ordered triples, from which
+functional2d gathers closed forms.
 """
 
 from __future__ import annotations
@@ -96,9 +105,16 @@ def convex_hull(points: np.ndarray) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _canonical(triangles) -> tuple:
-    """Order-free key of a triangle list: sorted tuple of sorted label triples."""
-    return tuple(sorted(tuple(sorted(t)) for t in triangles))
+class _TriangleTable:
+    """The distinct ordered triangles of one enumeration's triangulations.
+
+    ``rows`` numbers each (a, b, c) triple in order of first appearance;
+    ``terms`` is left for functional2d to fill on first use.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.terms = None
 
 
 class Triangulation2:
@@ -106,6 +122,9 @@ class Triangulation2:
 
     ``points`` is read-only: an input array that is read-only and owns its
     data (a PointSet2's) is shared, any other is copied."""
+
+    # The shared _TriangleTable of an enumerated triangulation; None otherwise.
+    _table = None
 
     def __init__(self, points, triangles, kind=GEOMETRIC, _normalize=True):
         pts = np.asarray(points, float)
@@ -130,6 +149,16 @@ class Triangulation2:
                     raise CollinearImage(f"triangle {(i, j, k)} maps to a degenerate triangle")
                 signs.append(s)
             self.signs = tuple(signs)
+
+    @classmethod
+    def _enumerated(cls, points, triangles, signs, table):
+        """A geometric triangulation sharing ``points``, ``signs`` and ``table``.
+
+        ``triangles`` are ccw triples of Python ints; nothing is converted.
+        """
+        t = cls.__new__(cls)
+        t.points, t.triangles, t.kind, t.signs, t._table = points, triangles, GEOMETRIC, signs, table
+        return t
 
     @staticmethod
     def _ccw(xy, t):
@@ -161,7 +190,8 @@ class Triangulation2:
         return out
 
     def canonical(self) -> tuple:
-        return _canonical(self.triangles)
+        """Order-free key: sorted tuple of sorted label triples."""
+        return tuple(sorted(tuple(sorted(t)) for t in self.triangles))
 
     def __eq__(self, other):
         return (
@@ -493,27 +523,59 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
     from the Delaunay triangulation reaches every triangulation.  The result
     lists them in discovery order, Delaunay first.  Raises CapExceeded when
     more than ``cap`` triangulations are found.
+
+    Each state is a directed-edge map; its moves are its interior edges in
+    edge_map order.  A triangle's bit is assigned the first time a move
+    meets it, under each of its three rotations, and a state's key is the
+    OR of its triangles' bits.  A move toggles four bits, the two triangles
+    it removes and the two it adds.  That mask is worked out once per quad
+    (u, v, k, l), 0 when _strictly_convex rejects the quad, so every
+    convexity decision is that test's own, with its TAU_GEOM zero rule and
+    its argument order.  Only a move to an unseen key copies the map, flips
+    it and reads its triangles back.
     """
     root = delaunay(ps)
     xy = root.points.tolist()
-    seen = {root.canonical(): root}
-    # Each state is a directed-edge map; its moves are its interior edges in
-    # edge_map order, each flipped on a copy when its quad is strictly convex.
-    stack = [_directed_edges(root.triangles)]
+    bits = {}
+
+    def bit(t):
+        if t not in bits:
+            a, b, c = t
+            bits[a, b, c] = bits[b, c, a] = bits[c, a, b] = 1 << (len(bits) // 3)
+        return bits[t]
+
+    masks = {}
+    # Triangles are stored once: each state's list holds the shared tuples.
+    shared = {t: t for t in root.triangles}
+    table = _TriangleTable()
+    key = 0
+    for t in root.triangles:
+        key |= bit(t)
+    seen = {key: Triangulation2._enumerated(root.points, root.triangles, root.signs, table)}
+    stack = [(_directed_edges(root.triangles), key)]
     while stack:
-        cur = stack.pop()
+        cur, key = stack.pop()
         for u, v in _interior_edges(cur):
-            if not _strictly_convex(xy, u, v, cur[u, v], cur[v, u]):
+            k, l = cur[u, v], cur[v, u]
+            quad = u, v, k, l
+            mask = masks.get(quad)
+            if mask is None:
+                mask = masks[quad] = (
+                    bit((u, v, k)) ^ bit((v, u, l)) ^ bit((u, l, k)) ^ bit((v, k, l))
+                    if _strictly_convex(xy, u, v, k, l)
+                    else 0
+                )
+            nkey = key ^ mask
+            if not mask or nkey in seen:
                 continue
+            if len(seen) >= cap:
+                raise CapExceeded(f"more than {cap} triangulations")
             nxt = dict(cur)
             _flip(nxt, u, v)
-            tris = _triangles(nxt)
-            key = _canonical(tris)
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"more than {cap} triangulations")
-                seen[key] = Triangulation2(root.points, tris, kind=root.kind, _normalize=False)
-                stack.append(nxt)
+            tris = tuple(shared.setdefault(t, t) for t in _triangles(nxt))
+            seen[nkey] = Triangulation2._enumerated(root.points, tris, root.signs, table)
+            stack.append((nxt, nkey))
+    table.rows = {t: i for i, t in enumerate(shared)}
     return list(seen.values())
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vorfunc import experiments
 from vorfunc.geom import circumcircle3, inside_convex_polygon_mask, signed_volume
 from vorfunc.functional2d import g_field
 from vorfunc.tri2d import delaunay, make_topological
@@ -163,6 +164,15 @@ def test_scan_n6_passes():
 def test_scan_rf2_delaunay_minimizes():
     result, _ = optimality_scan(6, 20, seed=5, functional="rf2")
     assert result.verdict == "pass"
+
+
+def test_scan_rejects_an_unknown_functional_before_enumerating(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated before checking the functional")
+
+    monkeypatch.setattr(experiments, "enumerate_triangulations", fail)
+    with pytest.raises(ValueError, match="unknown functional 'bogus'"):
+        optimality_scan(12, 1, functional="bogus")
 
 
 def test_scan_reverse_direction_never_passes():

@@ -137,6 +137,64 @@ def test_rf1_delaunay_flip_monotone(rng):
         assert all(d_val <= v + 1e-12 for v in vals.values())
 
 
+def _functional_jsons(t):
+    """vf, rajan, rf2 and rf1 of ``t`` as JSON, or the DegenerateSimplex message."""
+    out = []
+    for f in (vf_triangulation, rajan_triangulation):
+        try:
+            out.append(f(t).to_json())
+        except DegenerateSimplex as e:
+            out.append(f"DegenerateSimplex: {e}")
+    for alpha in (2.0, 1.0):
+        try:
+            out.append(radius_functional(t, alpha).to_json())
+        except DegenerateSimplex as e:
+            out.append(f"DegenerateSimplex: {e}")
+    return out
+
+
+def _assert_enumerated_equal_alone(points, reverse):
+    tris = enumerate_triangulations(PointSet2(points))
+    order = tris[::-1] if reverse else tris
+    shared = [_functional_jsons(t) for t in order]
+    alone = [_functional_jsons(Triangulation2(t.points, t.triangles, _normalize=False)) for t in order]
+    assert shared == alone
+    return shared
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_enumerated_functionals_equal_those_built_alone(n, reverse):
+    # Enumerated triangulations gather closed forms from one shared table;
+    # each value must be the one computed for the triangulation on its own.
+    d = random_delaunay(np.random.default_rng(1300 + n), n)
+    _assert_enumerated_equal_alone(d.points, reverse)
+
+
+# Delaunay triangle (0, 1, 2) is a sliver that orient2 accepts from corners 1
+# and 2 but that the closed form, taken from corner 0, rejects as collinear.
+SLIVER_SET = np.array(
+    [
+        [0.0, 0.0],
+        [-0.5155492955567226, 0.8568599207869202],
+        [-0.5155492958994666, 0.8568599205807005],
+        [0.0040029158397650024, -0.5643534141876607],
+        [1.1926405733334378, 0.0953437368576487],
+        [0.6136574095329944, -0.817201543473843],
+    ]
+)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_enumerated_functionals_raise_only_where_the_sliver_is(reverse):
+    shared = _assert_enumerated_equal_alone(SLIVER_SET, reverse)
+    raised = [all(v == "DegenerateSimplex: collinear triangle (0, 1, 2)" for v in vals) for vals in shared]
+    tris = enumerate_triangulations(PointSet2(SLIVER_SET))
+    holds = [(0, 1, 2) in t.triangles for t in (tris[::-1] if reverse else tris)]
+    assert raised == holds
+    assert 0 < sum(holds) < len(holds)
+
+
 def test_radius_functional_topological_rejected(rng):
     from vorfunc.tri2d import make_topological
 

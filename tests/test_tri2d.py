@@ -176,12 +176,16 @@ def test_enumerate_interior_point_forces_fan():
     assert len(enumerate_triangulations(PointSet2(pts))) == 1
 
 
-def test_enumerate_convex_hexagon_catalan(rng):
-    ang = np.linspace(0, 2 * np.pi, 7)[:6]
-    rad = 1.0 + rng.uniform(-0.05, 0.05, 6)
+@pytest.mark.parametrize("n, catalan", [(5, 5), (6, 14), (7, 42), (8, 132), (9, 429), (10, 1430)])
+def test_enumerate_convex_polygon_catalan(rng, n, catalan):
+    # A convex n-gon has Catalan number C_(n-2) triangulations; jittered radii
+    # keep the corners off one circle.
+    ang = np.linspace(0, 2 * np.pi, n + 1)[:n]
+    rad = 1.0 + rng.uniform(-0.05, 0.05, n)
     pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
     tris = enumerate_triangulations(PointSet2(pts))
-    assert len(tris) == 14  # Catalan number C_4
+    assert len(tris) == catalan
+    assert len({t.canonical() for t in tris}) == catalan
 
 
 def test_enumerate_members_are_valid_and_distinct(rng):
