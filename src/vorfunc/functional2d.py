@@ -163,8 +163,8 @@ def rajan_triangle(t: Triangle2) -> float:
 
 
 def _report(kind: str, values: np.ndarray) -> FunctionalReport:
-    per = tuple(enumerate(values.tolist()))
-    return FunctionalReport(kind, float(sum(v for _, v in per)), per)
+    vals = values.tolist()
+    return FunctionalReport(kind, float(sum(vals)), tuple(enumerate(vals)))
 
 
 def vf_triangulation(t: Triangulation2) -> FunctionalReport:

@@ -40,12 +40,13 @@ from .errors import DegenerateSimplex
 TAU_GEOM = 1e-9
 
 
-def _as_point(p, dim):
-    a = np.asarray(p, dtype=float)
-    if a.shape != (dim,):
-        raise ValueError(f"expected a point of dimension {dim}, got shape {a.shape}")
+def _as_points(points, dim):
+    """The points as the rows of one (k, dim) float array, checked in one pass."""
+    a = np.array(points, dtype=float)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ValueError(f"expected points of dimension {dim}, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"non-finite coordinate in point {a!r}")
+        raise ValueError(f"non-finite coordinate in points {a.tolist()!r}")
     return a
 
 
@@ -62,9 +63,7 @@ class Triangle2:
     c: np.ndarray
 
     def __post_init__(self):
-        self.a = _as_point(self.a, 2)
-        self.b = _as_point(self.b, 2)
-        self.c = _as_point(self.c, 2)
+        self.a, self.b, self.c = _as_points((self.a, self.b, self.c), 2)
 
     def vertices(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
@@ -80,10 +79,7 @@ class Tetrahedron3:
     d: np.ndarray
 
     def __post_init__(self):
-        self.a = _as_point(self.a, 3)
-        self.b = _as_point(self.b, 3)
-        self.c = _as_point(self.c, 3)
-        self.d = _as_point(self.d, 3)
+        self.a, self.b, self.c, self.d = _as_points((self.a, self.b, self.c, self.d), 3)
 
     def vertices(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
@@ -222,9 +218,7 @@ def circumsphere3(t: Tetrahedron3) -> CircumData:
 
 def circumcircle3(a, b, c) -> CircumData:
     """Circumcircle of a triangle embedded in 3D; the center lies in its plane."""
-    a = _as_point(a, 3)
-    b = _as_point(b, 3)
-    c = _as_point(c, 3)
+    a, b, c = _as_points((a, b, c), 3)
     u = b - a
     v = c - a
     n = np.cross(u, v)
@@ -267,7 +261,7 @@ def in_circle(t: Triangle2, p) -> int:
     of the product of the 1-norms of a - p, b - p, c - p times the largest
     squared distance.  Raises DegenerateSimplex for a collinear t.
     """
-    px, py = _as_point(p, 2).tolist()
+    px, py = _as_points((p,), 2)[0].tolist()
     (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
     return in_circle_xy(ax, ay, bx, by, cx, cy, px, py)
 
@@ -277,7 +271,7 @@ def in_sphere(t: Tetrahedron3, p) -> int:
     a, b, c, d = t.a, t.b, t.c, t.d
     if orient3(a, b, c, d) == 0:
         raise DegenerateSimplex("coplanar tetrahedron")
-    e = np.stack([a, b, c, d]) - _as_point(p, 3)
+    e = np.stack([a, b, c, d]) - _as_points((p,), 3)
     lift = (e * e).sum(axis=1)
     # Rows (e, |e|^2) for a, b, c, d; cofactor expansion along the lift
     # column.  Row order (a, b, c, d) flips the inside sign relative to the
@@ -296,7 +290,7 @@ def nearest_vertex(t: Triangle2, p) -> tuple[int, float]:
 
     Ties break toward the lowest index.
     """
-    p = _as_point(p, 2)
+    p = _as_points((p,), 2)[0]
     d2 = ((t.vertices() - p) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
     return i, float(d2[i])
@@ -362,7 +356,7 @@ def nearest_visible_vertex(t: Triangle2, p):
     """
     if orient2(t.a, t.b, t.c) == 0:
         raise DegenerateSimplex("collinear triangle")
-    p = _as_point(p, 2)
+    p = _as_points((p,), 2)[0]
     verts = t.vertices()
     inside, vis = convex_polygon_masks(verts, p[None, :])
     if inside[0]:
@@ -375,12 +369,12 @@ def nearest_visible_vertex(t: Triangle2, p):
 
 def point_in_triangle(t: Triangle2, p) -> bool:
     """Closed-triangle containment (boundary counts as inside)."""
-    return bool(inside_convex_polygon_mask(t.vertices(), _as_point(p, 2)[None, :])[0])
+    return bool(inside_convex_polygon_mask(t.vertices(), _as_points((p,), 2))[0])
 
 
 def lift(p) -> np.ndarray:
     """Lift a planar point onto the unit paraboloid: (x, y) -> (x, y, x^2 + y^2)."""
-    p = _as_point(p, 2)
+    p = _as_points((p,), 2)[0]
     return np.array([p[0], p[1], p @ p])
 
 
@@ -389,8 +383,7 @@ def tangent_value(a, x) -> float:
 
     The vertical gap |x|^2 - tangent_value(a, x) equals |x - a|^2 identically.
     """
-    a = _as_point(a, 2)
-    x = _as_point(x, 2)
+    a, x = _as_points((a, x), 2)
     return float(2.0 * (x @ a) - a @ a)
 
 

@@ -59,13 +59,12 @@ def svg_triangulation(t: Triangulation2) -> str:
 def _reversed_cells(sd: SubdividedComplex) -> list:
     """Whether the circumcenter map reverses each cell, from one array pass.
 
-    A cell is reversed when signed_area of its image and its source sign
-    have opposite signs.
+    A cell is reversed when signed_area of its image and its cell sign have
+    opposite signs.
     """
-    ids = np.array([cell.verts for cell in sd.cells], dtype=int).reshape(-1, 3)
-    a, b, c = (sd.gamma[ids[:, k]] for k in range(3))
+    a, b, c = (sd.gamma[sd.cells[:, k]] for k in range(3))
     area = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    return (area * np.array([cell.source_sign for cell in sd.cells]) < 0).tolist()
+    return (area * sd.cell_sign < 0).tolist()
 
 
 def _cell_polygons(sd: SubdividedComplex, use_image: bool) -> list:
@@ -74,8 +73,7 @@ def _cell_polygons(sd: SubdividedComplex, use_image: bool) -> list:
     coords = _svg_coords(frame, verts)
     neg = _reversed_cells(sd) if use_image else [False] * len(sd.cells)
     body = []
-    for cell, n in zip(sd.cells, neg):
-        i, j, k = cell.verts
+    for (i, j, k), n in zip(sd.cells.tolist(), neg):
         body.append(f'<polygon class="{"cell neg" if n else "cell"}" points="{coords[i]} {coords[j]} {coords[k]}" />')
     return body
 

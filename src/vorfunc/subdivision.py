@@ -16,7 +16,9 @@ Both dimensions take one array pass of geom's flag kernel ``flag_terms``,
 which gives every flag's sign, image integral and circumcenters from edge
 vectors for a (T, 3) triangle or a (T, 4) tetrahedron array; ``vf_via_sd``
 and ``vf3`` sum them exactly rounded, and one routine numbers the vertices
-and cells of ``barycentric_subdivide`` from the flag table ``FLAGS``.
+and cells of ``barycentric_subdivide`` from the flag table ``FLAGS``, as
+index arrays with no per-cell object; a cell's source vertex and simplex
+index are derived from them, not stored (``SubdividedComplex``).
 
 The star-cancellation check reads the same flag terms: the cells owned by an
 interior vertex sum to the integral over its Voronoi cell, which is clipped
@@ -32,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,24 +71,23 @@ class TetComplex:
         object.__setattr__(self, "tets", tuple(map(tuple, tets.tolist())))
 
 
-class SdCell(NamedTuple):
-    verts: tuple  # subdivision vertex ids, in flag order (vertex, edge, face[, cell])
-    source_vertex: int  # label of the unique source vertex in the flag
-    source_sign: int  # orientation of the source cell under flag order
-    source_index: int  # index of the top-dimensional source simplex
-
-
 @dataclass(frozen=True)
 class SubdividedComplex:
+    """A barycentric subdivision as arrays.  Cell c is a flag, its vertex ids
+    in FLAGS order (vertex, edge, face[, cell]); its source vertex is
+    ``source_simplices[cells[c, 0], 0]`` and its source simplex ``c // len(FLAGS[dim])``."""
+
     dim: int
     source_points: np.ndarray  # mapped positions of the source vertex labels
     vertices: np.ndarray  # (N, dim) barycenters
     gamma: np.ndarray  # (N, dim) circumcenters
     height: np.ndarray  # (N,) |gamma|^2 - radius^2
-    source_simplices: tuple  # label tuple per subdivision vertex
-    cells: tuple
+    source_simplices: np.ndarray  # (N, dim + 1) labels, padded with -1
+    cells: np.ndarray  # (C, dim + 1) subdivision vertex ids
+    cell_sign: np.ndarray  # (C,) orientation of the source simplex under the flag order
 
     def to_json(self) -> str:
+        sources = [[x for x in row if x >= 0] for row in self.source_simplices.tolist()]
         return json.dumps(
             {
                 "schema": 1,
@@ -95,15 +95,15 @@ class SubdividedComplex:
                 "vertices": self.vertices.tolist(),
                 "gamma": self.gamma.tolist(),
                 "height": self.height.tolist(),
-                "source_simplices": [list(s) for s in self.source_simplices],
+                "source_simplices": sources,
                 "cells": [
                     {
-                        "verts": list(c.verts),
-                        "source_vertex": c.source_vertex,
-                        "source_sign": c.source_sign,
-                        "source_index": c.source_index,
+                        "verts": verts,
+                        "source_vertex": sources[verts[0]][0],
+                        "source_sign": sign,
+                        "source_index": c // len(FLAGS[self.dim]),
                     }
-                    for c in self.cells
+                    for c, (verts, sign) in enumerate(zip(self.cells.tolist(), self.cell_sign.tolist()))
                 ],
             }
         )
@@ -123,9 +123,10 @@ def barycentric_subdivide(source) -> SubdividedComplex:
     """Subdivision of a planar Triangulation2 or a TetComplex.
 
     Every flag becomes one cell; 6 per triangle, 24 per tetrahedron.  The
-    simplices are label-sorted and their cells follow FLAGS; subdivision
-    vertices are numbered in the order the flags, in simplex order, first
-    reach them.
+    simplices are label-sorted and cell c is flag c % len(FLAGS[dim]) of
+    simplex c // len(FLAGS[dim]); subdivision vertices are numbered in the
+    order the flags, in simplex order, first reach them.  Cells, cell signs
+    and the -1-padded source simplices are arrays (see SubdividedComplex).
     """
     if not isinstance(source, (Triangulation2, TetComplex)):
         raise TypeError(f"cannot subdivide {type(source).__name__}")
@@ -155,37 +156,29 @@ def barycentric_subdivide(source) -> SubdividedComplex:
     gamma = vertices.copy()
     big = size >= 3
     gamma[big] = center[(owner[big],) + np.unravel_index(key_first[key[big]], chain.shape[:2])]
-    del center  # the pass's largest array: freed before the cells are built
     r2 = np.where(size == 1, 0.0, ((corners[:, 0] - gamma) ** 2).sum(axis=1))
     height = (gamma * gamma).sum(axis=1) - r2
 
-    # One int object per id, label and simplex index, shared by every cell
-    # naming it: the cells stay as small as a flag-by-flag build makes them.
-    vid = list(range(len(labels)))
-    lab = list(range(count))
-    sources = tuple(tuple(lab[i] for i in row[:k]) for row, k in zip(labels.tolist(), size.tolist()))
-    ids = [vid[i] for i in rank.reshape(-1, len(keys))[:, key_of].ravel().tolist()]
-    owners = [lab[x] for x in simplices[:, flags[:, 0]].ravel().tolist()]
-    index = [i for i in range(t) for _ in flags]
-    cells = tuple(map(SdCell, zip(*(ids[j::n] for j in range(n))), owners, sign.ravel().tolist(), index))
-    return SubdividedComplex(n - 1, pts, vertices, gamma, height, sources, cells)
+    sources = np.where(labels < count, labels, -1)
+    cells = rank.reshape(-1, len(keys))[:, key_of].reshape(-1, n)
+    return SubdividedComplex(n - 1, pts, vertices, gamma, height, sources, cells, sign.ravel())
 
 
-def vf_sd_cell(cell: SdCell, sd: SubdividedComplex) -> float:
-    """Signed contribution of one cell: integral of d(., A)^2 over its image.
+def vf_sd_cell(sd: SubdividedComplex, c: int) -> float:
+    """Signed contribution of cell c: integral of d(., A)^2 over its image.
 
     The sign is positive when the circumcenter map preserves the cell's
     orientation and negative when it reverses it; a cell squeezed to a
     degenerate image contributes 0.
     """
-    a = sd.source_points[cell.source_vertex]
-    image = sd.gamma[list(cell.verts)]
+    a = sd.source_points[sd.source_simplices[sd.cells[c, 0], 0]]
+    image = sd.gamma[sd.cells[c]]
     f = lambda pts: ((pts - a) ** 2).sum(axis=1)
     if sd.dim == 2:
         val = quad_triangle(Triangle2(*image), f)
     else:
         val = quad_tetra(Tetrahedron3(*image), f)
-    return cell.source_sign * val
+    return int(sd.cell_sign[c]) * val
 
 
 def _flag_sum(points, simplices) -> float:

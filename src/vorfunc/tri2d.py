@@ -47,6 +47,11 @@ GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
 
 
+def _is_label(v, n) -> bool:
+    """Whether v is an integral number (not a bool) in range(n)."""
+    return isinstance(v, (int, float, np.integer)) and not isinstance(v, bool) and 0 <= v < n and v == int(v)
+
+
 @dataclass(frozen=True, eq=False)
 class PointSet2:
     """Ordered, labeled planar points; label i is row i of ``points``, a
@@ -127,6 +132,8 @@ class Triangulation2:
     _table = None
 
     def __init__(self, points, triangles, kind=GEOMETRIC, _normalize=True):
+        if kind not in (GEOMETRIC, TOPOLOGICAL):
+            raise ValueError(f"unknown triangulation kind {kind!r}")
         pts = np.asarray(points, float)
         if pts.flags.writeable or not pts.flags.owndata:
             pts = pts.copy()
@@ -327,6 +334,9 @@ class Triangulation2:
     @classmethod
     def from_json(cls, text: str, points) -> "Triangulation2":
         obj = json.loads(text)
+        for tri in obj["triangles"]:
+            if not (isinstance(tri, list) and len(tri) == 3 and all(_is_label(v, len(points)) for v in tri)):
+                raise ValueError(f"triangle {tri!r} is not three labels in range({len(points)})")
         t = cls(points, obj["triangles"], kind=obj.get("kind", GEOMETRIC))
         t.validate()
         return t
@@ -586,7 +596,11 @@ def make_topological(t: Triangulation2, relabeling) -> Triangulation2:
     result has kind "topological" with signs recomputed from the mapped
     triangles; CollinearImage is raised if any image triangle is degenerate.
     """
-    perm = [int(i) for i in relabeling]
+    perm = list(relabeling)
+    bad = [v for v in perm if not _is_label(v, len(t.points))]
+    if bad:
+        raise ValueError(f"relabeling entry {bad[0]!r} is not a label in range({len(t.points)})")
+    perm = [int(i) for i in perm]
     if sorted(perm) != list(range(len(t.points))):
         raise ValueError("relabeling must be a permutation of the vertex labels")
     new_points = t.points[perm]

@@ -63,6 +63,21 @@ def grid_delaunay(rng, n):
             continue
 
 
+def hull_opposite_obtuse_edges(d):
+    """Hull edges (u, v) of d whose opposite corner w has an obtuse angle, as ((u, v), w)."""
+    out = []
+    emap = d.edge_map()
+    for (u, v), tids in emap.items():
+        if len(tids) != 1:
+            continue
+        tri = d.triangles[tids[0]]
+        w = next(x for x in tri if x not in (u, v))
+        a, b, c = d.points[u], d.points[v], d.points[w]
+        if (a - c) @ (b - c) < 0:
+            out.append(((u, v), w))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250810)

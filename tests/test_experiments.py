@@ -221,30 +221,31 @@ def _reference_density(sd, x):
     """Per-cell walk over a SubdividedComplex: the signed squared distance to
     each cell's source vertex, summed over the cells whose image holds x."""
     total = 0.0
-    for c in sd.cells:
-        img = sd.gamma[list(c.verts)]
+    for verts, sign in zip(sd.cells.tolist(), sd.cell_sign.tolist()):
+        img = sd.gamma[verts]
         vol = signed_volume(*img)
         if abs(vol) < 1e-14:
             continue
         if _reference_point_in_tet(img, x):
-            a = sd.source_points[c.source_vertex]
-            total += c.source_sign * (1 if vol > 0 else -1) * float(((x - a) ** 2).sum())
+            a = sd.source_points[sd.source_simplices[verts[0], 0]]
+            total += sign * (1 if vol > 0 else -1) * float(((x - a) ** 2).sum())
     return total
 
 
 def _reference_flipped_flags(sd):
     """Face flags (vertex, edge, face) whose in-plane orientation the
     circumcenter map reverses, read cell by cell from a SubdividedComplex."""
+    sources = [tuple(x for x in row if x >= 0) for row in sd.source_simplices.tolist()]
     out = []
-    for cell in sd.cells:
-        ids = list(cell.verts[:3])
-        fp = sd.source_points[list(sd.source_simplices[ids[2]])]
+    for verts in sd.cells.tolist():
+        ids = verts[:3]
+        fp = sd.source_points[list(sources[ids[2]])]
         n = np.cross(fp[1] - fp[0], fp[2] - fp[0])
         bary, image = sd.vertices[ids], sd.gamma[ids]
         src = np.cross(bary[1] - bary[0], bary[2] - bary[0]) @ n
         img = np.cross(image[1] - image[0], image[2] - image[0]) @ n
         if src * img < 0:
-            out.append(tuple(sd.source_simplices[i] for i in ids))
+            out.append(tuple(sources[i] for i in ids))
     return out
 
 

@@ -30,6 +30,26 @@ RIGHT = Triangle2((0, 0), (1, 0), (0, 1))
 OBTUSE = Triangle2((0, 0), (2, 0.4), (4, 0))
 
 
+def test_simplices_validate_their_corners():
+    t = Triangle2([0, 0], np.array([1, 0]), (0.5, 2))
+    assert [v.tolist() for v in (t.a, t.b, t.c)] == [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]]
+    assert t.vertices().dtype == float
+    s = Tetrahedron3(*np.eye(4, 3))
+    assert s.d.tolist() == [0.0, 0.0, 0.0]
+    bad = [
+        lambda: Triangle2((0, 0), (1, 0), (0, 1, 2)),
+        lambda: Triangle2((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+        lambda: Triangle2((0, 0), (1, np.nan), (0, 1)),
+        lambda: Triangle2((0, 0), (1, 0), (np.inf, 1)),
+        lambda: Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1)),
+        lambda: Tetrahedron3(*np.eye(4, 2)),
+        lambda: Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, -np.inf)),
+    ]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_orient2_signs():
     assert orient2((0, 0), (1, 0), (0, 1)) == 1
     assert orient2((0, 0), (0, 1), (1, 0)) == -1

@@ -8,6 +8,7 @@ import pytest
 from vorfunc.errors import NotInteriorVertex
 from vorfunc.experiments import FOLD_TET_POINTS, OCTA_POINTS, octahedron_decomposition
 from vorfunc.geom import (
+    FLAGS,
     Tetrahedron3,
     Triangle2,
     circumcircle2,
@@ -19,7 +20,6 @@ from vorfunc.geom import (
 )
 from vorfunc.functional2d import vf_triangle, vf_triangulation
 from vorfunc.subdivision import (
-    SdCell,
     TetComplex,
     barycentric_subdivide,
     cell_decomposition_check,
@@ -32,11 +32,20 @@ from vorfunc.subdivision import (
 )
 from vorfunc.tri2d import Triangulation2, delaunay, make_topological
 
-from conftest import grid_delaunay, random_delaunay, random_triangle
+from conftest import grid_delaunay, hull_opposite_obtuse_edges, random_delaunay, random_triangle
 
 
 def single(tri: Triangle2) -> Triangulation2:
     return Triangulation2(tri.vertices(), [(0, 1, 2)])
+
+
+def _labels(sd, vid):
+    """Source simplex of subdivision vertex vid as a label tuple (padding dropped)."""
+    return tuple(x for x in sd.source_simplices[vid].tolist() if x >= 0)
+
+
+def _cell_values(sd):
+    return [vf_sd_cell(sd, c) for c in range(len(sd.cells))]
 
 
 def test_counts_single_triangle():
@@ -80,7 +89,8 @@ def test_counts_single_tetrahedron():
 def test_gamma_fixes_vertices_and_edge_midpoints(rng):
     d = random_delaunay(rng, 6)
     sd = barycentric_subdivide(d)
-    for vid, source in enumerate(sd.source_simplices):
+    for vid in range(len(sd.vertices)):
+        source = _labels(sd, vid)
         if len(source) == 1:
             assert np.allclose(sd.gamma[vid], d.points[source[0]])
         elif len(source) == 2:
@@ -92,9 +102,9 @@ def test_height_is_tangent_plane_value(rng):
     d = random_delaunay(rng, 8)
     octahedron = octahedron_decomposition(OCTA_POINTS, (0, 2))
     for sd in (barycentric_subdivide(d), barycentric_subdivide(octahedron)):
-        for cell in sd.cells:
-            a = sd.source_points[cell.source_vertex]
-            for vid in cell.verts:
+        for verts in sd.cells.tolist():
+            a = sd.source_points[sd.source_simplices[verts[0], 0]]
+            for vid in verts:
                 expect = 2.0 * (sd.gamma[vid] @ a) - a @ a
                 assert sd.height[vid] == pytest.approx(expect, rel=1e-10, abs=1e-10)
 
@@ -103,7 +113,8 @@ def test_gluing_heights_at_edge_barycenters(rng):
     # Edge barycenters lie on both endpoint tangent planes.
     d = random_delaunay(rng, 8)
     sd = barycentric_subdivide(d)
-    for vid, source in enumerate(sd.source_simplices):
+    for vid in range(len(sd.vertices)):
+        source = _labels(sd, vid)
         if len(source) == 2:
             a, b = d.points[source[0]], d.points[source[1]]
             fa = tangent_value(a, sd.gamma[vid])
@@ -115,7 +126,7 @@ def test_right_triangle_cell_degenerates_to_zero():
     # Circumcenter on the hypotenuse midpoint squeezes two cells flat.
     tri = Triangle2((0, 0), (1, 0), (0, 1))
     sd = barycentric_subdivide(single(tri))
-    vals = [vf_sd_cell(c, sd) for c in sd.cells]
+    vals = _cell_values(sd)
     flat = [v for v in vals if v == 0.0]
     assert len(flat) == 2
     assert sum(vals) == pytest.approx(vf_triangle(tri), rel=1e-10)
@@ -125,7 +136,7 @@ def test_acute_cells_all_positive(rng):
     for _ in range(10):
         t = random_triangle(rng, kind="acute")
         sd = barycentric_subdivide(single(t))
-        vals = [vf_sd_cell(c, sd) for c in sd.cells]
+        vals = _cell_values(sd)
         assert all(v > 0 for v in vals)
         assert sum(vals) == pytest.approx(vf_triangle(t), rel=1e-10)
 
@@ -139,13 +150,13 @@ def test_obtuse_flips_cells_at_long_edge_midpoint(rng):
         )
         long_edge_mid = 0.5 * (v[(longest + 1) % 3] + v[(longest + 2) % 3])
         sd = barycentric_subdivide(single(t))
-        negative = [c for c in sd.cells if vf_sd_cell(c, sd) < 0]
+        negative = [c for c in range(len(sd.cells)) if vf_sd_cell(sd, c) < 0]
         assert len(negative) == 2
         for c in negative:
             mids = [
                 sd.vertices[vid]
-                for vid in c.verts
-                if len(sd.source_simplices[vid]) == 2
+                for vid in sd.cells[c].tolist()
+                if len(_labels(sd, vid)) == 2
             ]
             assert np.allclose(mids[0], long_edge_mid)
 
@@ -162,7 +173,7 @@ def _reference_subdivision(t):
     # One flag at a time, as the definition reads: each simplex gets an id the
     # first time a flag reaches it, top simplices in order and the flags of
     # each (vertex, then edge at that vertex[, then face at that edge]) in
-    # label order.
+    # label order.  Each cell is (vertex ids, source vertex, sign, top index).
     pts = t.points
     index, verts, gamma, height, sources, cells = {}, [], [], [], [], []
 
@@ -190,7 +201,7 @@ def _reference_subdivision(t):
             ids = tuple(vertex_id(tuple(sorted(flag[: k + 1]))) for k in range(len(flag)))
             corners = np.array([verts[i] for i in ids])
             sign = 1 if np.linalg.det(corners[1:] - corners[0]) > 0 else -1
-            cells.append(SdCell(ids, flag[0], sign, top_idx))
+            cells.append((ids, flag[0], sign, top_idx))
     return np.array(verts), np.array(gamma), np.array(height), tuple(sources), tuple(cells)
 
 
@@ -207,18 +218,23 @@ def test_subdivision_matches_per_flag_reference(rng):
     for t in [d, _swapped(d, 3, 17), moved] + _complexes_3d():
         sd = barycentric_subdivide(t)
         verts, gamma, height, sources, cells = _reference_subdivision(t)
-        assert sd.source_simplices == sources
-        assert sd.cells == cells
+        width = sd.dim + 1
+        assert sd.source_simplices.tolist() == [list(s) + [-1] * (width - len(s)) for s in sources]
+        ids, owners, signs, tops = (list(col) for col in zip(*cells))
+        assert sd.cells.tolist() == [list(c) for c in ids]
+        assert sd.cell_sign.tolist() == signs
+        assert sd.source_simplices[sd.cells[:, 0], 0].tolist() == owners
+        assert (np.arange(len(sd.cells)) // len(FLAGS[sd.dim])).tolist() == tops
         for got, want in ((sd.vertices, verts), (sd.gamma, gamma), (sd.height, height)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    assert any(c.source_sign < 0 for c in cells)
+    assert any(sign < 0 for _, _, sign, _ in cells)
 
 
 def test_vf_via_sd_equals_sum_of_cells(rng):
     d = random_delaunay(rng, 30)
     for t in (d, _swapped(d, 2, 11)):
         sd = barycentric_subdivide(t)
-        values = [vf_sd_cell(c, sd) for c in sd.cells]
+        values = _cell_values(sd)
         assert abs(vf_via_sd(t) - sum(values)) <= 1e-12 * sum(abs(v) for v in values)
 
 
@@ -229,7 +245,7 @@ def test_flag_terms_equal_each_cell(rng):
         sd = barycentric_subdivide(t)
         simplices = t.triangles if isinstance(t, Triangulation2) else t.tets
         sign, integral, _ = flag_terms(t.points, np.sort(simplices, axis=1))
-        want = np.array([vf_sd_cell(c, sd) for c in sd.cells])
+        want = np.array(_cell_values(sd))
         np.testing.assert_allclose((sign * integral).ravel(), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -243,8 +259,7 @@ def test_sd_euler_characteristic(rng):
     d = random_delaunay(rng, 8)
     sd = barycentric_subdivide(d)
     edges = set()
-    for cell in sd.cells:
-        vs = cell.verts
+    for vs in sd.cells.tolist():
         for i in range(3):
             edges.add(tuple(sorted((vs[i], vs[(i + 1) % 3]))))
     assert len(sd.vertices) - len(edges) + len(sd.cells) == 1
@@ -285,9 +300,9 @@ def test_cancellation_sign_census(rng):
         d = random_delaunay(rng, 10)
         sd = barycentric_subdivide(d)
         for v in set(range(10)) - d.boundary_vertices():
-            star = [c for c in sd.cells if c.source_vertex == v]
+            star = [verts for verts in sd.cells.tolist() if sd.source_simplices[verts[0], 0] == v]
             image_signs = [
-                1 if signed_area(*sd.gamma[list(c.verts)]) > 0 else -1 for c in star
+                1 if signed_area(*sd.gamma[verts]) > 0 else -1 for verts in star
             ]
             lhs, rhs = interior_cancellation_check(d, v)
             assert rhs == pytest.approx(lhs, rel=1e-9, abs=1e-12)
@@ -332,27 +347,13 @@ def test_cell_decomposition_random_sets(rng):
         assert abs(closed - est.value) <= 3 * est.std_error
 
 
-def _hull_opposite_obtuse_edges(d):
-    out = []
-    emap = d.edge_map()
-    for (u, v), tids in emap.items():
-        if len(tids) != 1:
-            continue
-        tri = d.triangles[tids[0]]
-        w = next(x for x in tri if x not in (u, v))
-        a, b, c = d.points[u], d.points[v], d.points[w]
-        if (a - c) @ (b - c) < 0:
-            out.append(((u, v), w))
-    return out
-
-
 def test_decomposition_integrand_outside_behaviour(rng):
     # With every hull-opposite angle acute the integrand vanishes off the
     # hull; an obtuse hull-opposite angle leaves a strictly negative pocket.
     from vorfunc.experiments import FOLDED_POINTS
 
     d_acute = delaunay(FOLDED_POINTS)
-    assert _hull_opposite_obtuse_edges(d_acute) == []
+    assert hull_opposite_obtuse_edges(d_acute) == []
     field = nearest_minus_visible_field(d_acute.points)
     from vorfunc.geom import inside_convex_polygon_mask
     from vorfunc.tri2d import convex_hull
@@ -365,7 +366,7 @@ def test_decomposition_integrand_outside_behaviour(rng):
     # Search for an instance with an obtuse hull-opposite angle.
     while True:
         d = random_delaunay(rng, 8)
-        pockets = _hull_opposite_obtuse_edges(d)
+        pockets = hull_opposite_obtuse_edges(d)
         if pockets:
             break
     (u, v), w = pockets[0]
@@ -385,7 +386,7 @@ def test_support_field_equals_plane_integrand(rng):
     from vorfunc.subdivision import _support_field
 
     sets = [delaunay(FOLDED_POINTS)]
-    while len(sets) < 6 or not any(_hull_opposite_obtuse_edges(d) for d in sets):
+    while len(sets) < 6 or not any(hull_opposite_obtuse_edges(d) for d in sets):
         sets.append(random_delaunay(rng, int(rng.integers(6, 15))))
     grid = grid_delaunay(rng, 12)
     sets.append(Triangulation2(grid.points + 1e6, grid.triangles))
@@ -478,5 +479,5 @@ def test_vf3_relabeling_invariant(rng):
 def test_vf3_equals_sum_of_cells():
     for tc in _complexes_3d():
         sd = barycentric_subdivide(tc)
-        values = [vf_sd_cell(c, sd) for c in sd.cells]
+        values = _cell_values(sd)
         assert abs(vf3(tc) - math.fsum(values)) <= 1e-12 * abs(math.fsum(values))

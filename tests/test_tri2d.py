@@ -354,6 +354,26 @@ def test_json_round_trip(rng):
     assert json.loads(d.to_json())["kind"] == "geometric"
 
 
+def test_malformed_triangulations_are_rejected_by_name():
+    pts = np.array([[0, 0], [1, 0], [0, 1]], float)
+    with pytest.raises(ValueError, match="unknown triangulation kind 'bogus'"):
+        Triangulation2.from_json('{"triangles": [[0, 1, 2]], "kind": "bogus"}', pts)
+    with pytest.raises(ValueError, match="unknown triangulation kind"):
+        Triangulation2(pts, [(0, 1, 2)], kind="Geometric")
+    for tri in ([0, 1, 2.7], [0, 1, 5], [0, 1], [0, 1, -1], [0, 1, True], [0, 1, "2"], 3):
+        text = json.dumps({"triangles": [tri]})
+        with pytest.raises(ValueError, match=r"^triangle .* is not three labels in range\(3\)$"):
+            Triangulation2.from_json(text, pts)
+    # An integral float is a label; the result is the same triangulation.
+    assert Triangulation2.from_json('{"triangles": [[0, 1.0, 2]]}', pts).triangles == ((0, 1, 2),)
+    d = delaunay(np.array([[0, 0], [1, 0], [0, 1], [1, 1.1], [0.4, 0.5], [0.2, 1.7]], float))
+    for perm in ([0, 1.5, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, float("nan")]):
+        with pytest.raises(ValueError, match=r"^relabeling entry .* is not a label in range\(6\)$"):
+            make_topological(d, perm)
+    assert make_topological(d, np.arange(6.0)).kind == "topological"
+    assert make_topological(d, (i for i in range(6))).triangles == d.triangles
+
+
 def test_delaunay_names_the_hull_edge_a_new_point_is_collinear_with():
     # The first triple (0, 1, 2) is clockwise; point 3 lies on the line of hull edge (0, 2).
     with pytest.raises(NotGeneralPosition) as exc:
