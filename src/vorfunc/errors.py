@@ -6,7 +6,8 @@ class VorfuncError(Exception):
 
 
 class DegenerateSimplex(VorfuncError):
-    """A simplex is collinear/coplanar within tolerance and has no circumcenter."""
+    """A simplex has no circumcenter: a planar triangle is exactly collinear, or a
+    triangle or tetrahedron in space is collinear or coplanar within TAU_GEOM."""
 
 
 class NotGeneralPosition(VorfuncError):

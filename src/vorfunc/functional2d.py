@@ -55,6 +55,7 @@ from .geom import (
     flag_terms,
     in_circle_xy,
     orient2,
+    orient2_xy,
     reject_collinear,
     second_moment,
     signed_area,
@@ -94,14 +95,13 @@ def _circumcenters(p):
     return p[:, 0] + np.stack(circumcenter_offset(u[:, 0], u[:, 1], v[:, 0], v[:, 1]), axis=1)
 
 
-def _closed_form(tri, ux, uy, vx, vy):
+def _closed_form(ux, uy, vx, vy):
     """Area, squared-edge sum and squared circumradius from edge-vector components.
 
     Takes floats for one triangle or (T,) arrays for many, with the same
-    arithmetic; ``tri`` holds the labels named when a triangle is collinear.
+    arithmetic; the caller has rejected collinear triangles.
     """
     cross = ux * vy - uy * vx
-    reject_collinear(tri, cross, ux, uy, vx, vy)
     wx, wy = ux - vx, uy - vy
     uu, vv, ww = ux * ux + uy * uy, vx * vx + vy * vy, wx * wx + wy * wy
     return 0.5 * abs(cross), uu + vv + ww, uu * vv * ww / (4.0 * cross * cross)
@@ -113,12 +113,12 @@ def _closed_form_terms(points, triangles):
     ``points`` is (n, 2) and ``triangles`` a (T, 3) label array; returns
     three (T,) arrays from the edge vectors u = b - a and v = c - a only, so
     the values do not depend on where the triangle sits.  Raises
-    DegenerateSimplex, naming the labels, for a triangle orient2 calls
-    collinear.
+    DegenerateSimplex, naming the labels, for an exactly collinear triangle.
     """
     tri, p = _corners(points, triangles)
+    reject_collinear(tri, p)
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    return _closed_form(tri, u[:, 0], u[:, 1], v[:, 0], v[:, 1])
+    return _closed_form(u[:, 0], u[:, 1], v[:, 0], v[:, 1])
 
 
 def _terms(t: Triangulation2):
@@ -127,27 +127,25 @@ def _terms(t: Triangulation2):
     An enumerated triangulation gathers its rows from its enumeration's
     table, filled on first use by one _closed_form_terms call over the
     distinct ordered triples of all its triangulations.  The arithmetic is
-    elementwise, so each row equals the value computed alone.  If a triple
-    of the table is collinear, every triangulation of it takes its own call,
-    which raises for those that hold that triple, naming it, as before.
+    elementwise, so each row equals the value computed alone.  Every
+    enumerated triangle came from an exact strictly convex flip, so none is
+    collinear.
     """
     table = t._table
     if table is not None:
         if table.terms is None:
-            try:
-                table.terms = np.stack(_closed_form_terms(t.points, list(table.rows)))
-            except DegenerateSimplex:
-                table.terms = ()  # empty: each triangulation takes its own call
-        if len(table.terms):
-            rows = table.rows
-            return table.terms[:, [rows[x] for x in t.triangles]]
+            table.terms = np.stack(_closed_form_terms(t.points, list(table.rows)))
+        rows = table.rows
+        return table.terms[:, [rows[x] for x in t.triangles]]
     return _closed_form_terms(t.points, t.triangles)
 
 
 def _triangle_terms(t: Triangle2):
     """_closed_form_terms of one triangle, on plain floats."""
     (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
-    return _closed_form((0, 1, 2), bx - ax, by - ay, cx - ax, cy - ay)
+    if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
+        raise DegenerateSimplex("collinear triangle (0, 1, 2)")
+    return _closed_form(bx - ax, by - ay, cx - ax, cy - ay)
 
 
 def vf_triangle(t: Triangle2) -> float:

@@ -2,19 +2,26 @@
 
 Orientation and in-circle/in-sphere predicates, circumcenters, containment
 and vertex visibility for convex polygons, nearest and nearest-visible
-vertices, and the paraboloid lift.  Predicates use plain float determinants
-with a relative tolerance ``TAU_GEOM``; all callers feed them generic
-(randomized or jittered) inputs, so adaptive precision is not needed.  The
-in-circle tolerance is not scale-free (length^5 against a length^4
-determinant): at distances below about 1e-7 it falls under the rounding
-error, and a nonzero sign may be wrong there.
+vertices, and the paraboloid lift.
 
-The planar predicates have one kernel each on plain Python floats,
-``orient2_xy`` and ``in_circle_xy``: loops that test many triples (the
-Delaunay sweep and its flips, flip-graph enumeration) convert their
-coordinates once and call the kernels directly, and ``orient2``/``in_circle``
-delegate to them.
-``collinear2`` is ``orient2``'s zero rule, elementwise on floats or arrays.
+The planar predicates are exact: "degenerate" means exactly degenerate.
+Each has one kernel on plain Python floats, ``orient2_xy`` and
+``in_circle_xy``.  A kernel first compares its float determinant with
+Shewchuk's static error bound (Shewchuk, Adaptive Precision Floating-Point
+Arithmetic and Fast Robust Geometric Predicates, DCG 18, 1997); a
+determinant beyond the bound has the exact sign.  Otherwise, and when the
+bound overflows or underflows, the sign is computed in ``Fraction`` from
+the original coordinates, which floats represent exactly.  Loops that test
+many triples (the Delaunay sweep and its flips, flip-graph enumeration)
+convert their coordinates once and call the kernels directly;
+``orient2``/``in_circle`` delegate to them, and the sweep, which knows its
+triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
+check.  ``reject_collinear``, the closed forms' zero rule, runs the same
+filter on arrays of corners.
+
+``TAU_GEOM`` is a relative tolerance that serves only ``orient3``,
+``in_sphere``, ``circumcircle3`` and ``convex_polygon_masks``' closed band.
+
 ``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
 ``orient3``, the flag kernel and ``in_sphere`` (by cofactors of its lifted
 4x4) use it.
@@ -36,8 +43,18 @@ import numpy as np
 
 from .errors import DegenerateSimplex
 
-# Relative tolerance for all degeneracy decisions.
+# Relative tolerance of the 3D degeneracy decisions and of convex_polygon_masks.
 TAU_GEOM = 1e-9
+
+# Shewchuk's static error bounds for orient2 and in-circle, eps = 2^-53:
+# a float determinant larger in magnitude than the bound times the sum of
+# the magnitudes of its products (the permanent) has the exact sign.  A bound
+# below _BOUND_MIN may hide underflow and decides nothing; an infinite or NaN
+# one fails every comparison.  Either way the sign is then computed exactly.
+_EPS = 2.0**-53
+_ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_IN_CIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_BOUND_MIN = 1e-250
 
 
 def _as_points(points, dim):
@@ -113,38 +130,50 @@ def signed_volume(a, b, c, d) -> float:
     return float(det3(np.asarray(b, float) - a, np.asarray(c, float) - a, np.asarray(d, float) - a)) / 6.0
 
 
-def collinear2(det, ux, uy, vx, vy):
-    """orient2's zero rule: |u x v| within TAU_GEOM of |u|_1 |v|_1.
+def _orient2_exact(ax, ay, bx, by, cx, cy) -> int:
+    """orient2_xy's sign in rational arithmetic, exact for any finite floats."""
+    from fractions import Fraction
 
-    ``det`` is u x v for edge vectors u = b - a, v = c - a.  Works on floats
-    and elementwise on equal-shape arrays, with the same arithmetic.
-    """
-    return abs(det) <= TAU_GEOM * ((abs(ux) + abs(uy)) * (abs(vx) + abs(vy)))
-
-
-def reject_collinear(labels, det, ux, uy, vx, vy):
-    """Raise DegenerateSimplex, naming its label triple, for the first triangle collinear2 accepts."""
-    collinear = collinear2(det, ux, uy, vx, vy)
-    if np.any(collinear):
-        labels = tuple(int(i) for i in np.reshape(labels, (-1, 3))[np.argmax(collinear)])
-        raise DegenerateSimplex(f"collinear triangle {labels}")
+    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
 
 
 def orient2_xy(ax, ay, bx, by, cx, cy) -> int:
-    """orient2 of (ax, ay), (bx, by), (cx, cy) on plain floats."""
-    ux, uy = bx - ax, by - ay
-    vx, vy = cx - ax, cy - ay
-    det = ux * vy - uy * vx
-    if collinear2(det, ux, uy, vx, vy):
-        return 0
-    return 1 if det > 0 else -1
+    """orient2 of (ax, ay), (bx, by), (cx, cy) on plain floats, exact."""
+    left = (bx - ax) * (cy - ay)
+    right = (by - ay) * (cx - ax)
+    det = left - right
+    bound = _ORIENT_BOUND * (abs(left) + abs(right))
+    if bound > _BOUND_MIN:
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+    return _orient2_exact(ax, ay, bx, by, cx, cy)
+
+
+def reject_collinear(labels, corners):
+    """Raise DegenerateSimplex, naming its label triple, for the first exactly collinear triangle.
+
+    ``labels`` is (T, 3) and ``corners`` (T, 3, 2).  orient2_xy's filter
+    decides every row at once from the edge vectors off corner 0; only the
+    rows it leaves undecided get the exact sign.
+    """
+    u = corners[:, 1] - corners[:, 0]
+    v = corners[:, 2] - corners[:, 0]
+    left, right = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
+    bound = _ORIENT_BOUND * (np.abs(left) + np.abs(right))
+    undecided = ~((np.abs(left - right) > bound) & (bound > _BOUND_MIN))
+    for i in np.flatnonzero(undecided).tolist():
+        if _orient2_exact(*corners[i].ravel().tolist()) == 0:
+            raise DegenerateSimplex(f"collinear triangle {tuple(int(x) for x in labels[i])}")
 
 
 def orient2(a, b, c) -> int:
     """Sign of twice the signed area of (a, b, c): +1 ccw, -1 cw, 0 collinear.
 
-    Zero is returned when the determinant is below TAU_GEOM relative to the
-    magnitude of the edge vectors (``collinear2``).
+    Exact for any finite coordinates (``orient2_xy``).
     """
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     return orient2_xy(float(ax), float(ay), float(bx), float(by), float(cx), float(cy))
@@ -229,37 +258,62 @@ def circumcircle3(a, b, c) -> CircumData:
     return CircumData(a + offset, float(np.linalg.norm(offset)))
 
 
-def in_circle_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
-    """in_circle of triangle (a, b, c) and point p on plain floats."""
-    if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
-        raise DegenerateSimplex(f"collinear triangle {(ax, ay)}, {(bx, by)}, {(cx, cy)}")
+def _in_circle_exact(ax, ay, bx, by, cx, cy, px, py) -> int:
+    """in_circle_ccw_xy's sign in rational arithmetic, exact for any finite floats."""
+    from fractions import Fraction
+
+    px, py = Fraction(px), Fraction(py)
+    adx, ady = Fraction(ax) - px, Fraction(ay) - py
+    bdx, bdy = Fraction(bx) - px, Fraction(by) - py
+    cdx, cdy = Fraction(cx) - px, Fraction(cy) - py
+    det = (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+    return (det > 0) - (det < 0)
+
+
+def in_circle_ccw_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
+    """in_circle_xy without its orientation check, exact.
+
+    For callers that already know (a, b, c) is ccw: +1 when p lies strictly
+    inside its circumcircle, -1 outside, 0 on it.
+    """
     adx, ady = ax - px, ay - py
     bdx, bdy = bx - px, by - py
     cdx, cdy = cx - px, cy - py
+    bc, cb = bdx * cdy, cdx * bdy
+    ca, ac = cdx * ady, adx * cdy
+    ab, ba = adx * bdy, bdx * ady
     alift = adx * adx + ady * ady
     blift = bdx * bdx + bdy * bdy
     clift = cdx * cdx + cdy * cdy
     # Rows (dx, dy, |d|^2) for a, b, c; cofactor expansion along the lift column.
-    det = (
-        alift * (bdx * cdy - bdy * cdx)
-        + blift * (cdx * ady - cdy * adx)
-        + clift * (adx * bdy - ady * bdx)
-    )
-    scale = (abs(adx) + abs(ady)) * (abs(bdx) + abs(bdy)) * (abs(cdx) + abs(cdy))
-    tol = TAU_GEOM * scale * max(alift, blift, clift, 1e-300)
-    # det > 0 for p inside when (a, b, c) is ccw.
-    if abs(det) <= tol:
-        return 0
-    return 1 if det > 0 else -1
+    det = alift * (bc - cb) + blift * (ca - ac) + clift * (ab - ba)
+    permanent = (abs(bc) + abs(cb)) * alift + (abs(ca) + abs(ac)) * blift + (abs(ab) + abs(ba)) * clift
+    bound = _IN_CIRCLE_BOUND * permanent
+    if bound > _BOUND_MIN:
+        if det > bound:
+            return 1
+        if -det > bound:
+            return -1
+    return _in_circle_exact(ax, ay, bx, by, cx, cy, px, py)
+
+
+def in_circle_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
+    """in_circle of triangle (a, b, c) and point p on plain floats."""
+    if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
+        raise DegenerateSimplex(f"collinear triangle {(ax, ay)}, {(bx, by)}, {(cx, cy)}")
+    return in_circle_ccw_xy(ax, ay, bx, by, cx, cy, px, py)
 
 
 def in_circle(t: Triangle2, p) -> int:
     """+1 if p lies strictly inside the circumcircle of t, -1 outside, 0 on it.
 
     Signs are stated for a positively oriented t; reversing the orientation of
-    t flips the returned sign.  Zero means the determinant is within TAU_GEOM
-    of the product of the 1-norms of a - p, b - p, c - p times the largest
-    squared distance.  Raises DegenerateSimplex for a collinear t.
+    t flips the returned sign.  Exact for any finite coordinates.  Raises
+    DegenerateSimplex for a collinear t.
     """
     px, py = _as_points((p,), 2)[0].tolist()
     (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
@@ -442,8 +496,8 @@ def flag_terms(points, simplices):
     image = np.zeros(x.shape[:2] + (d + 1, d))  # about X: X, XY[, XYZ], the simplex
     image[:, :, 1] = 0.5 * edges[:, :, 0]
     if d == 2:
+        reject_collinear(labels, p)
         (ux, uy), (vx, vy) = rel[:, 1].T, rel[:, 2].T
-        reject_collinear(labels, ux * vy - uy * vx, ux, uy, vx, vy)
         top = np.stack(circumcenter_offset(ux, uy, vx, vy), axis=1)
     else:
         image[:, :, 2] = circumcenter_offset3(edges[:, :, 0], edges[:, :, 1])

@@ -13,7 +13,8 @@ finds the hull edges it sees by walking the hull from the point added before
 it, and its fan is legalized with that flip as it is added; triangles come in
 a canonical order (ccw, smallest label first, sorted).  flip() and the
 depth-first enumeration of the flip graph use the same map and flip.
-Degeneracies are rejected (NotGeneralPosition), never perturbed.
+Exact degeneracies are rejected (NotGeneralPosition), never perturbed: the
+predicates are exact.
 
 Enumeration decides each move before doing its work.  Every triangle gets a
 bit the first time a move meets it, and a triangulation's key is the OR of
@@ -41,7 +42,7 @@ from .errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from .geom import in_circle_xy, orient2_xy, signed_area
+from .geom import in_circle_ccw_xy, in_circle_xy, orient2_xy, signed_area
 
 GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
@@ -451,15 +452,13 @@ def _sweep_delaunay(pts):
             q = opp.get((v, u))
             if q is None:
                 continue
-            s = in_circle_xy(*xy[u], *xy[v], *xy[p], *xy[q])
+            # The signs are exact, so a q strictly inside the circumcircle of
+            # (u, v, p) makes quad (u, q, v, p) strictly convex: the flip is valid.
+            s = in_circle_ccw_xy(*xy[u], *xy[v], *xy[p], *xy[q])
             if s == 0:
                 raise NotGeneralPosition(f"cocircular points {v}, {u}, {q}, {p}", (v, u, q, p))
             if s < 0:
                 continue
-            if not _strictly_convex(xy, u, v, p, q):
-                raise NotGeneralPosition(
-                    f"cannot restore edge ({v}, {u}): flip quad is degenerate", (v, u, q, p)
-                )
             flips += 1
             if flips > budget:
                 raise FlipBudgetExceeded(f"Delaunay flipping did not terminate within {budget} flips")
@@ -479,11 +478,12 @@ def delaunay(ps) -> Triangulation2:
     the point until each passes the in-circle test.  Triangles come in a
     canonical order: each ccw, smallest label first, the list sorted.
 
-    Raises NotGeneralPosition (with the offending labels) for duplicates, a
-    collinear first triple, a new point on the line of a hull edge the walk
-    tests (those it sees and the two next to them), or a cocircular
-    quadruple within tolerance among the quads the sweep tests: each edge
-    opposite a new point against the triangle across it.
+    Every orientation and in-circle sign is exact.  Raises
+    NotGeneralPosition (with the offending labels) for duplicates, a
+    collinear first triple, a new point exactly on the line of a hull edge
+    the walk tests (those it sees and the two next to them), or an exactly
+    cocircular quadruple among the quads the sweep tests: each edge opposite
+    a new point against the triangle across it.
     FlipBudgetExceeded after 4 n^2 + 256 flips.
     """
     if not isinstance(ps, PointSet2):
@@ -540,9 +540,9 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
     OR of its triangles' bits.  A move toggles four bits, the two triangles
     it removes and the two it adds.  That mask is worked out once per quad
     (u, v, k, l), 0 when _strictly_convex rejects the quad, so every
-    convexity decision is that test's own, with its TAU_GEOM zero rule and
-    its argument order.  Only a move to an unseen key copies the map, flips
-    it and reads its triangles back.
+    convexity decision is that test's own, with its exact signs.  Only a
+    move to an unseen key copies the map, flips it and reads its triangles
+    back.
     """
     root = delaunay(ps)
     xy = root.points.tolist()

@@ -255,6 +255,18 @@ def test_functional_non_finite_exits_2_without_warnings(tmp_path, capsys, points
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_functional_on_a_triangle_whose_area_overflows_exits_2(tmp_path, capsys):
+    # The triangle is not degenerate (orient2 is exact), so the Delaunay
+    # sweep accepts it; its area overflows, so the functional is not finite.
+    path = write_points(tmp_path, "huge.json", [[0, 0], [1e160, 0], [0, 1e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["functional", "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: functional vf is not finite") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("diagonal", [(1, 4), (0, 2), (3, 5)])
 def test_functional_dim3_per_tet_equals_one_tet_vf3(tmp_path, capsys, diagonal):
     from vorfunc.experiments import OCTA_LABELS, OCTA_POINTS, octahedron_decomposition

@@ -7,6 +7,7 @@ from vorfunc.errors import DegenerateSimplex, NonConvexQuad
 from vorfunc.geom import Triangle2
 from vorfunc.integrate import mc_integrate
 from vorfunc.functional2d import (
+    _closed_form_terms,
     _g_points,
     assert_vanishes_on_boundary,
     flip_delta,
@@ -176,8 +177,9 @@ def test_enumerated_functionals_equal_those_built_alone(n, reverse):
     _assert_enumerated_equal_alone(d.points, reverse)
 
 
-# Delaunay triangle (0, 1, 2) is a sliver that orient2 accepts from corners 1
-# and 2 but that the closed form, taken from corner 0, rejects as collinear.
+# Delaunay triangle (0, 1, 2) is a sliver: corners 1 and 2 are 3.9e-10
+# apart, 1.0 from corner 0.  It is not collinear, so every triangulation that
+# holds it has finite closed forms, read from its corners like any other.
 SLIVER_SET = np.array(
     [
         [0.0, 0.0],
@@ -191,12 +193,27 @@ SLIVER_SET = np.array(
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_enumerated_functionals_raise_only_where_the_sliver_is(reverse):
+def test_enumerated_functionals_of_the_sliver_set_equal_their_closed_forms(reverse):
     order, shared = _assert_enumerated_equal_alone(SLIVER_SET, reverse)
-    raised = [all(v == "DegenerateSimplex: collinear triangle (0, 1, 2)" for v in vals) for vals in shared]
+    assert not any(v.startswith("DegenerateSimplex") for vals in shared for v in vals)
     holds = [(0, 1, 2) in t.triangles for t in order]
-    assert raised == holds
     assert 0 < sum(holds) < len(holds)
+    for t in order:
+        area, e2, r2 = _closed_form_terms(t.points, t.triangles)
+        vf = (np.asarray(t.signs) * (area / 12.0 * (e2 - 4.0 * r2))).tolist()
+        rf2 = (r2 ** 1.0 * area).tolist()
+        for report, values in ((vf_triangulation(t), vf), (radius_functional(t, 2.0), rf2)):
+            assert all(np.isfinite(values))
+            assert [v for _, v in report.per_simplex] == values
+            assert report.total == sum(values)
+
+
+def test_vf_triangle_raises_only_on_an_exactly_collinear_triangle():
+    with pytest.raises(DegenerateSimplex, match=r"collinear triangle \(0, 1, 2\)"):
+        vf_triangle(Triangle2((0.0, 0.0), (0.1, 0.3), (0.2, 0.6)))
+    sliver = Triangle2(*SLIVER_SET[:3])
+    area, e2, r2 = _closed_form_terms(SLIVER_SET[:3], [(0, 1, 2)])
+    assert vf_triangle(sliver) == float(area[0] / 12.0 * (e2[0] - 4.0 * r2[0]))
 
 
 def test_radius_functional_topological_rejected(rng):

@@ -56,6 +56,14 @@ def test_orient2_signs():
     assert orient2((0, 0), (1, 1), (2, 2)) == 0
 
 
+def test_orient2_is_exact_where_products_overflow_or_underflow():
+    # The products of the edge vectors are 1e320 (infinite) and 1e-400 (zero).
+    for s in (1e160, 1e-200):
+        assert orient2((0, 0), (s, 0), (0, s)) == 1
+        assert orient2((0, 0), (0, s), (s, 0)) == -1
+        assert orient2((0, 0), (s, s), (2 * s, 2 * s)) == 0
+
+
 def test_circumcircle_right_triangle():
     cd = circumcircle2(RIGHT)
     assert np.allclose(cd.center, [0.5, 0.5])
@@ -329,12 +337,6 @@ def test_in_circle_nonzero_sign_is_exact(abcp):
     assert s == 0 or s == _exact_in_circle(a, b, c, p)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="in_circle's tolerance grows as length^5 against a length^4 determinant, "
-    "so on circles of radius 1e-9 it is below the rounding error; exact predicates mend this",
-)
 def test_in_circle_nonzero_sign_is_exact_on_tiny_circles():
     rng = np.random.default_rng(1)
     for _ in range(500):
@@ -345,3 +347,73 @@ def test_in_circle_nonzero_sign_is_exact_on_tiny_circles():
             continue
         s = in_circle(Triangle2(a, b, c), p)
         assert s == 0 or s == _exact_in_circle(a, b, c, p)
+
+
+# Scales at which the products of the predicates overflow, underflow or stay
+# normal: 2^-530 and 2^500 are beyond the filter's range even for orient2,
+# and at 2^-530 its products are subnormal, good to about 2^-18.
+_scale = st.sampled_from([2.0**-530, 2.0**-520, 1e-200, 1e-150, 1e-9, 1.0, 1e9, 1e150, 1e200, 2.0**500])
+
+
+def _scaled(points, scale):
+    return [(x * scale, y * scale) for x, y in points]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(_grid_point, _grid_point, _grid_point), _near_collinear()), _scale)
+def test_orient2_sign_is_exact_at_every_scale(abc, scale):
+    abc = _scaled(abc, scale)
+    assert orient2(*abc) == _exact_orient2(*abc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(*[_grid_point] * 4), _near_cocircular()), _scale)
+def test_in_circle_sign_is_exact_at_every_scale(abcp, scale):
+    a, b, c, p = _scaled(abcp, scale)
+    assume(_exact_orient2(a, b, c) != 0)
+    assert in_circle(Triangle2(a, b, c), p) == _exact_in_circle(a, b, c, p)
+
+
+def _float_sign(rows):
+    """Sign of the 2x2 or 3x3 determinant of float rows, as plain float arithmetic gives it."""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+        det = a3 * (b1 * c2 - b2 * c1) + b3 * (c1 * a2 - c2 * a1) + c3 * (a1 * b2 - a2 * b1)
+    return (det > 0) - (det < 0)
+
+
+def test_predicate_signs_are_exact_within_ulps_of_a_line_or_a_circle():
+    # Float determinants get the sign wrong here (Kettner et al., "Classroom
+    # examples of robustness problems in geometric computations", CGTA 40,
+    # 2008): a point moved by 2^-53 steps off (0.5, 0.5) against the line
+    # through (12, 12) and (24, 24), and a point of the unit circle moved by
+    # ulps against three others.  Power-of-two scales keep every input exact.
+    rng = np.random.default_rng(7)
+    cases = []
+    for i in range(32, 64):
+        for j in range(32, 64):
+            abc = [(0.5 + i * 2.0**-53, 0.5 + j * 2.0**-53), (12.0, 12.0), (24.0, 24.0)]
+            cases += [abc[k:] + abc[:k] for k in range(3)]
+    for _ in range(40):
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
+        a, b, c, (px, py) = np.stack([np.cos(t), np.sin(t)], axis=1).tolist()
+        ux, uy = np.spacing(px).item(), np.spacing(py).item()
+        cases += [[a, b, c, (px + i * ux, py + j * uy)] for i in range(-4, 5) for j in range(-4, 5)]
+    float_wrong = 0
+    for pts in cases:
+        p = pts[-1]
+        rows = [(x - p[0], y - p[1]) for x, y in pts[:-1]]
+        if len(pts) == 4:
+            rows = [(dx, dy, dx * dx + dy * dy) for dx, dy in rows]
+        exact = (_exact_orient2 if len(pts) == 3 else _exact_in_circle)(*pts)
+        float_wrong += _float_sign(rows) not in (0, exact)
+        for scale in (1.0, 2.0**-520, 2.0**500):
+            scaled = _scaled(pts, scale)
+            if len(pts) == 3:
+                assert orient2(*scaled) == exact, (pts, scale)
+            else:
+                assert in_circle(Triangle2(*scaled[:3]), scaled[3]) == exact, (pts, scale)
+    assert float_wrong > 100

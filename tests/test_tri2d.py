@@ -405,6 +405,27 @@ def test_delaunay_hull_walk_matches_scipy_on_thin_sets(first):
         assert set(got.canonical()) == want
 
 
+def test_delaunay_decides_a_near_collinear_hull_point_exactly():
+    # Point 1844 lies 1e-10 off the line of hull edge (2084, 2287) when the
+    # sweep adds it; a relative tolerance of 1e-9 rejected the set as collinear.
+    pts = np.random.default_rng(np.random.SeedSequence(213, spawn_key=(3, 2))).random((3000, 2))
+    assert set(delaunay(pts).canonical()) == _scipy_triangles(pts)
+
+
+def test_delaunay_is_invariant_under_power_of_two_scaling():
+    # Scaling by 2^k is exact, so exact predicates give the same triangles at
+    # every k; a tolerance of length^5 against a length^4 in-circle
+    # determinant called quad (145, 194, 176, 66) cocircular at k = 10 and 12.
+    rng = np.random.default_rng(187)
+    n = rng.integers(4, 400)
+    rng.uniform(1e-3, 1e3)
+    pts = rng.standard_normal((n, 2))
+    want = delaunay(pts).triangles
+    assert len(pts) == 231 and set(delaunay(pts).canonical()) == _scipy_triangles(pts)
+    for k in range(-40, 41):
+        assert delaunay(pts * 2.0**k).triangles == want, k
+
+
 def test_flip_keeps_the_other_triangles_and_appends_the_new_pair():
     # Edge (0, 3) runs as (3, 0) in the earlier triangle (0, 2, 3): the new
     # triangles are (3, 4, 2) and (0, 2, 4), in that order, after (0, 1, 2).
