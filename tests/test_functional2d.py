@@ -177,7 +177,7 @@ def test_enumerated_functionals_equal_those_built_alone(n, reverse):
     _assert_enumerated_equal_alone(d.points, reverse)
 
 
-# Delaunay triangle (0, 1, 2) is a sliver: corners 1 and 2 are 3.9e-10
+# Delaunay triangle (0, 1, 2) is a sliver: corners 1 and 2 are 4.0e-10
 # apart, 1.0 from corner 0.  It is not collinear, so every triangulation that
 # holds it has finite closed forms, read from its corners like any other.
 SLIVER_SET = np.array(
