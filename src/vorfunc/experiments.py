@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
 from .geom import FLAGS, Tetrahedron3, circumcircle3, det3, flag_terms, in_sphere
-from .integrate import mc_integrate
+from .integrate import mc_integrate, sample_box
 from .functional2d import (
     assert_vanishes_on_boundary,
     g_field,
@@ -239,9 +239,7 @@ def topological_counterexample(samples: int = 10**7, seed: int = DEFAULT_SEED) -
     est = mc_integrate(box, lambda pts: g_field(k, pts), samples, seed)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
-    pts = lo + rng.random((POINTWISE_SAMPLES, 2)) * (hi - lo)
+    pts = sample_box(np.asarray(box.lo), np.asarray(box.hi), rng, POINTWISE_SAMPLES)
     pointwise_min = float((g_field(k, pts) - g_field(d, pts)).min())
 
     gap = est.value - vf_d

@@ -32,8 +32,13 @@ integral of g over the whole plane.  Triangulation-level values are the
 orientation-signed sums over triangles.  One kernel, ``_g_points``, evaluates
 g for a triangle, for the flip quadrangle's four triangles and, with the hull
 as the polygon, for a whole point set (``nearest_minus_visible_field``).
+It works on coordinate columns: the sample points come in as contiguous x
+and y arrays, and the squared distances and geom's visibility masks
+(``convex_polygon_masks_xy``) are (k, m) arrays with one contiguous row per
+corner, reduced across rows, so no arithmetic runs along a short last axis.
 A triangle's g vanishes outside the hull of its corners and circumcenter, so
-``g_field`` runs the kernel only on the points in that hull's padded box.
+``g_field`` copies the coordinate columns once per call and hands the kernel
+the columns of the points in that hull's padded box.
 
 The six corner terms of mu_terms are the flags of the triangle's barycentric
 subdivision, evaluated by geom's flag kernel ``flag_terms``, the one that
@@ -51,7 +56,7 @@ from .errors import DegenerateSimplex, NonConvexQuad
 from .geom import (
     Triangle2,
     circumcenter_offset,
-    convex_polygon_masks,
+    convex_polygon_masks_xy,
     flag_terms,
     in_circle_xy,
     orient2,
@@ -141,11 +146,16 @@ def _terms(t: Triangulation2):
 
 
 def _triangle_terms(t: Triangle2):
-    """_closed_form_terms of one triangle, on plain floats."""
+    """_closed_form_terms of one triangle, on plain floats; as one-row arrays
+    (inf or NaN) where (u x v)^2 underflows to 0.0."""
     (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
     if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
         raise DegenerateSimplex("collinear triangle (0, 1, 2)")
-    return _closed_form(bx - ax, by - ay, cx - ax, cy - ay)
+    uv = bx - ax, by - ay, cx - ax, cy - ay
+    try:
+        return _closed_form(*uv)
+    except ZeroDivisionError:
+        return tuple(float(term[0]) for term in _closed_form(*np.array(uv)[:, None]))
 
 
 def vf_triangle(t: Triangle2) -> float:
@@ -219,13 +229,15 @@ def mu_terms(t: Triangle2) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _g_points(corners: np.ndarray, h: int, pts: np.ndarray) -> np.ndarray:
-    """The one g kernel over an (m, 2) array of sample points.
+def _g_points(corners: np.ndarray, h: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The one g kernel over sample points given as coordinate columns x, y.
 
     Nearest squared distance over all ``corners``, minus, for points outside
     the convex polygon ``corners[:h]``, the nearest squared distance to a
     visible corner of that polygon.  Points on the polygon boundary count as
-    inside (measure zero; keeps the inside/outside split total).
+    inside (measure zero; keeps the inside/outside split total).  Squared
+    distances are a (k, m) array, one contiguous row per corner, reduced
+    across rows; the visible minimum is subtracted at outside points only.
 
     Where the nearest corner is visible the two terms are the same float and
     g is exactly 0.0.  For one triangle that holds outside the convex hull of
@@ -234,14 +246,11 @@ def _g_points(corners: np.ndarray, h: int, pts: np.ndarray) -> np.ndarray:
     of that wedge nearest to A is the kite (A, midpoints of the two edges at
     A, circumcenter), which crosses the opposite edge only when A is obtuse.
     """
-    d2 = (pts[:, 0, None] - corners[None, :, 0]) ** 2
-    d2 += (pts[:, 1, None] - corners[None, :, 1]) ** 2
-    g = d2.min(axis=1)
-    inside, vis = convex_polygon_masks(corners[:h], pts)
-    outside = ~inside
-    if outside.any():
-        d2_vis = np.where(vis[outside], d2[outside, :h], np.inf)
-        g[outside] = g[outside] - d2_vis.min(axis=1)
+    d2 = (x - corners[:, :1]) ** 2
+    d2 += (y - corners[:, 1:]) ** 2
+    g = d2.min(axis=0)
+    inside, vis = convex_polygon_masks_xy(corners[:h], x, y)
+    np.subtract(g, np.where(vis, d2[:h], np.inf).min(axis=0), out=g, where=~inside)
     return g
 
 
@@ -250,7 +259,7 @@ def g_triangle_points(t: Triangle2, pts: np.ndarray) -> np.ndarray:
     verts = t.vertices()
     if orient2(*verts) == 0:
         raise DegenerateSimplex("collinear triangle")
-    return _g_points(verts, 3, np.asarray(pts, float))
+    return _g_points(verts, 3, *np.asarray(pts, float).T)
 
 
 def g_triangle(t: Triangle2, p) -> float:
@@ -306,7 +315,7 @@ def g_field(t: Triangulation2, x):
     xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
     for sign, corners, tri_lo, tri_hi in zip(t.signs, p, lo.tolist(), hi.tolist()):
         sel = _box_indices(xs, ys, tri_lo, tri_hi)
-        out[sel] += sign * _g_points(corners, 3, pts[sel])
+        out[sel] += sign * _g_points(corners, 3, xs[sel], ys[sel])
     return float(out[0]) if single else out
 
 
@@ -337,7 +346,7 @@ def assert_vanishes_on_boundary(t: Triangulation2, box: Box):
     _, p = _corners(t.points, t.triangles)
 
     def field(x):
-        return sum(sign * _g_points(corners, 3, x) for sign, corners in zip(t.signs, p))
+        return sum(sign * _g_points(corners, 3, *x.T) for sign, corners in zip(t.signs, p))
 
     check_vanishes_on_boundary(field, box)
 
@@ -362,7 +371,7 @@ def flip_delta(quad, p) -> float:
     corner, the latter exactly when the two nearest corners span a diagonal.
     """
     quad = np.asarray(quad, float)
-    p = np.asarray(p, float)[None, :]
+    x, y = np.asarray(p, float)[:, None]
     q = quad[_quad_cycle(quad)]
     first, second = [(0, 1, 2), (0, 2, 3)], [(0, 1, 3), (1, 2, 3)]
     # Diagonal (0, 2) is Delaunay unless corner 3 encroaches its circumcircle.
@@ -370,8 +379,8 @@ def flip_delta(quad, p) -> float:
         dtri, ktri = second, first
     else:
         dtri, ktri = first, second
-    g_d = sum(float(_g_points(q[list(tt)], 3, p)[0]) for tt in dtri)
-    g_k = sum(float(_g_points(q[list(tt)], 3, p)[0]) for tt in ktri)
+    g_d = sum(float(_g_points(q[list(tt)], 3, x, y)[0]) for tt in dtri)
+    g_k = sum(float(_g_points(q[list(tt)], 3, x, y)[0]) for tt in ktri)
     return float(g_d - g_k)
 
 

@@ -357,44 +357,48 @@ def nearest_vertex(t: Triangle2, p) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def convex_polygon_masks(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Containment (m,) and visibility (m, k) masks for a convex polygon.
+def convex_polygon_masks_xy(verts: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Containment (m,) and visibility (k, m) masks for a convex polygon.
 
-    ``inside`` is closed: a point within TAU_GEOM (relative) of an edge line
-    counts as inside.  Vertex j is visible from a point unless the point lies
-    strictly on the inner side of both edges at j, which for an outside point
-    is exactly when the segment to vertex j avoids the polygon's interior.  An
+    The points are the coordinate columns ``x`` and ``y``; row j of
+    ``visible`` is vertex j's, one contiguous row per vertex.  ``inside`` is
+    closed: a point within TAU_GEOM (relative) of an edge line counts as
+    inside.  Vertex j is visible from a point unless the point lies strictly
+    on the inner side of both edges at j, which for an outside point is
+    exactly when the segment to vertex j avoids the polygon's interior.  An
     outside point violates some edge and sees both of its ends, so no outside
     point has an empty visible set.  ``visible`` is meaningful for outside
-    points only.  Accepts either orientation; columns follow ``verts``.
+    points only.  Accepts either orientation; rows follow ``verts``.
     """
-    verts = np.asarray(verts, float)
+    v = np.asarray(verts, float).tolist()
     # Orientation from the first three corners: for a triangle this is the
     # shoelace value, for a strictly convex polygon it has the same sign.
-    (ax, ay), (bx, by), (cx, cy) = verts[:3].tolist()
+    (ax, ay), (bx, by), (cx, cy) = v[:3]
     reversed_order = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0
-    v = verts[::-1] if reversed_order else verts
-    pts = np.asarray(pts, float)
+    v = v[::-1] if reversed_order else v
     k = len(v)
-    inside = np.ones(len(pts), dtype=bool)
-    visible = np.empty((len(pts), k), dtype=bool)
-    for i in range(k):
-        q = v[i]
-        e = v[(i + 1) % k] - q
-        dx = pts[:, 0] - q[0]
-        dy = pts[:, 1] - q[1]
-        cross = e[0] * dy - e[1] * dx
-        scale = (abs(e[0]) + abs(e[1])) * (np.abs(dx) + np.abs(dy) + 1e-300)
-        inside &= cross >= -TAU_GEOM * scale
-        inner = cross > 0.0
-        if i == 0:
-            first_inner = inner
-        else:
-            # Vertex i lies between edges i - 1 and i.
-            np.logical_not(prev_inner & inner, out=visible[:, i])
-        prev_inner = inner
-    np.logical_not(prev_inner & first_inner, out=visible[:, 0])
-    return inside, visible[:, ::-1] if reversed_order else visible
+    inside = np.ones(len(x), dtype=bool)
+    inner = np.empty((k, len(x)), dtype=bool)
+    for i, (qx, qy) in enumerate(v):
+        ex, ey = v[(i + 1) % k][0] - qx, v[(i + 1) % k][1] - qy
+        dx, dy = x - qx, y - qy
+        cross = ex * dy - ey * dx
+        inside &= cross >= -TAU_GEOM * ((abs(ex) + abs(ey)) * (np.abs(dx) + np.abs(dy) + 1e-300))
+        np.greater(cross, 0.0, out=inner[i])
+    # Vertex i lies between edges i - 1 and i.
+    visible = ~(inner & inner[np.arange(-1, k - 1)])
+    return inside, visible[::-1] if reversed_order else visible
+
+
+def convex_polygon_masks(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Containment (m,) and visibility (m, k) masks of an (m, 2) point array.
+
+    A thin wrapper of the column kernel ``convex_polygon_masks_xy``: it hands
+    the kernel the two coordinate columns and returns the transpose of its
+    (k, m) ``visible``, whose columns follow ``verts``.
+    """
+    inside, visible = convex_polygon_masks_xy(verts, *np.asarray(pts, float).T)
+    return inside, visible.T
 
 
 def inside_convex_polygon_mask(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:

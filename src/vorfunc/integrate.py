@@ -75,9 +75,14 @@ def quad_tetra(t: Tetrahedron3, f) -> float:
     return float(vol / 4.0 * np.sum(f(nodes)))
 
 
-def _sample_box(lo, hi, rng, m):
+def sample_box(lo, hi, rng, m):
+    """m uniform points (m, d) in the box [lo, hi], scaled column by column
+    in place: the same floats as lo + rng.random((m, d)) * (hi - lo)."""
     u = rng.random((m, len(lo)))
-    return lo + u * (hi - lo)
+    for col, low, width in zip(u.T, lo.tolist(), (hi - lo).tolist()):
+        col *= width
+        col += low
+    return u
 
 
 def _sample_simplex(verts, rng, m):
@@ -97,7 +102,7 @@ def _region_geometry(region):
             raise InvalidRegion(f"malformed box {region!r}")
         if np.any(hi <= lo):
             raise InvalidRegion(f"empty box {region!r}")
-        return region.measure(), lambda rng, m: _sample_box(lo, hi, rng, m)
+        return region.measure(), lambda rng, m: sample_box(lo, hi, rng, m)
     if isinstance(region, Triangle2):
         v = region.vertices()
         area = abs(signed_area(v[0], v[1], v[2]))

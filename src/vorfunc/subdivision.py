@@ -71,11 +71,12 @@ class TetComplex:
         object.__setattr__(self, "tets", tuple(map(tuple, tets.tolist())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdividedComplex:
     """A barycentric subdivision as arrays.  Cell c is a flag, its vertex ids
     in FLAGS order (vertex, edge, face[, cell]); its source vertex is
-    ``source_simplices[cells[c, 0], 0]`` and its source simplex ``c // len(FLAGS[dim])``."""
+    ``source_simplices[cells[c, 0], 0]`` and its source simplex ``c // len(FLAGS[dim])``.
+    The arrays are read-only views; ``==`` and ``hash`` are by identity."""
 
     dim: int
     source_points: np.ndarray  # mapped positions of the source vertex labels
@@ -85,6 +86,12 @@ class SubdividedComplex:
     source_simplices: np.ndarray  # (N, dim + 1) labels, padded with -1
     cells: np.ndarray  # (C, dim + 1) subdivision vertex ids
     cell_sign: np.ndarray  # (C,) orientation of the source simplex under the flag order
+
+    def __post_init__(self):
+        for name in ("source_points", "vertices", "gamma", "height", "source_simplices", "cells", "cell_sign"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def to_json(self) -> str:
         sources = [[x for x in row if x >= 0] for row in self.source_simplices.tolist()]
@@ -297,17 +304,20 @@ def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, 
     return lhs, rhs
 
 
+def _hull_first(points: np.ndarray):
+    """The points with the hull vertices first, in hull order, and the hull size."""
+    hull = convex_hull(points)
+    return points[hull + sorted(set(range(len(points))) - set(hull))], len(hull)
+
+
 def nearest_minus_visible_field(points: np.ndarray):
     """Point-set level integrand: d(., nearest point)^2 - d(., nearest visible
     hull vertex)^2, the latter taken as 0 inside the hull.
 
     Returns a vectorized callable over (m, 2) arrays.
     """
-    pts = np.asarray(points, float)
-    hull = convex_hull(pts)
-    rest = sorted(set(range(len(pts))) - set(hull))
-    corners = pts[list(hull) + rest]
-    return lambda x: functional2d._g_points(corners, len(hull), np.asarray(x, float))
+    corners, h = _hull_first(np.asarray(points, float))
+    return lambda x: functional2d._g_points(corners, h, *np.asarray(x, float).T)
 
 
 def _support_field(d: Triangulation2):
@@ -315,15 +325,16 @@ def _support_field(d: Triangulation2):
     padded box of the points and the circumcenters of d's triangles and 0.0
     outside it.  Exact when d is Delaunay (cell_decomposition_check).
     """
-    field = nearest_minus_visible_field(d.points)
-    _, corners = functional2d._corners(d.points, d.triangles)
-    ext = np.concatenate([d.points, functional2d._circumcenters(corners)])
+    corners, h = _hull_first(d.points)
+    _, p = functional2d._corners(d.points, d.triangles)
+    ext = np.concatenate([d.points, functional2d._circumcenters(p)])
     lo, hi = (c.tolist() for c in functional2d._padded_box(ext.min(axis=0), ext.max(axis=0)))
 
     def support_field(x):
         out = np.zeros(len(x))
-        sel = functional2d._box_indices(x[:, 0].copy(), x[:, 1].copy(), lo, hi)
-        out[sel] = field(x[sel])
+        xs, ys = x[:, 0].copy(), x[:, 1].copy()
+        sel = functional2d._box_indices(xs, ys, lo, hi)
+        out[sel] = functional2d._g_points(corners, h, xs[sel], ys[sel])
         return out
 
     return support_field

@@ -106,6 +106,15 @@ def test_topological_counterexample_passes():
     assert abs(mc - closed) <= 4 * r.sigma["vf_topological_mc"]
 
 
+def test_topological_counterexample_estimate_is_pinned():
+    # The Monte Carlo estimate at 10^6 samples, to the last bit.
+    r = topological_counterexample(samples=10**6)
+    assert repr(r.values["vf_topological_mc"]) == "13.993875133362888"
+    assert repr(r.sigma["vf_topological_mc"]) == "0.04692311508661682"
+    assert repr(r.margin) == "137.82957513675743"
+    assert r.values["pointwise_min_gap"] == 0.0
+
+
 def test_topological_counterexample_deterministic():
     a = topological_counterexample(samples=10**5 * 2)
     b = topological_counterexample(samples=10**5 * 2)

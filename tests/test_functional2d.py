@@ -376,7 +376,7 @@ def _g_field_unfiltered(t, pts):
     """Reference g_field: the kernel over every point for every triangle."""
     out = np.zeros(len(pts))
     for sign, tri in zip(t.signs, t.triangles):
-        out += sign * _g_points(t.points[list(tri)], 3, pts)
+        out += sign * _g_points(t.points[list(tri)], 3, pts[:, 0], pts[:, 1])
     return out
 
 
@@ -406,6 +406,99 @@ def test_g_field_box_filter_is_exact(rng):
     for t in cases:
         pts = _support_samples(t, rng, 20000)
         assert np.array_equal(g_field(t, pts), _g_field_unfiltered(t, pts))
+
+
+def _masks_row_major(verts, pts):
+    """Reference for convex_polygon_masks_xy on (m, 2) rows, with visibility
+    written column by column into (m, k)."""
+    from vorfunc.geom import TAU_GEOM
+
+    verts = np.asarray(verts, float)
+    (ax, ay), (bx, by), (cx, cy) = verts[:3].tolist()
+    reversed_order = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0
+    v = verts[::-1] if reversed_order else verts
+    k = len(v)
+    inside = np.ones(len(pts), dtype=bool)
+    visible = np.empty((len(pts), k), dtype=bool)
+    for i in range(k):
+        q = v[i]
+        e = v[(i + 1) % k] - q
+        dx = pts[:, 0] - q[0]
+        dy = pts[:, 1] - q[1]
+        cross = e[0] * dy - e[1] * dx
+        scale = (abs(e[0]) + abs(e[1])) * (np.abs(dx) + np.abs(dy) + 1e-300)
+        inside &= cross >= -TAU_GEOM * scale
+        inner = cross > 0.0
+        if i == 0:
+            first_inner = inner
+        else:
+            np.logical_not(prev_inner & inner, out=visible[:, i])
+        prev_inner = inner
+    np.logical_not(prev_inner & first_inner, out=visible[:, 0])
+    return inside, visible[:, ::-1] if reversed_order else visible
+
+
+def _g_points_row_major(corners, h, pts):
+    """Reference for _g_points: the kernel on (m, 2) rows with (m, k)
+    squared distances reduced along the short last axis."""
+    d2 = (pts[:, 0, None] - corners[None, :, 0]) ** 2
+    d2 += (pts[:, 1, None] - corners[None, :, 1]) ** 2
+    g = d2.min(axis=1)
+    inside, vis = _masks_row_major(corners[:h], pts)
+    outside = ~inside
+    if outside.any():
+        d2_vis = np.where(vis[outside], d2[outside, :h], np.inf)
+        g[outside] = g[outside] - d2_vis.min(axis=1)
+    return g
+
+
+def test_column_kernels_equal_the_row_major_kernels(rng):
+    from vorfunc.geom import convex_polygon_masks, convex_polygon_masks_xy
+
+    cases = []
+    for kind in ("acute", "obtuse"):
+        v = random_triangle(rng, kind).vertices()
+        cases += [(v, 3), (v[::-1].copy(), 3)]
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cases += [(square, 4), (np.concatenate([square[::-1], [[0.5, 0.25], [0.25, 0.75]]]), 4)]
+    for n in (7, 10):
+        pts = rng.random((n, 2))
+        hull = convex_hull(pts)
+        cases.append((pts[list(hull) + sorted(set(range(n)) - set(hull))], len(hull)))
+    for corners, h in cases:
+        poly = corners[:h]
+        # Corners, edge points (exactly on the square's edges), uniform
+        # points around the polygon and NaN in either coordinate.
+        s = rng.random((h, 5, 1))
+        edge = poly[:, None] + s * (np.roll(poly, -1, axis=0) - poly)[:, None]
+        pts = np.concatenate([corners, edge.reshape(-1, 2), rng.random((400, 2)) * 3 - 1])
+        pts[[-1, -2]] = np.nan
+        pts[-3, 0] = pts[-4, 1] = np.nan
+        x, y = pts[:, 0].copy(), pts[:, 1].copy()
+        want = _g_points_row_major(corners, h, pts)
+        assert np.array_equal(_g_points(corners, h, x, y), want, equal_nan=True)
+        assert np.isnan(want[-4:]).all()
+        inside, vis = convex_polygon_masks(poly, pts)
+        want_inside, want_vis = _masks_row_major(poly, pts)
+        assert inside.shape == (len(pts),) and vis.shape == (len(pts), h)
+        assert np.array_equal(inside, want_inside) and np.array_equal(vis, want_vis)
+        inside_xy, vis_xy = convex_polygon_masks_xy(poly, x, y)
+        assert np.array_equal(inside_xy, inside) and np.array_equal(vis_xy, vis.T)
+        assert inside[:h].all()
+
+
+@pytest.mark.parametrize(
+    "t", [Triangle2((0, 0), (1e-82, 0), (0, 1e-82)), Triangle2((0, 0), (1e-200, 0), (0, 1e-200)), Triangle2((0, 0), (1, 0), (2, 1e-170))]
+)
+def test_closed_forms_where_the_cross_product_underflows_equal_the_array_path(t):
+    # (u x v)^2 underflows to 0.0: the terms are the one-row array's inf or NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area, e2, r2 = _closed_form_terms(t.vertices(), [(0, 1, 2)])
+        vf, rajan = vf_triangle(t), rajan_triangle(t)
+    assert type(vf) is float and type(rajan) is float
+    assert np.array_equal(vf, area[0] / 12.0 * (e2[0] - 4.0 * r2[0]), equal_nan=True)
+    assert rajan == area[0] / 12.0 * e2[0]
+    assert not np.isfinite(vf)
 
 
 def test_vf_triangulation_report_consistency(rng):

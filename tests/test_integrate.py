@@ -3,7 +3,7 @@ import pytest
 
 from vorfunc.errors import InvalidRegion
 from vorfunc.geom import Tetrahedron3, Triangle2
-from vorfunc.integrate import Box, mc_integrate, quad_tetra, quad_triangle
+from vorfunc.integrate import Box, mc_integrate, quad_tetra, quad_triangle, sample_box
 
 from conftest import random_triangle
 
@@ -109,3 +109,40 @@ def test_quad_vs_mc_random_quadratics(rng):
         # mc integrates over the region with positive measure; quad is signed.
         area_sign = 1.0 if quad_triangle(t, lambda p: np.ones(len(p))) > 0 else -1.0
         assert abs(exact - area_sign * est.value) <= 3 * est.std_error + 1e-12
+
+
+def _sample_box_row_major(lo, hi, rng, m):
+    """Reference for sample_box: the (d,) box broadcast over (m, d) rows."""
+    return lo + rng.random((m, len(lo))) * (hi - lo)
+
+
+BOXES = [Box((-0.5,), (2.0,)), Box((-1.5, 0.25), (2.0, 3.0)), Box((1e6, -3e-4, 0.0), (1e6 + 7.0, 2e-4, 1.0))]
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_sample_box_equals_the_row_major_formula(box):
+    lo, hi = np.asarray(box.lo, float), np.asarray(box.hi, float)
+    got = sample_box(lo, hi, np.random.default_rng(17), 1001)
+    assert np.array_equal(got, _sample_box_row_major(lo, hi, np.random.default_rng(17), 1001))
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_mc_integrate_over_a_box_draws_the_row_major_samples(box):
+    # Two streams, the second one short: every sample mc_integrate hands to
+    # the integrand is the float the row-major formula gives.
+    seen = []
+
+    def f(p):
+        seen.append(p.copy())
+        return (p * p).sum(axis=1) - p[:, 0]
+
+    samples = (1 << 17) + 2345
+    est = mc_integrate(box, f, samples, seed=29)
+    lo, hi = np.asarray(box.lo, float), np.asarray(box.hi, float)
+    want = [
+        _sample_box_row_major(lo, hi, np.random.default_rng(np.random.SeedSequence(29, spawn_key=(i,))), m)
+        for i, m in enumerate((1 << 17, 2345))
+    ]
+    assert len(seen) == 2 and all(np.array_equal(a, b) for a, b in zip(seen, want))
+    vals = np.concatenate([f(p) for p in want])
+    assert est.value == box.measure() * ((float(vals[: 1 << 17].sum()) + float(vals[1 << 17 :].sum())) / samples)

@@ -411,6 +411,18 @@ def test_circumcenters_equal_the_flag_kernels(rng):
         assert np.array_equal(_circumcenters(_corners(d.points, d.triangles)[1]), center[:, 0, 2])
 
 
+def test_subdivided_complex_is_read_only_with_identity_equality(rng):
+    d = random_delaunay(rng, 7)
+    a, b = barycentric_subdivide(d), barycentric_subdivide(d)
+    assert a == a and a != b and hash(a) == hash(a)
+    assert a.to_json() == b.to_json()
+    for name in ("source_points", "vertices", "gamma", "height", "source_simplices", "cells", "cell_sign"):
+        arr = getattr(a, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_sd_json_dump(rng):
     d = random_delaunay(rng, 5)
     sd = barycentric_subdivide(d)
