@@ -5,7 +5,6 @@ from .errors import (
     CollinearImage,
     ConstructionFailed,
     DegenerateSimplex,
-    FlipBudgetExceeded,
     InvalidRegion,
     NonConvexQuad,
     NotGeneralPosition,
@@ -28,8 +27,6 @@ from .functional2d import (
     FunctionalReport,
     flip_delta,
     g_field,
-    g_triangle,
-    mu_term,
     radius_functional,
     rajan_triangle,
     rajan_triangulation,

@@ -12,9 +12,8 @@ Subcommands:
 
 Exit codes: 0 ok, 2 input/parse error (also a non-finite --alpha or functional
 value, which never reaches the output), 3 degenerate input (the diagnostic
-names the offending labels, or the Delaunay sweep ran out of its flip budget),
-4 experiment verdict failed.  Identical invocations produce byte-identical
-output.
+names the offending labels), 4 experiment verdict failed.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .errors import FlipBudgetExceeded, NotGeneralPosition, VorfuncError
+from .errors import NotGeneralPosition, VorfuncError
 from .experiments import (
     DEFAULT_SEED,
     OCTA_LABELS,
@@ -87,8 +86,6 @@ def _delaunay(pts):
         return delaunay(PointSet2(pts))
     except NotGeneralPosition as exc:
         _fail(3, f"not in general position: labels {exc.labels}")
-    except FlipBudgetExceeded as exc:
-        _fail(3, str(exc))
 
 
 def _report_text(report: FunctionalReport, fmt: str) -> str:

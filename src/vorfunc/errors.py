@@ -7,7 +7,7 @@ class VorfuncError(Exception):
 
 class DegenerateSimplex(VorfuncError):
     """A simplex has no circumcenter: a planar triangle is exactly collinear, or a
-    triangle or tetrahedron in space is collinear or coplanar within TAU_GEOM."""
+    tetrahedron is coplanar within TAU_GEOM (orient3, in_sphere)."""
 
 
 class NotGeneralPosition(VorfuncError):
@@ -19,10 +19,6 @@ class NotGeneralPosition(VorfuncError):
     def __init__(self, message, labels=()):
         super().__init__(message, tuple(labels))
         self.labels = tuple(labels)
-
-
-class FlipBudgetExceeded(VorfuncError):
-    """The Delaunay sweep used up its flip budget (4 n^2 + 256 flips) without legalizing every new fan."""
 
 
 class NonConvexQuad(VorfuncError):

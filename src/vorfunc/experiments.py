@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import FLAGS, Tetrahedron3, circumcircle3, det3, flag_terms, in_sphere
+from .geom import FLAGS, Tetrahedron3, circumcenter_offset3, det3, flag_terms, in_sphere
 from .integrate import mc_integrate, sample_box
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -74,16 +74,8 @@ class ExperimentResult:
 
 
 def random_point_set(n: int, rng) -> PointSet2:
-    """Uniform points in the unit square, jittered and redrawn until generic."""
-    pts = rng.random((n, 2))
-    for _ in range(50):
-        try:
-            delaunay(pts)
-            return PointSet2(pts)
-        except NotGeneralPosition:
-            diam = float(np.linalg.norm(pts.max(0) - pts.min(0)))
-            pts = pts + rng.uniform(-1e-6, 1e-6, pts.shape) * diam
-    raise ConstructionFailed(f"could not draw a generic {n}-point set")
+    """Uniform points in the unit square."""
+    return PointSet2(rng.random((n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +411,7 @@ def fold_region_probe(seed: int = DEFAULT_SEED) -> ExperimentResult:
     flipped_flags = _flipped_face_flags(tc)
     flips_at_ac = all(e == (0, 2) for _, e, _ in flipped_flags)
 
-    e_center = circumcircle3(pts[1], pts[0], pts[2]).center
+    e_center = pts[1] + circumcenter_offset3(pts[0] - pts[1], pts[2] - pts[1])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     x = e_center + rng.uniform(-0.4, 0.4, (20000, 3))
     d_a, d_b, d_c = (np.linalg.norm(x - pts[i], axis=1) for i in range(3))

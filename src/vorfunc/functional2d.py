@@ -62,7 +62,6 @@ from .geom import (
     orient2,
     orient2_xy,
     reject_collinear,
-    second_moment,
     signed_area,
 )
 from .integrate import Box, check_vanishes_on_boundary
@@ -200,15 +199,6 @@ def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
 # ---------------------------------------------------------------------------
 
 
-def mu_term(apex, mid, cc) -> float:
-    """Integral of squared distance to ``apex`` over triangle (apex, mid, cc).
-
-    Signed by the orientation of that triangle; degenerate input gives 0.
-    """
-    t = Triangle2(apex, mid, cc)
-    return float(second_moment(t.vertices() - t.a))
-
-
 def mu_terms(t: Triangle2) -> list:
     """The six signed corner terms whose sum is vf_triangle.
 
@@ -262,13 +252,8 @@ def g_triangle_points(t: Triangle2, pts: np.ndarray) -> np.ndarray:
     return _g_points(verts, 3, *np.asarray(pts, float).T)
 
 
-def g_triangle(t: Triangle2, p) -> float:
-    """g at a single point: nearest squared distance inside, difference outside."""
-    return float(g_triangle_points(t, np.asarray(p, float)[None, :])[0])
-
-
 # Relative pad of the boxes that g is evaluated in: far wider than the
-# TAU_GEOM band of convex_polygon_masks and the rounding of squared distances,
+# TAU_GEOM band of convex_polygon_masks_xy and the rounding of squared distances,
 # so every point left out is one where the kernel gives exactly 0.0.
 _SUPPORT_PAD = 1e-6
 

@@ -1,8 +1,7 @@
 """Geometric primitives in 2D and 3D.
 
-Orientation and in-circle/in-sphere predicates, circumcenters, containment
-and vertex visibility for convex polygons, nearest and nearest-visible
-vertices, and the paraboloid lift.
+Orientation and in-circle/in-sphere predicates, circumcenters, and one
+containment and vertex-visibility kernel for convex polygons.
 
 The planar predicates are exact: "degenerate" means exactly degenerate.
 Each has one kernel on plain Python floats, ``orient2_xy`` and
@@ -19,8 +18,9 @@ triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
 check.  ``reject_collinear``, the closed forms' zero rule, runs the same
 filter on arrays of corners.
 
-``TAU_GEOM`` is a relative tolerance that serves only ``orient3``,
-``in_sphere``, ``circumcircle3`` and ``convex_polygon_masks``' closed band.
+``TAU_GEOM`` is a relative tolerance that serves only ``orient3``, whose
+coplanar verdict is the one 3D degeneracy check (``in_sphere`` raises on it),
+and ``convex_polygon_masks_xy``' closed band.
 
 ``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
 ``orient3``, the flag kernel and ``in_sphere`` (by cofactors of its lifted
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex
 
-# Relative tolerance of the 3D degeneracy decisions and of convex_polygon_masks.
+# Relative tolerance of orient3, in_sphere and convex_polygon_masks_xy.
 TAU_GEOM = 1e-9
 
 # Shewchuk's static error bounds for orient2 and in-circle, eps = 2^-53:
@@ -236,28 +236,6 @@ def circumsphere_offset(u, v, w):
     return (_dot(u, u) * vw + _dot(v, v) * wu + _dot(w, w) * uv) / (2.0 * _dot(u, vw))
 
 
-def circumsphere3(t: Tetrahedron3) -> CircumData:
-    """Center and radius of the sphere through the four vertices of t."""
-    a, b, c, d = t.a, t.b, t.c, t.d
-    if orient3(a, b, c, d) == 0:
-        raise DegenerateSimplex(f"coplanar tetrahedron {a}, {b}, {c}, {d}")
-    offset = circumsphere_offset(b - a, c - a, d - a)
-    return CircumData(a + offset, float(np.linalg.norm(offset)))
-
-
-def circumcircle3(a, b, c) -> CircumData:
-    """Circumcircle of a triangle embedded in 3D; the center lies in its plane."""
-    a, b, c = _as_points((a, b, c), 3)
-    u = b - a
-    v = c - a
-    n = np.cross(u, v)
-    n2 = float(n @ n)
-    if n2 <= (TAU_GEOM * np.abs(u).sum() * np.abs(v).sum()) ** 2:
-        raise DegenerateSimplex(f"collinear 3D triangle {a}, {b}, {c}")
-    offset = circumcenter_offset3(u, v)
-    return CircumData(a + offset, float(np.linalg.norm(offset)))
-
-
 def _in_circle_exact(ax, ay, bx, by, cx, cy, px, py) -> int:
     """in_circle_ccw_xy's sign in rational arithmetic, exact for any finite floats."""
     from fractions import Fraction
@@ -339,21 +317,10 @@ def in_sphere(t: Tetrahedron3, p) -> int:
     return 1 if det > 0 else -1
 
 
-def nearest_vertex(t: Triangle2, p) -> tuple[int, float]:
-    """Index (0, 1, 2) and squared distance of the vertex of t nearest to p.
-
-    Ties break toward the lowest index.
-    """
-    p = _as_points((p,), 2)[0]
-    d2 = ((t.vertices() - p) ** 2).sum(axis=1)
-    i = int(np.argmin(d2))
-    return i, float(d2[i])
-
-
 # ---------------------------------------------------------------------------
 # Vectorized containment and visibility.  One pass over the edges of a convex
-# polygon, given as a (k, 2) vertex array, classifies an (m, 2) sample array;
-# the scalar helpers below wrap it.
+# polygon, given as a (k, 2) vertex array, classifies sample points given as
+# coordinate columns.
 # ---------------------------------------------------------------------------
 
 
@@ -388,61 +355,6 @@ def convex_polygon_masks_xy(verts: np.ndarray, x: np.ndarray, y: np.ndarray) -> 
     # Vertex i lies between edges i - 1 and i.
     visible = ~(inner & inner[np.arange(-1, k - 1)])
     return inside, visible[::-1] if reversed_order else visible
-
-
-def convex_polygon_masks(verts: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Containment (m,) and visibility (m, k) masks of an (m, 2) point array.
-
-    A thin wrapper of the column kernel ``convex_polygon_masks_xy``: it hands
-    the kernel the two coordinate columns and returns the transpose of its
-    (k, m) ``visible``, whose columns follow ``verts``.
-    """
-    inside, visible = convex_polygon_masks_xy(verts, *np.asarray(pts, float).T)
-    return inside, visible.T
-
-
-def inside_convex_polygon_mask(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Closed containment mask for a convex polygon (either orientation)."""
-    return convex_polygon_masks(verts, pts)[0]
-
-
-def nearest_visible_vertex(t: Triangle2, p):
-    """Nearest vertex of t visible from p, as (index, squared distance).
-
-    Returns None when p lies in the closed triangle t (the caller's integrand treats
-    that squared distance as 0).  Raises DegenerateSimplex for a collinear t.
-    """
-    if orient2(t.a, t.b, t.c) == 0:
-        raise DegenerateSimplex("collinear triangle")
-    p = _as_points((p,), 2)[0]
-    verts = t.vertices()
-    inside, vis = convex_polygon_masks(verts, p[None, :])
-    if inside[0]:
-        return None
-    d2 = ((verts - p) ** 2).sum(axis=1)
-    d2 = np.where(vis[0], d2, np.inf)
-    i = int(np.argmin(d2))
-    return i, float(d2[i])
-
-
-def point_in_triangle(t: Triangle2, p) -> bool:
-    """Closed-triangle containment (boundary counts as inside)."""
-    return bool(inside_convex_polygon_mask(t.vertices(), _as_points((p,), 2))[0])
-
-
-def lift(p) -> np.ndarray:
-    """Lift a planar point onto the unit paraboloid: (x, y) -> (x, y, x^2 + y^2)."""
-    p = _as_points((p,), 2)[0]
-    return np.array([p[0], p[1], p @ p])
-
-
-def tangent_value(a, x) -> float:
-    """Height at x of the paraboloid's tangent plane at the lift of a: 2<x,a> - |a|^2.
-
-    The vertical gap |x|^2 - tangent_value(a, x) equals |x - a|^2 identically.
-    """
-    a, x = _as_points((a, x), 2)
-    return float(2.0 * (x @ a) - a @ a)
 
 
 # ---------------------------------------------------------------------------

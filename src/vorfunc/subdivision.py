@@ -231,15 +231,21 @@ def _clip_halfplane(poly, n, c):
 
 
 def _voronoi_cell(points: np.ndarray, i: int) -> np.ndarray:
-    """voronoi_polygon of point i in coordinates relative to point i.
+    """Voronoi cell of point i clipped to a large box, as ccw polygon vertices
+    in coordinates relative to point i.
 
     Clips the half-planes 2 x . d_j <= |d_j|^2 with d_j = p_j - p_i, so the
-    cell does not depend on where the point set sits.
+    cell does not depend on where the point set sits.  The box is grown
+    until the cell detaches from it, so bounded cells (interior vertices)
+    come out unclipped even when sliver triangles push their circumcenters
+    far outside the point cloud; unbounded cells stop growing after a fixed
+    number of quadruplings.  The box's size is a multiple of the set's
+    extent, so the cell scales with the points.
     """
     rel = np.asarray(points, float)
     rel = rel - rel[i]
     rel_lo, rel_hi = rel.min(axis=0), rel.max(axis=0)
-    base = float(max((rel_hi - rel_lo).max(), 1.0))
+    base = float((rel_hi - rel_lo).max())
     others = np.delete(rel, i, axis=0)
 
     def clipped(box_pad):
@@ -268,19 +274,6 @@ def _voronoi_cell(points: np.ndarray, i: int) -> np.ndarray:
             return poly
         box_pad *= 4.0
     return poly
-
-
-def voronoi_polygon(points: np.ndarray, i: int) -> np.ndarray:
-    """Voronoi cell of point i clipped to a large box, as ccw polygon vertices.
-
-    Computed by intersecting the bisector half-planes of i against all other
-    points, in coordinates relative to point i.  The box is grown until the
-    cell detaches from it, so bounded cells (interior vertices) come out
-    unclipped even when sliver triangles push their circumcenters far outside
-    the point cloud; unbounded cells stop growing after a fixed number of
-    quadruplings.
-    """
-    return np.asarray(points, float)[i] + _voronoi_cell(points, i)
 
 
 def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, float]:

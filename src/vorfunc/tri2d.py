@@ -37,7 +37,6 @@ import numpy as np
 from .errors import (
     CapExceeded,
     CollinearImage,
-    FlipBudgetExceeded,
     NonConvexQuad,
     NotGeneralPosition,
     NotInteriorEdge,
@@ -320,7 +319,7 @@ class Triangulation2:
             hull_area += signed_area(
                 self.points[hull[0]], self.points[hull[i]], self.points[hull[i + 1]]
             )
-        if abs(total - hull_area) > 1e-9 * max(hull_area, 1.0):
+        if abs(total - hull_area) > 1e-9 * hull_area:
             raise ValueError("triangle areas do not tile the convex hull")
         if set(self.boundary_edges()) != {
             tuple(sorted((hull[i], hull[(i + 1) % len(hull)]))) for i in range(len(hull))
@@ -424,8 +423,6 @@ def _sweep_delaunay(pts):
     # The ccw hull always ends with the last point added, the rightmost so far.
     hull = [i0, i1, i2] if s > 0 else [i1, i0, i2]
     opp = _directed_edges([hull])
-    flips = 0
-    budget = 4 * len(pts) ** 2 + 256
     for p in order[3:]:
         # Hull edge j is (hull[j - 1], hull[j]); edges 0 and m - 1 meet at the
         # last point, which p always sees.  Walk forward over the visible edges
@@ -459,9 +456,6 @@ def _sweep_delaunay(pts):
                 raise NotGeneralPosition(f"cocircular points {v}, {u}, {q}, {p}", (v, u, q, p))
             if s < 0:
                 continue
-            flips += 1
-            if flips > budget:
-                raise FlipBudgetExceeded(f"Delaunay flipping did not terminate within {budget} flips")
             _flip(opp, u, v)
             work += [(u, q), (q, v)]
         # Keep the hidden arc, from the chain's end round to its start, then p.
@@ -475,8 +469,10 @@ def delaunay(ps) -> Triangulation2:
 
     Points are added in lexicographic order; each new point's fan over the
     hull edges it sees is legalized at once, by flipping the edges opposite
-    the point until each passes the in-circle test.  Triangles come in a
-    canonical order: each ccw, smallest label first, the list sorted.
+    the point until each passes the in-circle test.  A flip replaces an edge
+    opposite the point with one at it, and no flip removes an edge at the
+    point, so a point makes at most n - 1 flips.  Triangles come in a canonical order: each ccw,
+    smallest label first, the list sorted.
 
     Every orientation and in-circle sign is exact.  Raises
     NotGeneralPosition (with the offending labels) for duplicates, a
@@ -484,7 +480,6 @@ def delaunay(ps) -> Triangulation2:
     the walk tests (those it sees and the two next to them), or an exactly
     cocircular quadruple among the quads the sweep tests: each edge opposite
     a new point against the triangle across it.
-    FlipBudgetExceeded after 4 n^2 + 256 flips.
     """
     if not isinstance(ps, PointSet2):
         ps = PointSet2(np.asarray(ps, float))

@@ -4,9 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vorfunc import cli
 from vorfunc.cli import main
-from vorfunc.errors import FlipBudgetExceeded
 
 
 def write_points(tmp_path, name, pts):
@@ -40,19 +38,6 @@ def test_functional_square_exits_3(tmp_path, capsys):
     assert code == 3
     assert err.startswith("error:")
     assert "labels" in err
-
-
-@pytest.mark.parametrize("command", ["functional", "render"])
-def test_flip_budget_exceeded_exits_3(tmp_path, capsys, monkeypatch, command):
-    def exhausted(_):
-        raise FlipBudgetExceeded("Lawson flipping did not terminate within 292 flips")
-
-    monkeypatch.setattr(cli, "delaunay", exhausted)
-    path = write_points(tmp_path, "tri.json", [[0, 0], [1, 0], [0, 1]])
-    code, out, err = run_cli([command, "--input", path], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:") and "292 flips" in err
 
 
 def test_functional_parse_error_exits_2(tmp_path, capsys):

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from vorfunc import experiments
-from vorfunc.geom import circumcircle3, inside_convex_polygon_mask, signed_volume
+from vorfunc.geom import circumcenter_offset3, convex_polygon_masks_xy, signed_volume
 from vorfunc.functional2d import g_field
 from vorfunc.tri2d import delaunay, make_topological
 from vorfunc.subdivision import TetComplex, barycentric_subdivide
@@ -51,7 +52,7 @@ def test_folded_covering_counts(rng):
     def covering(x):
         count = np.zeros(len(x), dtype=int)
         for tri in k.triangles:
-            count += inside_convex_polygon_mask(k.points[list(tri)], x).astype(int)
+            count += convex_polygon_masks_xy(k.points[list(tri)], *x.T)[0].astype(int)
         return count
 
     p = k.points
@@ -149,6 +150,23 @@ def test_fold_region_probe_census_and_witness():
     d_a, d_b, d_c = (np.linalg.norm(x - FOLD_TET_POINTS[i]) for i in (0, 1, 2))
     assert d_b < d_c < d_a
     assert r.values["witness_density"] == pytest.approx(d_c**2 - d_b**2, abs=1e-9)
+
+
+def _sha1(text):
+    return hashlib.sha1(text.encode()).hexdigest()
+
+
+def test_counterexample_reports_are_pinned():
+    # The full JSON of both 3D reports, to the last bit of every value.
+    assert _sha1(octahedron_counterexample().to_json()) == "3691c6fef25faf9cffc32b5530d971595c88b834"
+    assert _sha1(fold_region_probe().to_json()) == "b9e93a29930d4be4252f1debd3f1d8a8d573416c"
+
+
+def test_scan_rows_are_pinned():
+    # The rows of the CI scan, rendered as the CLI's CSV lines.
+    _, rows = optimality_scan(10, 2, seed=7)
+    text = "".join(f"{t},{i},{v!r},{int(d)},{int(m)}\n" for t, i, v, d, m in rows)
+    assert len(rows) == 2114 and _sha1(text) == "32159ad73a9db8d0af29e3978ac074112dc4aa26"
 
 
 def test_scan_four_points_convex():
@@ -261,7 +279,8 @@ def _reference_flipped_flags(sd):
 def test_fold_density_matches_per_cell_reference():
     tc = TetComplex(FOLD_TET_POINTS, [(0, 1, 2, 3)])
     sd = barycentric_subdivide(tc)
-    e_center = circumcircle3(*FOLD_TET_POINTS[[1, 0, 2]]).center
+    a, b, c = FOLD_TET_POINTS[[1, 0, 2]]
+    e_center = a + circumcenter_offset3(b - a, c - a)
     x = e_center + np.random.default_rng(11).uniform(-0.6, 0.6, (300, 3))
     got = sd_local_density(tc, x)
     assert got.tolist() == [_reference_density(sd, p) for p in x]

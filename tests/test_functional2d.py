@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vorfunc.errors import DegenerateSimplex, NonConvexQuad
-from vorfunc.geom import Triangle2
+from vorfunc.geom import Triangle2, convex_polygon_masks_xy, second_moment
 from vorfunc.integrate import mc_integrate
 from vorfunc.functional2d import (
     _closed_form_terms,
@@ -13,9 +13,7 @@ from vorfunc.functional2d import (
     flip_delta,
     flip_delta_law,
     g_field,
-    g_triangle,
     g_triangle_points,
-    mu_term,
     mu_terms,
     radius_functional,
     rajan_triangle,
@@ -319,12 +317,14 @@ def test_collinear_triangle_named_by_labels():
 # -- mu decomposition --------------------------------------------------------
 
 
+# A corner term integrates squared distance to the apex over (apex, mid, cc):
+# the signed second_moment of that triangle about the apex.
 def test_mu_term_unit_right_triangle():
-    assert mu_term((0, 0), (1, 0), (0, 1)) == pytest.approx(1 / 6)
+    assert second_moment(np.array([[0.0, 0], [1, 0], [0, 1]])) == pytest.approx(1 / 6)
 
 
 def test_mu_term_degenerate_zero():
-    assert mu_term((0, 0), (1, 1), (2, 2)) == 0.0
+    assert second_moment(np.array([[0.0, 0], [1, 1], [2, 2]])) == 0.0
 
 
 def test_mu_sum_acute(rng):
@@ -345,7 +345,7 @@ def test_mu_sum_obtuse_two_negative(rng):
 
 
 def test_g_inside():
-    assert g_triangle(RIGHT_ISO, (0.1, 0.1)) == pytest.approx(0.02)
+    assert g_triangle_points(RIGHT_ISO, np.array([[0.1, 0.1]]))[0] == pytest.approx(0.02)
 
 
 def test_g_outside_acute_is_zero(rng):
@@ -355,13 +355,11 @@ def test_g_outside_acute_is_zero(rng):
         if g_triangle_points(t, p[None, :])[0] == 0.0:
             continue
         # Non-zero means p is inside; outside acute triangles give exactly 0.
-        from vorfunc.geom import point_in_triangle
-
-        assert point_in_triangle(t, p)
+        assert convex_polygon_masks_xy(t.vertices(), p[:1], p[1:])[0][0]
 
 
 def test_g_obtuse_fold_value():
-    assert g_triangle(OBTUSE_FLAT, (2, -0.1)) == pytest.approx(0.25 - 4.01)
+    assert g_triangle_points(OBTUSE_FLAT, np.array([[2, -0.1]]))[0] == pytest.approx(0.25 - 4.01)
 
 
 def test_g_field_single_triangle_matches(rng):
@@ -453,8 +451,6 @@ def _g_points_row_major(corners, h, pts):
 
 
 def test_column_kernels_equal_the_row_major_kernels(rng):
-    from vorfunc.geom import convex_polygon_masks, convex_polygon_masks_xy
-
     cases = []
     for kind in ("acute", "obtuse"):
         v = random_triangle(rng, kind).vertices()
@@ -478,12 +474,10 @@ def test_column_kernels_equal_the_row_major_kernels(rng):
         want = _g_points_row_major(corners, h, pts)
         assert np.array_equal(_g_points(corners, h, x, y), want, equal_nan=True)
         assert np.isnan(want[-4:]).all()
-        inside, vis = convex_polygon_masks(poly, pts)
+        inside, vis = convex_polygon_masks_xy(poly, x, y)
         want_inside, want_vis = _masks_row_major(poly, pts)
-        assert inside.shape == (len(pts),) and vis.shape == (len(pts), h)
-        assert np.array_equal(inside, want_inside) and np.array_equal(vis, want_vis)
-        inside_xy, vis_xy = convex_polygon_masks_xy(poly, x, y)
-        assert np.array_equal(inside_xy, inside) and np.array_equal(vis_xy, vis.T)
+        assert inside.shape == (len(pts),) and vis.shape == (h, len(pts))
+        assert np.array_equal(inside, want_inside) and np.array_equal(vis, want_vis.T)
         assert inside[:h].all()
 
 
@@ -511,7 +505,6 @@ def test_vf_acute_delaunay_equals_hull_integral():
     # All triangles acute: the functional equals the integral over the hull of
     # the squared distance to the nearest point.
     from vorfunc.experiments import FOLDED_POINTS
-    from vorfunc.geom import inside_convex_polygon_mask
 
     d = delaunay(FOLDED_POINTS)
     hull_pts = d.points[convex_hull(d.points)]
@@ -519,7 +512,7 @@ def test_vf_acute_delaunay_equals_hull_integral():
 
     def integrand(p):
         d2 = ((p[:, None, :] - d.points[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        return d2 * inside_convex_polygon_mask(hull_pts, p)
+        return d2 * convex_polygon_masks_xy(hull_pts, *p.T)[0]
 
     est = mc_integrate(box, integrand, 4 * 10**5, seed=12)
     assert abs(vf_triangulation(d).total - est.value) <= 3 * est.std_error
@@ -601,9 +594,7 @@ def test_flip_delta_inside_adjacent_nearest_zero(rng):
         p = rng.random(2)
         law, diagonal = flip_delta_law(quad, p)
         cyc = quad[convex_hull(quad)]
-        from vorfunc.geom import inside_convex_polygon_mask
-
-        if diagonal or not inside_convex_polygon_mask(cyc, p[None, :])[0]:
+        if diagonal or not convex_polygon_masks_xy(cyc, p[:1], p[1:])[0][0]:
             continue
         found += 1
         assert flip_delta(quad, p) == pytest.approx(0.0, abs=1e-9)

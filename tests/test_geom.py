@@ -9,19 +9,15 @@ from vorfunc.geom import (
     TAU_GEOM,
     Tetrahedron3,
     Triangle2,
+    circumcenter_offset3,
     circumcircle2,
-    circumcircle3,
-    circumsphere3,
-    convex_polygon_masks,
+    circumsphere_offset,
+    convex_polygon_masks_xy,
     in_circle,
     in_sphere,
-    lift,
-    nearest_vertex,
-    nearest_visible_vertex,
     orient2,
-    point_in_triangle,
-    tangent_value,
 )
+from vorfunc.functional2d import g_triangle_points
 from vorfunc.tri2d import convex_hull
 
 from conftest import random_triangle
@@ -98,26 +94,26 @@ def test_circumcircle_equidistance_random(rng):
 def test_circumsphere_regular_tetrahedron():
     # Vertices of a regular tetrahedron centered at the origin.
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
-    cd = circumsphere3(Tetrahedron3(*v))
-    assert np.allclose(cd.center, [0, 0, 0], atol=1e-12)
-    assert cd.radius == pytest.approx(np.sqrt(3))
+    offset = circumsphere_offset(*(v[1:] - v[0]))
+    assert np.allclose(v[0] + offset, [0, 0, 0], atol=1e-12)
+    assert np.linalg.norm(offset) == pytest.approx(np.sqrt(3))
 
 
 def test_circumsphere_corner_tetrahedron():
-    cd = circumsphere3(Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert np.allclose(cd.center, [0.5, 0.5, 0.5])
+    # Corner a at the origin, so the offset is the center.
+    assert np.allclose(circumsphere_offset(*np.eye(3)), [0.5, 0.5, 0.5])
 
 
 def test_circumcircle3_center_in_plane():
     a = np.array([9.86, 0.00, 1.65])
     b = np.array([7.99, 5.80, 1.65])
     c = np.array([7.80, -5.80, 1.65])
-    cd = circumcircle3(a, b, c)
+    center = a + circumcenter_offset3(b - a, c - a)
     n = np.cross(b - a, c - a)
     n /= np.linalg.norm(n)
-    assert abs((cd.center - a) @ n) < 1e-9
-    for v in (a, b, c):
-        assert np.linalg.norm(cd.center - v) == pytest.approx(cd.radius)
+    assert abs((center - a) @ n) < 1e-9
+    for v in (b, c):
+        assert np.linalg.norm(center - v) == pytest.approx(np.linalg.norm(center - a))
 
 
 def test_in_circle_examples():
@@ -141,48 +137,46 @@ def test_in_sphere_basic():
     assert in_sphere(t, (9, 9, 9)) == -1
 
 
+# The nearest and nearest-visible vertex tests read the g kernel: the squared
+# distance to the nearest vertex minus, outside the triangle, that to the
+# nearest visible vertex.
 def test_nearest_vertex_examples():
-    i, d2 = nearest_vertex(RIGHT, (0.1, 0.1))
-    assert i == 0 and d2 == pytest.approx(0.02)
-    i, d2 = nearest_vertex(OBTUSE, (2, -0.1))
-    assert i == 1 and d2 == pytest.approx(0.25)
-
-
-def test_nearest_vertex_tie_breaks_low_index():
-    t = Triangle2((0, 0), (2, 0), (1, 5))
-    i, _ = nearest_vertex(t, (1, 0))  # equidistant from vertices 0 and 1
-    assert i == 0
+    # Inside the triangle g is the squared distance to the nearest vertex.
+    assert g_triangle_points(RIGHT, [(0.1, 0.1)])[0] == pytest.approx(0.02)
+    assert g_triangle_points(OBTUSE, [(2, 0.1)])[0] == pytest.approx(0.09)
 
 
 def test_nearest_visible_inside_is_none():
-    assert nearest_visible_vertex(RIGHT, (0.2, 0.2)) is None
+    # No visible term inside the closed triangle, boundary included.
+    for p in ((0.2, 0.2), (0.5, 0.0), (0.0, 1.0)):
+        assert convex_polygon_masks_xy(RIGHT.vertices(), *np.array([p]).T)[0][0]
+        nearest = min((p[0] - x) ** 2 + (p[1] - y) ** 2 for x, y in RIGHT.vertices())
+        assert g_triangle_points(RIGHT, [p])[0] == pytest.approx(nearest)
+
+
+def _outside_g(t, p):
+    inside = convex_polygon_masks_xy(t.vertices(), *p.T)[0]
+    return g_triangle_points(t, p)[~inside]
 
 
 def test_nearest_visible_equals_nearest_for_acute_outside(rng):
-    for _ in range(200):
-        t = random_triangle(rng, kind="acute")
-        p = rng.random(2) * 4 - 1.5
-        if point_in_triangle(t, p):
-            continue
-        nv = nearest_visible_vertex(t, p)
-        assert nv is not None
-        assert nv[0] == nearest_vertex(t, p)[0]
+    for _ in range(20):
+        g = _outside_g(random_triangle(rng, kind="acute"), rng.random((200, 2)) * 4 - 1.5)
+        assert len(g) > 0 and (g == 0.0).all()
 
 
 def test_nearest_visible_obtuse_fold():
-    nv = nearest_visible_vertex(OBTUSE, (2, -0.1))
-    assert nv[0] == 0
-    assert nv[1] == pytest.approx(4.01)
+    # Vertex 1 is nearest but hidden behind the long edge; 0 and 2, both at 4.01, are visible.
+    visible = convex_polygon_masks_xy(OBTUSE.vertices(), np.array([2.0]), np.array([-0.1]))[1]
+    assert visible[:, 0].tolist() == [True, False, True]
+    assert g_triangle_points(OBTUSE, [(2, -0.1)])[0] == pytest.approx(0.25 - 4.01)
 
 
 def test_nearest_visible_never_nearer_than_nearest(rng):
-    for _ in range(300):
-        t = random_triangle(rng)
-        p = rng.random(2) * 6 - 2.5
-        if point_in_triangle(t, p):
-            continue
-        nv = nearest_visible_vertex(t, p)
-        assert nv[1] >= nearest_vertex(t, p)[1] - 1e-12
+    # The visible minimum runs over a subset of the corners, so g <= 0 outside.
+    for _ in range(30):
+        g = _outside_g(random_triangle(rng), rng.random((100, 2)) * 6 - 2.5)
+        assert (g <= 0.0).all()
 
 
 def _random_hull(rng):
@@ -220,9 +214,8 @@ def test_polygon_visibility_matches_segment_oracle(rng):
         probe = np.concatenate([rng.random((150, 2)) * 3 - 1, near.reshape(-1, 2)])
         # Either orientation; columns follow the caller's vertex order.
         verts = poly[::-1] if trial % 2 else poly
-        inside, vis = convex_polygon_masks(verts, probe)
-        if trial % 2:
-            vis = vis[:, ::-1]
+        inside, vis = convex_polygon_masks_xy(verts, *probe.T)
+        vis = vis.T[:, ::-1] if trial % 2 else vis.T
         for p, row in zip(probe[~inside], vis[~inside]):
             seg = p + s[:, None, None] * (poly - p)
             hidden = (_inward_depth(poly, seg) > 1e-12).any(axis=0)
@@ -250,24 +243,9 @@ def test_points_in_edge_band_see_both_ends(rng):
                 p = base + (factor * band)[:, None] * out
                 d = p - q
                 assert np.all(e[0] * d[:, 1] - e[1] * d[:, 0] < 0)
-                inside, vis = convex_polygon_masks(poly, p)
+                inside, vis = convex_polygon_masks_xy(poly, *p.T)
                 assert np.all(inside == in_band)
-                assert vis[:, i].all() and vis[:, (i + 1) % k].all()
-
-
-def test_lift_and_tangent_examples():
-    assert np.allclose(lift((1, 2)), [1, 2, 5])
-    a = np.array([3.0, -2.0])
-    assert tangent_value(a, a) == pytest.approx(a @ a)
-
-
-def test_lift_tangent_identity(rng):
-    for _ in range(1000):
-        a = rng.random(2) * 20 - 10
-        x = rng.random(2) * 20 - 10
-        gap = float(x @ x) - tangent_value(a, x)
-        expect = float((x - a) @ (x - a))
-        assert gap == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                assert vis[i].all() and vis[(i + 1) % k].all()
 
 
 # -- predicate signs against exact rational determinants ---------------------

@@ -9,18 +9,18 @@ from vorfunc.errors import NotInteriorVertex
 from vorfunc.experiments import FOLD_TET_POINTS, OCTA_POINTS, octahedron_decomposition
 from vorfunc.geom import (
     FLAGS,
-    Tetrahedron3,
     Triangle2,
+    circumcenter_offset3,
     circumcircle2,
-    circumcircle3,
-    circumsphere3,
+    circumsphere_offset,
+    convex_polygon_masks_xy,
     flag_terms,
     signed_area,
-    tangent_value,
 )
 from vorfunc.functional2d import vf_triangle, vf_triangulation
 from vorfunc.subdivision import (
     TetComplex,
+    _voronoi_cell,
     barycentric_subdivide,
     cell_decomposition_check,
     interior_cancellation_check,
@@ -28,7 +28,6 @@ from vorfunc.subdivision import (
     vf3,
     vf_sd_cell,
     vf_via_sd,
-    voronoi_polygon,
 )
 from vorfunc.tri2d import Triangulation2, delaunay, make_topological
 
@@ -117,8 +116,7 @@ def test_gluing_heights_at_edge_barycenters(rng):
         source = _labels(sd, vid)
         if len(source) == 2:
             a, b = d.points[source[0]], d.points[source[1]]
-            fa = tangent_value(a, sd.gamma[vid])
-            fb = tangent_value(b, sd.gamma[vid])
+            fa, fb = (2.0 * (sd.gamma[vid] @ p) - p @ p for p in (a, b))
             assert fa == pytest.approx(fb, rel=1e-10, abs=1e-10)
 
 
@@ -180,11 +178,12 @@ def _reference_subdivision(t):
     def vertex_id(key):
         if key not in index:
             v = pts[list(key)]
-            if len(key) == 4:
-                center, radius = circumsphere3(Tetrahedron3(*v))
-            elif len(key) == 3:
-                cd = circumcircle2(Triangle2(*v)) if v.shape[1] == 2 else circumcircle3(*v)
-                center, radius = cd.center, cd.radius
+            if len(key) == 3 and v.shape[1] == 2:
+                center, radius = circumcircle2(Triangle2(*v))
+            elif len(key) >= 3:
+                e = v[1:] - v[0]
+                offset = circumsphere_offset(*e) if len(key) == 4 else circumcenter_offset3(*e)
+                center, radius = v[0] + offset, np.linalg.norm(offset)
             else:
                 center = v.mean(axis=0)
                 radius = np.linalg.norm(v[0] - center)
@@ -327,7 +326,7 @@ def test_cancellation_translation_invariant(rng):
 
 def test_voronoi_polygon_symmetric_center():
     pts = np.array([[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]], float)
-    poly = voronoi_polygon(pts, 4)
+    poly = pts[4] + _voronoi_cell(pts, 4)
     # Center cell is the diamond spanned by the edge midpoint bisectors.
     assert sorted(np.round(p, 6).tolist() for p in poly) == [
         [0.0, 1.0],
@@ -355,12 +354,11 @@ def test_decomposition_integrand_outside_behaviour(rng):
     d_acute = delaunay(FOLDED_POINTS)
     assert hull_opposite_obtuse_edges(d_acute) == []
     field = nearest_minus_visible_field(d_acute.points)
-    from vorfunc.geom import inside_convex_polygon_mask
     from vorfunc.tri2d import convex_hull
 
     hull_pts = d_acute.points[convex_hull(d_acute.points)]
     probe = rng.random((4000, 2)) * 10 - 5
-    outside = ~inside_convex_polygon_mask(hull_pts, probe)
+    outside = ~convex_polygon_masks_xy(hull_pts, *probe.T)[0]
     assert np.all(np.abs(field(probe[outside])) < 1e-12)
 
     # Search for an instance with an obtuse hull-opposite angle.
@@ -493,3 +491,16 @@ def test_vf3_equals_sum_of_cells():
         sd = barycentric_subdivide(tc)
         values = _cell_values(sd)
         assert abs(vf3(tc) - math.fsum(values)) <= 1e-12 * abs(math.fsum(values))
+
+
+def test_cancellation_scales_exactly_as_fourth_power():
+    # Power-of-two scaling is exact, and the clipping box scales with the set,
+    # so both sides of the identity scale by exactly 2^(4k).
+    pts = np.random.default_rng(5).random((12, 2))
+    d = delaunay(pts)
+    interior = sorted(set(range(12)) - d.boundary_vertices())
+    base = [interior_cancellation_check(d, v) for v in interior]
+    for k in range(-40, 41):
+        scaled = Triangulation2(pts * 2.0**k, d.triangles, _normalize=False)
+        got = [interior_cancellation_check(scaled, v) for v in interior]
+        assert got == [(lhs * 2.0 ** (4 * k), rhs * 2.0 ** (4 * k)) for lhs, rhs in base]

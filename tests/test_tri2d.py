@@ -463,3 +463,16 @@ def test_validate_rejects_a_closed_surface():
     text = json.dumps({"triangles": tris, "kind": "topological"})
     with pytest.raises(ValueError, match="no boundary"):
         Triangulation2.from_json(text, pts)
+
+
+def test_coverage_check_is_scale_free():
+    # The label-swapped folded triangulation covers its central quadrangle
+    # three times, so its areas exceed the hull's at every scale; the
+    # Delaunay triangulation of the same points tiles it at every scale.
+    from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
+
+    text = delaunay(FOLDED_POINTS).to_json()
+    for k in range(-40, 41):
+        with pytest.raises(ValueError, match="triangle areas do not tile the convex hull"):
+            Triangulation2.from_json(text, FOLDED_POINTS[list(FOLDED_SWAP)] * 2.0**k)
+        Triangulation2.from_json(text, FOLDED_POINTS * 2.0**k)
