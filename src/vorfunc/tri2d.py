@@ -4,7 +4,7 @@ A Triangulation2 stores triangles as label triples over a labeled point set.
 Geometric triangulations are normalized to counterclockwise triples with all
 orientation signs +1; topological triangulations (label complexes mapped
 through permuted positions) keep their combinatorics and carry the sign of
-each mapped triangle.
+each mapped triangle, read against the one orientation of their triples.
 
 One adjacency serves every algorithm here: a directed-edge map from edge
 (u, v) of a consistently oriented triangle to its third corner, with one flip
@@ -13,6 +13,8 @@ finds the hull edges it sees by walking the hull from the point added before
 it, and its fan is legalized with that flip as it is added; triangles come in
 a canonical order (ccw, smallest label first, sorted).  flip() and the
 depth-first enumeration of the flip graph use the same map and flip.
+validate() reads it too: the triples must form an oriented disk, and a
+geometric triangulation's unmatched directed edges must be the ccw hull cycle.
 Exact degeneracies are rejected (NotGeneralPosition), never perturbed: the
 predicates are exact.
 
@@ -41,7 +43,7 @@ from .errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from .geom import in_circle_ccw_xy, in_circle_xy, orient2_xy, signed_area
+from .geom import in_circle_ccw_xy, in_circle_xy, orient2_xy
 
 GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
@@ -187,14 +189,10 @@ class Triangulation2:
     def interior_edges(self) -> list:
         return [e for e, ts in self.edge_map().items() if len(ts) == 2]
 
-    def boundary_edges(self) -> list:
-        return [e for e, ts in self.edge_map().items() if len(ts) == 1]
-
     def boundary_vertices(self) -> set:
-        out = set()
-        for e in self.boundary_edges():
-            out.update(e)
-        return out
+        """Labels on an unmatched directed edge; ValueError unless consistently oriented."""
+        opp = _directed_edges(self.triangles)
+        return {u for u, v in opp if (v, u) not in opp}
 
     def canonical(self) -> tuple:
         """Order-free key: sorted tuple of sorted label triples."""
@@ -217,114 +215,53 @@ class Triangulation2:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        """Check the manifold-disk invariants; geometric kind also checks coverage."""
-        n = len(self.points)
-        used = set()
-        for t in self.triangles:
-            used.update(t)
-        if used != set(range(n)):
-            raise ValueError("triangulation must use every point label exactly")
-        edges = self.edge_map()
-        for e, ts in edges.items():
-            if len(ts) > 2:
-                raise ValueError(f"edge {e} bounds {len(ts)} triangles")
-        self._check_connected(edges)
-        v, e, f = n, len(edges), len(self.triangles)
-        if v - e + f != 1:
-            raise ValueError(f"Euler characteristic {v - e + f} != 1")
-        self._check_boundary_cycle()
-        self._check_vertex_links()
-        if self.kind == GEOMETRIC:
-            self._check_coverage()
+        """Check that the triangles form an oriented disk; a geometric one must tile its hull.
 
-    def _check_connected(self, edges):
-        if not self.triangles:
+        Every label is used; no directed edge repeats, so the triples are
+        consistently oriented and no edge has three triangles; at each vertex
+        x the successor map a -> b, one entry per triangle (x, a, b), is one
+        path or cycle; the vertices are connected; and V - E + F = 1, with
+        E = (3F + B) / 2 for B unmatched directed edges.  A connected
+        orientable surface of Euler characteristic 1 is a disk: a closed one
+        has even characteristic.  A geometric triangulation's unmatched
+        directed edges must be the ccw hull cycle.  Its triangles are ccw, so
+        the winding number of that cycle, 1 inside the hull, counts the
+        triangles over each point: they tile the hull exactly.
+        """
+        n, f = len(self.points), len(self.triangles)
+        if not f:
             raise ValueError("empty triangulation")
-        adj = {i: set() for i in range(len(self.triangles))}
-        for ts in edges.values():
-            if len(ts) == 2:
-                adj[ts[0]].add(ts[1])
-                adj[ts[1]].add(ts[0])
-        seen = {0}
-        stack = [0]
+        if {v for t in self.triangles for v in t} != set(range(n)):
+            raise ValueError("triangulation must use every point label exactly")
+        opp = _directed_edges(self.triangles)
+        links = {}
+        for (x, a), b in opp.items():
+            links.setdefault(x, {})[a] = b
+        for x, link in links.items():
+            # (x, a) and (b, x) each occur once, so a -> b is one-to-one: walk
+            # from a path's start, or round a cycle.
+            start = next(iter(link.keys() - link.values()), next(iter(link)))
+            a, walked = link[start], 1
+            while a != start and a in link:
+                a, walked = link[a], walked + 1
+            if walked != len(link):
+                raise ValueError(f"link of vertex {x} is pinched")
+        seen, stack = {0}, [0]
         while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(self.triangles):
-            raise ValueError("triangle adjacency graph is disconnected")
-
-    def _check_boundary_cycle(self):
-        boundary = self.boundary_edges()
-        if not boundary:
-            raise ValueError("triangulation has no boundary: a closed surface, not a disk")
-        deg = {}
-        for i, j in boundary:
-            deg[i] = deg.get(i, 0) + 1
-            deg[j] = deg.get(j, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            raise ValueError("boundary is not a single simple cycle")
-        nbr = {}
-        for i, j in boundary:
-            nbr.setdefault(i, []).append(j)
-            nbr.setdefault(j, []).append(i)
-        start = boundary[0][0]
-        prev, cur, count = None, start, 0
-        while True:
-            a, b = nbr[cur]
-            nxt = b if a == prev else a
-            prev, cur = cur, nxt
-            count += 1
-            if cur == start:
-                break
-        if count != len(boundary):
-            raise ValueError("boundary splits into several cycles")
-
-    def _check_vertex_links(self):
-        incident = {}
-        for idx, t in enumerate(self.triangles):
-            for v in t:
-                incident.setdefault(v, []).append(idx)
-        boundary_vs = self.boundary_vertices()
-        for v, tri_ids in incident.items():
-            # Triangles around v must form a single fan glued along edges at v.
-            adj = {t: set() for t in tri_ids}
-            for a in tri_ids:
-                for b in tri_ids:
-                    if a < b and len(set(self.triangles[a]) & set(self.triangles[b])) == 2:
-                        shared = set(self.triangles[a]) & set(self.triangles[b])
-                        if v in shared:
-                            adj[a].add(b)
-                            adj[b].add(a)
-            seen = {tri_ids[0]}
-            stack = [tri_ids[0]]
-            while stack:
-                for nb in adj[stack.pop()]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if len(seen) != len(tri_ids):
-                raise ValueError(f"link of vertex {v} is pinched")
-            degs = sorted(len(s) for s in adj.values())
-            closed = v not in boundary_vs
-            if closed and any(d != 2 for d in degs):
-                raise ValueError(f"link of interior vertex {v} is not a cycle")
-
-    def _check_coverage(self):
-        total = sum(abs(signed_area(*self.points[list(t)])) for t in self.triangles)
-        hull = convex_hull(self.points)
-        hull_area = 0.0
-        for i in range(1, len(hull) - 1):
-            hull_area += signed_area(
-                self.points[hull[0]], self.points[hull[i]], self.points[hull[i + 1]]
-            )
-        if abs(total - hull_area) > 1e-9 * hull_area:
-            raise ValueError("triangle areas do not tile the convex hull")
-        if set(self.boundary_edges()) != {
-            tuple(sorted((hull[i], hull[(i + 1) % len(hull)]))) for i in range(len(hull))
-        }:
-            raise ValueError("boundary edges are not the hull edges")
+            new = links[stack.pop()].keys() - seen
+            seen |= new
+            stack += new
+        if len(seen) != n:
+            raise ValueError("triangulation is not connected")
+        boundary = {(u, v) for u, v in opp if (v, u) not in opp}
+        chi = n - (3 * f + len(boundary)) // 2 + f
+        if chi != 1:
+            raise ValueError(f"Euler characteristic {chi} != 1")
+        if self.kind == GEOMETRIC:
+            # Exact winding numbers make an area sum, and any tolerance on it, redundant.
+            hull = convex_hull(self.points)
+            if boundary != set(zip(hull, hull[1:] + hull[:1])):
+                raise ValueError("boundary edges are not the hull edges")
 
     # -- serialization ------------------------------------------------------
 

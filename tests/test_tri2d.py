@@ -10,6 +10,7 @@ from vorfunc.errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
+from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
 from vorfunc.geom import signed_area
 from vorfunc.tri2d import (
     FlipMove,
@@ -454,25 +455,95 @@ def test_flip_rejects_inconsistently_oriented_triangles():
     assert type(exc.value) is ValueError
 
 
+# Six vertices in general position for topological surfaces; every triple's image is a triangle.
+_SURFACE_POINTS = np.array([[0.0, 0.0], [3.0, 0.3], [1.1, 2.7], [-1.9, 1.6], [-2.2, -1.3], [1.4, -2.4]])
+# The octahedron's boundary, oriented outward: +x, -x, +y, -y, +z, -z are labels 0-5.
+_OCTAHEDRON_SURFACE = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4), (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
+
+
 def test_validate_rejects_a_closed_surface():
-    # The 6-vertex projective plane: a closed surface with Euler characteristic 1.
+    # The 6-vertex projective plane is a closed surface with Euler
+    # characteristic 1, but it is not orientable, so some directed edge
+    # repeats however its triples are listed.  The octahedron's surface is
+    # orientable and closed: Euler characteristic 2.
     tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
     ang = np.arange(5) * 2 * np.pi / 5
     pts = np.vstack([[0.0, 0.0], np.c_[np.cos(ang), np.sin(ang)]])
     text = json.dumps({"triangles": tris, "kind": "topological"})
-    with pytest.raises(ValueError, match="no boundary"):
+    with pytest.raises(ValueError, match="not consistently oriented"):
         Triangulation2.from_json(text, pts)
+    text = json.dumps({"triangles": _OCTAHEDRON_SURFACE, "kind": "topological"})
+    with pytest.raises(ValueError, match=r"^Euler characteristic 2 != 1$"):
+        Triangulation2.from_json(text, _SURFACE_POINTS)
 
 
 def test_coverage_check_is_scale_free():
     # The label-swapped folded triangulation covers its central quadrangle
-    # three times, so its areas exceed the hull's at every scale; the
-    # Delaunay triangulation of the same points tiles it at every scale.
-    from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
-
+    # three times, so its ccw-normalized triples repeat a directed edge at
+    # every scale; the Delaunay triangulation of the same points tiles the
+    # hull at every scale.
     text = delaunay(FOLDED_POINTS).to_json()
     for k in range(-40, 41):
-        with pytest.raises(ValueError, match="triangle areas do not tile the convex hull"):
+        with pytest.raises(ValueError, match="not consistently oriented"):
             Triangulation2.from_json(text, FOLDED_POINTS[list(FOLDED_SWAP)] * 2.0**k)
         Triangulation2.from_json(text, FOLDED_POINTS * 2.0**k)
+
+
+def test_topological_triples_must_be_consistently_oriented():
+    # The sign of a topological triangle is read against its triple's order,
+    # so reversing one triple would change the VF (0.2033 to -0.0367).
+    from vorfunc.functional2d import vf_triangulation
+
+    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1.2]], float)
+
+    def load(tris):
+        return Triangulation2.from_json(json.dumps({"triangles": tris, "kind": "topological"}), pts)
+
+    want = vf_triangulation(load([[0, 1, 2], [0, 2, 3]])).total
+    assert want == pytest.approx(0.61 / 3, rel=1e-12)
+    for tris in ([[1, 2, 0], [0, 2, 3]], [[2, 0, 1], [3, 0, 2]], [[0, 1, 2], [2, 3, 0]]):
+        assert vf_triangulation(load(tris)).total == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="not consistently oriented"):
+        load([[0, 1, 2], [0, 3, 2]])
+
+
+_ORIENTATION = r"^triangles are not consistently oriented: a directed edge repeats$"
+# One input per message of validate: (points, triangles, kind, message).
+_REJECTIONS = {
+    "empty": (_SURFACE_POINTS[:3], [], "geometric", r"^empty triangulation$"),
+    "unused label": (_SURFACE_POINTS[:4], [(0, 1, 2)], "geometric", r"^triangulation must use every point label exactly$"),
+    "edge with three triangles": (_SURFACE_POINTS[:5], [(0, 1, 2), (1, 0, 3), (0, 1, 4)], "topological", _ORIENTATION),
+    "bowtie": (
+        np.array([[0, 0], [1, 0], [1, 1], [-1, 0], [-1, -1]], float),
+        [(0, 1, 2), (0, 3, 4)],
+        "geometric",
+        r"^link of vertex 0 is pinched$",
+    ),
+    "two disjoint triangles": (_SURFACE_POINTS, [(0, 1, 2), (3, 4, 5)], "geometric", r"^triangulation is not connected$"),
+    "annulus": (
+        np.array([[0, 0], [4, 0], [4, 4], [0, 4], [1, 1.1], [3, 0.9], [3.1, 3], [0.9, 2.9]], float),
+        [(0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5), (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7)],
+        "geometric",
+        r"^Euler characteristic 0 != 1$",
+    ),
+    "octahedron surface": (_SURFACE_POINTS, _OCTAHEDRON_SURFACE, "topological", r"^Euler characteristic 2 != 1$"),
+    # The pentagon (0, 4, 1, 2, 3) without its ear (0, 4, 1): a disk that
+    # leaves a sliver of the hull square uncovered.
+    "disk missing a hull ear": (
+        np.array([[0, 0], [2, 0], [2, 2], [0, 2], [1, 0.2]], float),
+        [(4, 1, 2), (4, 2, 3), (4, 3, 0)],
+        "geometric",
+        r"^boundary edges are not the hull edges$",
+    ),
+    "folded label swap": (FOLDED_POINTS[list(FOLDED_SWAP)], delaunay(FOLDED_POINTS).triangles, "geometric", _ORIENTATION),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTIONS))
+def test_validate_names_each_rejection(case):
+    pts, tris, kind, message = _REJECTIONS[case]
+    text = json.dumps({"triangles": [list(t) for t in tris], "kind": kind})
+    with pytest.raises(ValueError, match=message) as exc:
+        Triangulation2.from_json(text, pts)
+    assert type(exc.value) is ValueError
