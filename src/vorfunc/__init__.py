@@ -15,8 +15,6 @@ from .errors import (
 from .geom import CircumData, Tetrahedron3, Triangle2
 from .integrate import Box, McEstimate, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import (
-    FlipMove,
-    PointSet2,
     Triangulation2,
     delaunay,
     enumerate_triangulations,

@@ -37,8 +37,20 @@ from .experiments import (
 )
 from .functional2d import FunctionalReport, radius_functional, rajan_triangulation, vf_triangulation
 from .render import svg_gamma_image, svg_subdivision, svg_triangulation
-from .geom import flag_terms
-from .tri2d import PointSet2, delaunay
+from .geom import _as_points, flag_terms
+from .tri2d import delaunay
+
+_FUNCTIONALS = {
+    "vf": lambda d, args: vf_triangulation(d),
+    "rajan": lambda d, args: rajan_triangulation(d),
+    "rf": lambda d, args: radius_functional(d, args.alpha),
+}
+_EXPERIMENTS = {
+    "topological": lambda args: topological_counterexample(samples=args.samples, seed=args.seed),
+    "octahedron": lambda args: octahedron_counterexample(),
+    "fold": lambda args: fold_region_probe(seed=args.seed),
+}
+_RENDERINGS = {"triangulation": svg_triangulation, "subdivision": svg_subdivision, "gamma": svg_gamma_image}
 
 
 def _fail(code: int, message: str):
@@ -46,16 +58,12 @@ def _fail(code: int, message: str):
     raise SystemExit(code)
 
 
-def _load_points(path: str) -> np.ndarray:
+def _load_points(path: str, dim: int) -> np.ndarray:
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-        pts = np.asarray(obj["points"], float)
+            return _as_points(json.load(fh)["points"], dim)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(2, f"cannot read point set from {path!r}: {exc}")
-    if pts.ndim != 2:
-        _fail(2, f"point set in {path!r} is not a list of points, got shape {pts.shape}")
-    return pts
 
 
 def _emit(text: str, out_path: str):
@@ -83,7 +91,7 @@ def _parse_diagonal(spec: str, n: int) -> tuple:
 
 def _delaunay(pts):
     try:
-        return delaunay(PointSet2(pts))
+        return delaunay(pts)
     except NotGeneralPosition as exc:
         _fail(3, f"not in general position: labels {exc.labels}")
 
@@ -104,7 +112,7 @@ def _report_text(report: FunctionalReport, fmt: str) -> str:
 def cmd_functional(args) -> int:
     if not math.isfinite(args.alpha):
         _fail(2, f"--alpha must be finite, got {args.alpha!r}")
-    pts = _load_points(args.input)
+    pts = _load_points(args.input, args.dim)
     # Overflow and 0/0 in the closed forms end as a non-finite total, which
     # _report_text rejects with exit 2; numpy's warnings would only precede it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -115,8 +123,6 @@ def cmd_functional(args) -> int:
 
 def _functional_report(args, pts) -> FunctionalReport:
     if args.dim == 3:
-        if pts.shape[1] != 3:
-            _fail(2, f"--dim 3 expects 3D points, got shape {pts.shape}")
         try:
             diag = _parse_diagonal(args.diagonal, len(pts))
             tc = octahedron_decomposition(pts, diag)
@@ -126,16 +132,7 @@ def _functional_report(args, pts) -> FunctionalReport:
         except (ValueError, VorfuncError) as exc:
             _fail(2, str(exc))
         return FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))
-    if pts.shape[1] != 2:
-        _fail(2, f"expected 2D points, got shape {pts.shape}")
-    d = _delaunay(pts)
-    if args.which == "vf":
-        return vf_triangulation(d)
-    if args.which == "rajan":
-        return rajan_triangulation(d)
-    if args.which == "rf":
-        return radius_functional(d, args.alpha)
-    _fail(2, f"unknown functional {args.which!r}")
+    return _FUNCTIONALS[args.which](_delaunay(pts), args)
 
 
 def cmd_scan(args) -> int:
@@ -157,14 +154,7 @@ def cmd_counterexamples(args) -> int:
     if args.samples < 1000:
         _fail(2, "--samples must be at least 1000")
     try:
-        if args.which == "topological":
-            result = topological_counterexample(samples=args.samples, seed=args.seed)
-        elif args.which == "octahedron":
-            result = octahedron_counterexample()
-        elif args.which == "fold":
-            result = fold_region_probe(seed=args.seed)
-        else:
-            _fail(2, f"unknown experiment {args.which!r}")
+        result = _EXPERIMENTS[args.which](args)
     except VorfuncError as exc:
         _fail(4, f"experiment could not be constructed: {exc}")
     _emit(result.to_json() + "\n", args.out)
@@ -174,19 +164,8 @@ def cmd_counterexamples(args) -> int:
 
 
 def cmd_render(args) -> int:
-    pts = _load_points(args.input)
-    if pts.shape[1] != 2:
-        _fail(2, f"render expects 2D points, got shape {pts.shape}")
-    d = _delaunay(pts)
-    if args.what == "triangulation":
-        text = svg_triangulation(d)
-    elif args.what == "subdivision":
-        text = svg_subdivision(d)
-    elif args.what == "gamma":
-        text = svg_gamma_image(d)
-    else:
-        _fail(2, f"unknown render target {args.what!r}")
-    _emit(text, args.out)
+    d = _delaunay(_load_points(args.input, 2))
+    _emit(_RENDERINGS[args.what](d), args.out)
     return 0
 
 
@@ -196,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("functional", help="functional of the Delaunay triangulation")
     p.add_argument("--input", required=True, help="point-set JSON path")
-    p.add_argument("--which", default="vf", choices=("vf", "rajan", "rf"))
+    p.add_argument("--which", default="vf", choices=tuple(_FUNCTIONALS))
     p.add_argument("--alpha", type=float, default=2.0, help="exponent for --which rf")
     p.add_argument("--dim", type=int, default=2, choices=(2, 3))
     p.add_argument("--diagonal", default="BE", help="octahedron diagonal for --dim 3 (e.g. BE or 1,4)")
@@ -213,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("counterexamples", help="run a bundled non-optimality experiment")
-    p.add_argument("--which", required=True, choices=("topological", "octahedron", "fold"))
+    p.add_argument("--which", required=True, choices=tuple(_EXPERIMENTS))
     p.add_argument("--samples", type=int, default=10**7)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default="")
@@ -221,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="SVG rendering")
     p.add_argument("--input", required=True, help="point-set JSON path")
-    p.add_argument("--what", default="triangulation", choices=("triangulation", "subdivision", "gamma"))
+    p.add_argument("--what", default="triangulation", choices=tuple(_RENDERINGS))
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_render)
     return parser

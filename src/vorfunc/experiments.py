@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import FLAGS, Tetrahedron3, circumcenter_offset3, det3, flag_terms, in_sphere
+from .geom import FLAGS, Tetrahedron3, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere
 from .integrate import mc_integrate, sample_box
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -33,7 +33,6 @@ from .functional2d import (
 )
 from .subdivision import TetComplex, vf3
 from .tri2d import (
-    PointSet2,
     Triangulation2,
     delaunay,
     enumerate_triangulations,
@@ -73,11 +72,6 @@ class ExperimentResult:
         )
 
 
-def random_point_set(n: int, rng) -> PointSet2:
-    """Uniform points in the unit square."""
-    return PointSet2(rng.random((n, 2)))
-
-
 # ---------------------------------------------------------------------------
 # 2D optimality scan
 # ---------------------------------------------------------------------------
@@ -105,7 +99,7 @@ def optimality_scan(n: int, trials: int, seed: int = DEFAULT_SEED, functional: s
     tol = 1e-9
     for trial in range(trials):
         # enumerate_triangulations lists the Delaunay triangulation first.
-        tris = enumerate_triangulations(random_point_set(n, rng))
+        tris = enumerate_triangulations(rng.random((n, 2)))
         if functional == "vf":
             vals = [vf_triangulation(t).total for t in tris]
         else:
@@ -200,7 +194,7 @@ def build_folded_configuration(seed: int = DEFAULT_SEED) -> Triangulation2:
 
 def _check_folded(pts) -> Triangulation2 | None:
     try:
-        d = delaunay(np.asarray(pts, float))
+        d = delaunay(pts)
     except NotGeneralPosition:
         return None
     if d.canonical() != _FOLDED_CANON or not _all_acute(d):
@@ -277,7 +271,7 @@ OCTA_TOL = 0.05
 
 def octahedron_ring(points, diagonal) -> list:
     """Cyclic order of the four equatorial vertices around a diagonal axis."""
-    pts = np.asarray(points, float)
+    pts = _as_points(points, 3)
     if len(pts) != 6:
         raise ValueError(f"an octahedron has 6 points, got {len(pts)}")
     i, j = diagonal

@@ -58,12 +58,18 @@ _BOUND_MIN = 1e-250
 
 
 def _as_points(points, dim):
-    """The points as the rows of one (k, dim) float array, checked in one pass."""
+    """The points as the rows of a read-only (k, dim) float copy, checked in one pass.
+
+    The one shape and finiteness check of the package: ValueError for any
+    other shape, or naming the first point with a non-finite coordinate.
+    """
     a = np.array(points, dtype=float)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"non-finite coordinate in points {a.tolist()!r}")
+        bad = int(np.argmin(np.isfinite(a).all(axis=1)))
+        raise ValueError(f"point {bad} has a non-finite coordinate")
+    a.setflags(write=False)
     return a
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInteriorVertex
-from .geom import FLAGS, Tetrahedron3, Triangle2, det3, flag_terms, second_moment
+from .geom import FLAGS, Tetrahedron3, Triangle2, _as_points, det3, flag_terms, second_moment
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
 from . import functional2d
@@ -50,16 +50,16 @@ class TetComplex:
 
     Tetrahedra are normalized to positive orientation at construction, all
     with one array determinant; a coplanar one raises ValueError naming the
-    first.  ``points`` is a read-only copy of the input, so the complex
-    cannot go stale; ``==`` and ``hash`` are by identity.
+    first.  ``points`` is a read-only copy of the input, made by geom's one
+    point check, so the complex cannot go stale; ``==`` and ``hash`` are by
+    identity.
     """
 
     points: np.ndarray
     tets: tuple
 
     def __init__(self, points, tets):
-        pts = np.array(points, float)
-        pts.setflags(write=False)
+        pts = _as_points(points, 3)
         tets = np.array(tets, int).reshape(-1, 4)  # a copy: reoriented in place below
         p = pts[tets]
         vol = det3(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])

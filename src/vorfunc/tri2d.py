@@ -1,10 +1,13 @@
 """Planar triangulations: data model, Delaunay construction, flips, enumeration.
 
-A Triangulation2 stores triangles as label triples over a labeled point set.
-Geometric triangulations are normalized to counterclockwise triples with all
-orientation signs +1; topological triangulations (label complexes mapped
-through permuted positions) keep their combinatorics and carry the sign of
-each mapped triangle, read against the one orientation of their triples.
+Points are plain (n, 2) arrays: label i is row i.  A Triangulation2 keeps a
+read-only copy, made by geom's one point check (shape and finiteness), and
+stores triangles as label triples over it; a label outside range(n) is
+rejected by name.  Geometric triangulations are normalized to
+counterclockwise triples with all orientation signs +1; topological
+triangulations (label complexes mapped through permuted positions) keep
+their combinatorics and carry the sign of each mapped triangle, read against
+the one orientation of their triples, which must be consistent.
 
 One adjacency serves every algorithm here: a directed-edge map from edge
 (u, v) of a consistently oriented triangle to its third corner, with one flip
@@ -31,7 +34,6 @@ functional2d gathers closed forms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -43,7 +45,7 @@ from .errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from .geom import in_circle_ccw_xy, in_circle_xy, orient2_xy
+from .geom import _as_points, in_circle_ccw_xy, in_circle_xy, orient2_xy
 
 GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
@@ -54,48 +56,9 @@ def _is_label(v, n) -> bool:
     return isinstance(v, (int, float, np.integer)) and not isinstance(v, bool) and 0 <= v < n and v == int(v)
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet2:
-    """Ordered, labeled planar points; label i is row i of ``points``, a
-    read-only copy of the input.  ``==`` and ``hash`` are by identity."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.points, float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"expected an (n, 2) array, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite coordinates in point set")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return len(self.points)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointSet2":
-        obj = json.loads(text)
-        return cls(np.asarray(obj["points"], float))
-
-    def to_json(self) -> str:
-        return json.dumps({"points": self.points.tolist()})
-
-
-@dataclass(frozen=True)
-class FlipMove:
-    """Interior edge (label pair) whose diagonal is to be replaced."""
-
-    edge: tuple
-
-    def __post_init__(self):
-        i, j = self.edge
-        object.__setattr__(self, "edge", (int(i), int(j)))
-
-
 def convex_hull(points: np.ndarray) -> list:
     """Counterclockwise hull labels by monotone chain; strictly convex corners only."""
-    pts = np.asarray(points, float)
+    pts = _as_points(points, 2)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     xy = pts.tolist()
 
@@ -112,6 +75,16 @@ def convex_hull(points: np.ndarray) -> list:
     return lower[:-1] + upper[:-1]
 
 
+def _orient(xy, t) -> int:
+    """orient2 of triangle ``t`` over the [x, y] pairs ``xy``.
+
+    ValueError naming ``t`` when a label is outside range(len(xy)).
+    """
+    if min(t) < 0 or max(t) >= len(xy):
+        raise ValueError(f"triangle {t} has a label outside range({len(xy)})")
+    return orient2_xy(*xy[t[0]], *xy[t[1]], *xy[t[2]])
+
+
 class _TriangleTable:
     """The distinct ordered triangles of one enumeration's triangulations.
 
@@ -125,10 +98,12 @@ class _TriangleTable:
 
 
 class Triangulation2:
-    """Indexed simplicial complex over a PointSet2 with per-triangle signs.
+    """Indexed simplicial complex over labeled planar points with per-triangle signs.
 
-    ``points`` is read-only: an input array that is read-only and owns its
-    data (a PointSet2's) is shared, any other is copied."""
+    ``points`` is a read-only copy of the input, checked by geom's one point
+    check; the triangulations of one enumeration share their root's.  A
+    label outside range(n) raises ValueError naming its triangle, and a
+    topological triangulation's triples must be consistently oriented."""
 
     # The shared _TriangleTable of an enumerated triangulation; None otherwise.
     _table = None
@@ -136,11 +111,7 @@ class Triangulation2:
     def __init__(self, points, triangles, kind=GEOMETRIC, _normalize=True):
         if kind not in (GEOMETRIC, TOPOLOGICAL):
             raise ValueError(f"unknown triangulation kind {kind!r}")
-        pts = np.asarray(points, float)
-        if pts.flags.writeable or not pts.flags.owndata:
-            pts = pts.copy()
-            pts.setflags(write=False)
-        self.points = pts
+        self.points = _as_points(points, 2)
         tris = [tuple(int(v) for v in t) for t in triangles]
         if kind == GEOMETRIC and _normalize:
             xy = self.points.tolist()
@@ -152,11 +123,13 @@ class Triangulation2:
         else:
             xy = self.points.tolist()
             signs = []
-            for i, j, k in tris:
-                s = orient2_xy(*xy[i], *xy[j], *xy[k])
+            for t in tris:
+                s = _orient(xy, t)
                 if s == 0:
-                    raise CollinearImage(f"triangle {(i, j, k)} maps to a degenerate triangle")
+                    raise CollinearImage(f"triangle {t} maps to a degenerate triangle")
                 signs.append(s)
+            # Each sign is read against its triple's order, so the orders must agree.
+            _directed_edges(tris)
             self.signs = tuple(signs)
 
     @classmethod
@@ -171,7 +144,7 @@ class Triangulation2:
 
     @staticmethod
     def _ccw(xy, t):
-        s = orient2_xy(*xy[t[0]], *xy[t[1]], *xy[t[2]])
+        s = _orient(xy, t)
         if s == 0:
             raise NotGeneralPosition(f"degenerate triangle {t}", t)
         return t if s > 0 else (t[0], t[2], t[1])
@@ -401,7 +374,7 @@ def _sweep_delaunay(pts):
     return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
 
-def delaunay(ps) -> Triangulation2:
+def delaunay(points) -> Triangulation2:
     """Delaunay triangulation of a general-position point set, in one sweep.
 
     Points are added in lexicographic order; each new point's fan over the
@@ -418,11 +391,10 @@ def delaunay(ps) -> Triangulation2:
     cocircular quadruple among the quads the sweep tests: each edge opposite
     a new point against the triangle across it.
     """
-    if not isinstance(ps, PointSet2):
-        ps = PointSet2(np.asarray(ps, float))
-    if len(ps) < 3:
+    pts = _as_points(points, 2)
+    if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    return Triangulation2(ps.points, _sweep_delaunay(ps.points), kind=GEOMETRIC, _normalize=False)
+    return Triangulation2(pts, _sweep_delaunay(pts), kind=GEOMETRIC, _normalize=False)
 
 
 def empty_circumcircle_violations(t: Triangulation2) -> list:
@@ -441,13 +413,13 @@ def empty_circumcircle_violations(t: Triangulation2) -> list:
 # ---------------------------------------------------------------------------
 
 
-def flip(t: Triangulation2, move: FlipMove) -> Triangulation2:
-    """Replace the diagonal of the convex quadrangle across an interior edge.
+def flip(t: Triangulation2, edge) -> Triangulation2:
+    """Replace the diagonal of the convex quadrangle across ``edge``, an interior label pair.
 
     The two triangles leave the list and the two new ones are appended.
     ValueError when the triangles are not consistently oriented.
     """
-    edge = tuple(sorted(move.edge))
+    edge = tuple(sorted(int(v) for v in edge))
     opp = _directed_edges(t.triangles)
     u, v = next((e for e in _interior_edges(opp) if tuple(sorted(e)) == edge), (None, None))
     if u is None:
@@ -458,7 +430,7 @@ def flip(t: Triangulation2, move: FlipMove) -> Triangulation2:
     return Triangulation2(t.points, _triangles(opp), kind=t.kind, _normalize=False)
 
 
-def enumerate_triangulations(ps, cap: int = 100000) -> list:
+def enumerate_triangulations(points, cap: int = 100000) -> list:
     """All geometric triangulations of a planar point set, by flip-graph DFS.
 
     The flip graph of a planar point set is connected, so depth-first search
@@ -476,7 +448,7 @@ def enumerate_triangulations(ps, cap: int = 100000) -> list:
     move to an unseen key copies the map, flips it and reads its triangles
     back.
     """
-    root = delaunay(ps)
+    root = delaunay(points)
     xy = root.points.tolist()
     bits = {}
 
@@ -535,6 +507,4 @@ def make_topological(t: Triangulation2, relabeling) -> Triangulation2:
     perm = [int(i) for i in perm]
     if sorted(perm) != list(range(len(t.points))):
         raise ValueError("relabeling must be a permutation of the vertex labels")
-    new_points = t.points[perm]
-    new_points.setflags(write=False)
-    return Triangulation2(new_points, t.triangles, kind=TOPOLOGICAL)
+    return Triangulation2(t.points[perm], t.triangles, kind=TOPOLOGICAL)

@@ -8,7 +8,7 @@ import pytest
 
 from vorfunc.errors import NotGeneralPosition
 from vorfunc.geom import Triangle2
-from vorfunc.tri2d import PointSet2, delaunay
+from vorfunc.tri2d import delaunay
 
 
 def _classify(verts):
@@ -43,7 +43,7 @@ def random_delaunay(rng, n, scale=1.0):
     while True:
         pts = rng.random((n, 2)) * scale
         try:
-            return delaunay(PointSet2(pts))
+            return delaunay(pts)
         except NotGeneralPosition:
             continue
 
@@ -58,7 +58,7 @@ def grid_delaunay(rng, n):
     while True:
         pts = np.round(rng.random((n, 2)) * 2.0**20) / 2.0**20
         try:
-            return delaunay(PointSet2(pts))
+            return delaunay(pts)
         except NotGeneralPosition:
             continue
 

@@ -31,7 +31,7 @@ from vorfunc.subdivision import (
     interior_cancellation_check,
     vf_via_sd,
 )
-from vorfunc.tri2d import PointSet2, convex_hull, enumerate_triangulations
+from vorfunc.tri2d import convex_hull, enumerate_triangulations
 from vorfunc.experiments import (
     OCTA_EXPECTED,
     OCTA_TOL,
@@ -57,7 +57,7 @@ def scan_instances():
     for n in range(4, 9):
         for _ in range(20):
             d = random_delaunay(rng, n)
-            tris = enumerate_triangulations(PointSet2(d.points), cap=5000)
+            tris = enumerate_triangulations(d.points, cap=5000)
             out.append((d, tris))
     return out
 

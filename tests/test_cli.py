@@ -180,6 +180,43 @@ def test_points_not_a_point_list_exits_2(tmp_path, capsys, command, points):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["functional", "--input", "pts.json"],
+        ["functional", "--input", "pts.json", "--dim", "3"],
+        ["render", "--input", "pts.json"],
+    ],
+    ids=["functional", "functional-dim3", "render"],
+)
+def test_points_with_a_nan_coordinate_exit_2(tmp_path, capsys, argv):
+    from vorfunc.experiments import OCTA_POINTS
+
+    pts = OCTA_POINTS.tolist() if "--dim" in argv else [[0, 0], [1, 0], [0, 1], [1, 1.2]]
+    pts[2][1] = float("nan")
+    path = write_points(tmp_path, "pts.json", pts)
+    code, out, err = run_cli([path if a == "pts.json" else a for a in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "point 2 has a non-finite coordinate" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["functional", "--input", "pts.json", "--which", "bogus"],
+        ["counterexamples", "--which", "bogus"],
+        ["render", "--input", "pts.json", "--what", "bogus"],
+    ],
+    ids=["functional", "counterexamples", "render"],
+)
+def test_unknown_choice_exits_2(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'bogus'" in err
+
+
 def test_functional_dim3_needs_six_points(tmp_path, capsys):
     pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
     path = write_points(tmp_path, "five.json", pts)

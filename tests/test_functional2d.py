@@ -23,7 +23,6 @@ from vorfunc.functional2d import (
     vf_triangulation,
 )
 from vorfunc.tri2d import (
-    PointSet2,
     Triangulation2,
     convex_hull,
     delaunay,
@@ -126,11 +125,10 @@ def test_rf1_delaunay_flip_monotone(rng):
         if len(hull) != 4:
             continue
         count += 1
-        ps = PointSet2(quad)
-        tris = enumerate_triangulations(ps)
+        tris = enumerate_triangulations(quad)
         if len(tris) == 1:
             continue
-        d = delaunay(ps)
+        d = delaunay(quad)
         vals = {t.canonical(): radius_functional(t, 1.0).total for t in tris}
         d_val = vals[d.canonical()]
         assert all(d_val <= v + 1e-12 for v in vals.values())
@@ -158,7 +156,7 @@ def _functional_jsons(t):
 def _assert_enumerated_equal_alone(points, reverse):
     """Evaluate every enumerated triangulation, in discovery or reverse order,
     against a copy built alone; return the order and the shared values."""
-    tris = enumerate_triangulations(PointSet2(points))
+    tris = enumerate_triangulations(points)
     order = tris[::-1] if reverse else tris
     shared = [_functional_jsons(t) for t in order]
     alone = [_functional_jsons(Triangulation2(t.points, t.triangles, _normalize=False)) for t in order]
@@ -250,7 +248,7 @@ def test_vf_scales_exactly_by_powers_of_two(rng, k):
 def test_vf_label_permutation_invariant(rng):
     d = grid_delaunay(rng, 30)
     perm = rng.permutation(30)
-    p = delaunay(PointSet2(d.points[perm]))
+    p = delaunay(d.points[perm])
     assert {tuple(sorted(int(perm[i]) for i in t)) for t in p.triangles} == set(d.canonical())
     ref = vf_triangulation(d)
     # Triangle order and rotation change, so only the summation order does.
@@ -279,7 +277,7 @@ def _close(value, exact):
 
 
 def test_closed_forms_match_exact_oracle():
-    d = delaunay(PointSet2(INTEGER_POINTS))
+    d = delaunay(INTEGER_POINTS)
     vf = vf_triangulation(d).per_simplex
     rf2 = radius_functional(d, 2.0).per_simplex
     rajan = rajan_triangulation(d).per_simplex
@@ -296,7 +294,7 @@ def test_closed_forms_match_exact_oracle():
 def test_closed_forms_match_exact_oracle_topological():
     from vorfunc.tri2d import make_topological
 
-    d = delaunay(PointSet2(INTEGER_POINTS))
+    d = delaunay(INTEGER_POINTS)
     k = make_topological(d, [0, 1, 3, 2, 4, 5, 6])
     assert -1 in k.signs
     rep = vf_triangulation(k)
@@ -520,7 +518,7 @@ def test_vf_acute_delaunay_equals_hull_integral():
 
 def test_vf_random_triangulation_matches_field_mc(rng):
     d = random_delaunay(rng, 7)
-    tris = enumerate_triangulations(PointSet2(d.points))
+    tris = enumerate_triangulations(d.points)
     k = tris[-1]
     box = support_box(k)
     assert_vanishes_on_boundary(k, box)
@@ -612,7 +610,7 @@ def test_flip_delta_nonconvex_rejected():
 def test_pointwise_and_global_dominance(rng):
     for _ in range(5):
         d = random_delaunay(rng, 6)
-        tris = enumerate_triangulations(PointSet2(d.points))
+        tris = enumerate_triangulations(d.points)
         box = support_box(d)
         lo, hi = np.asarray(box.lo), np.asarray(box.hi)
         pts = lo + rng.random((2000, 2)) * (hi - lo)

@@ -78,6 +78,17 @@ def test_tet_complex_keeps_a_read_only_copy():
     assert tc != TetComplex(OCTA_POINTS, [(1, 4, 0, 3)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tet_complex_rejects_a_non_finite_corner(bad):
+    # A NaN corner used to pass, and vf3 returned nan.
+    pts = OCTA_POINTS.copy()
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match=r"^point 3 has a non-finite coordinate$"):
+        TetComplex(pts, [(1, 4, 0, 3)])
+    with pytest.raises(ValueError, match=r"^expected points of dimension 3, got shape \(6, 2\)$"):
+        TetComplex(OCTA_POINTS[:, :2], [(1, 4, 0, 3)])
+
+
 def test_counts_single_tetrahedron():
     tc = TetComplex(np.eye(4, 3) * 1.0, [(0, 1, 2, 3)])
     sd = barycentric_subdivide(tc)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from vorfunc.errors import (
 from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
 from vorfunc.geom import signed_area
 from vorfunc.tri2d import (
-    FlipMove,
-    PointSet2,
     Triangulation2,
     convex_hull,
     delaunay,
@@ -27,6 +27,12 @@ from vorfunc.tri2d import (
 from conftest import random_delaunay
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_delaunay_single_triangle():
     d = delaunay(np.array([[0, 0], [1, 0], [0, 1]], float))
     assert d.canonical() == ((0, 1, 2),)
@@ -35,14 +41,41 @@ def test_delaunay_single_triangle():
 def test_point_set_keeps_a_read_only_copy(rng):
     pts = rng.random((20, 2))
     want = delaunay(pts.copy())
-    ps = PointSet2(pts)
+    got = delaunay(pts)
     pts[0] += 1.0
-    got = delaunay(ps)
     assert got.triangles == want.triangles and np.array_equal(got.points, want.points)
-    assert delaunay(pts).points is not pts
+    assert got.points is not pts
     with pytest.raises(ValueError):
-        ps.points[0, 0] = 0.0
-    assert hash(ps) == hash(ps) and ps == ps and ps != PointSet2(pts)
+        got.points[0, 0] = 0.0
+
+
+_BAD_POINTS = {
+    "nan": ([[0, 0], [1, 0], [np.nan, 1]], r"^point 2 has a non-finite coordinate$"),
+    "inf": ([[0, 0], [np.inf, 0], [0, 1]], r"^point 1 has a non-finite coordinate$"),
+    "-inf": ([[0, -np.inf], [1, 0], [0, 1]], r"^point 0 has a non-finite coordinate$"),
+    "three columns": ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], r"^expected points of dimension 2, got shape \(3, 3\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_POINTS))
+def test_triangulation_rejects_non_finite_or_misshapen_points(case):
+    pts, message = _BAD_POINTS[case]
+    for kind in ("geometric", "topological"):
+        with pytest.raises(ValueError, match=message):
+            Triangulation2(pts, [(0, 1, 2)], kind=kind)
+    with pytest.raises(ValueError, match=message):
+        delaunay(pts)
+    with pytest.raises(ValueError, match=message):
+        convex_hull(pts)
+
+
+@pytest.mark.parametrize("kind", ["geometric", "topological"])
+@pytest.mark.parametrize("label", [-1, 3])
+def test_triangulation_rejects_a_label_out_of_range(kind, label):
+    # -1 would index the last point, and 3 would raise IndexError.
+    pts = np.array([[0, 0], [1, 0], [0, 1]], float)
+    with pytest.raises(ValueError, match=rf"^triangle \(0, 1, {label}\) has a label outside range\(3\)$"):
+        Triangulation2(pts, [(0, 1, label)], kind=kind)
 
 
 def test_delaunay_unit_square_rejected():
@@ -133,22 +166,22 @@ def test_triangulation_keeps_a_read_only_point_array(rng):
     assert t.points[1, 0] == 1.0 and t.signs == (1,)
     with pytest.raises(ValueError):
         t.points[0, 0] = 2.0
-    # A point set's array, read-only and owning its data, is shared.
-    ps = PointSet2(random_delaunay(rng, 7).points)
-    assert all(u.points is ps.points for u in enumerate_triangulations(ps))
+    # The triangulations of one enumeration share their root's array.
+    tris = enumerate_triangulations(random_delaunay(rng, 7).points)
+    assert all(u.points is tris[0].points for u in tris)
 
 
 def test_flip_rectangle_diagonal():
     pts = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float)
     t = Triangulation2(pts, [(0, 1, 2), (0, 2, 3)])
-    flipped = flip(t, FlipMove((0, 2)))
+    flipped = flip(t, (0, 2))
     assert flipped.canonical() == ((0, 1, 3), (1, 2, 3))
 
 
 def test_flip_twice_is_identity():
     pts = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float)
     t = Triangulation2(pts, [(0, 1, 2), (0, 2, 3)])
-    back = flip(flip(t, FlipMove((0, 2))), FlipMove((1, 3)))
+    back = flip(flip(t, (0, 2)), (1, 3))
     assert back.canonical() == t.canonical()
 
 
@@ -156,7 +189,7 @@ def test_flip_hull_edge_rejected():
     pts = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float)
     t = Triangulation2(pts, [(0, 1, 2), (0, 2, 3)])
     with pytest.raises(NotInteriorEdge):
-        flip(t, FlipMove((0, 1)))
+        flip(t, (0, 1))
 
 
 def test_flip_nonconvex_rejected():
@@ -164,17 +197,17 @@ def test_flip_nonconvex_rejected():
     pts = np.array([[0, 0], [4, 0], [2, 3], [2, 1]], float)
     t = Triangulation2(pts, [(0, 1, 3), (1, 2, 3), (0, 3, 2)])
     with pytest.raises(NonConvexQuad):
-        flip(t, FlipMove((0, 3)))
+        flip(t, (0, 3))
 
 
 def test_enumerate_convex_quad():
     pts = np.array([[0, 0], [2, 0], [2.1, 1], [0.2, 1.1]], float)
-    assert len(enumerate_triangulations(PointSet2(pts))) == 2
+    assert len(enumerate_triangulations(pts)) == 2
 
 
 def test_enumerate_interior_point_forces_fan():
     pts = np.array([[0, 0], [2, 0], [1, 2], [1.05, 0.7]], float)
-    assert len(enumerate_triangulations(PointSet2(pts))) == 1
+    assert len(enumerate_triangulations(pts)) == 1
 
 
 @pytest.mark.parametrize("n, catalan", [(5, 5), (6, 14), (7, 42), (8, 132), (9, 429), (10, 1430)])
@@ -184,14 +217,14 @@ def test_enumerate_convex_polygon_catalan(rng, n, catalan):
     ang = np.linspace(0, 2 * np.pi, n + 1)[:n]
     rad = 1.0 + rng.uniform(-0.05, 0.05, n)
     pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    tris = enumerate_triangulations(PointSet2(pts))
+    tris = enumerate_triangulations(pts)
     assert len(tris) == catalan
     assert len({t.canonical() for t in tris}) == catalan
 
 
 def test_enumerate_members_are_valid_and_distinct(rng):
     d = random_delaunay(rng, 7)
-    tris = enumerate_triangulations(PointSet2(d.points))
+    tris = enumerate_triangulations(d.points)
     keys = {t.canonical() for t in tris}
     assert len(keys) == len(tris)
     assert d.canonical() in keys
@@ -204,12 +237,12 @@ def test_enumerate_cap():
     rad = 1.0 + np.linspace(0, 0.07, 8)
     pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
     with pytest.raises(CapExceeded):
-        enumerate_triangulations(PointSet2(pts), cap=5)
+        enumerate_triangulations(pts, cap=5)
 
 
-def _reference_enumeration(ps):
+def _reference_enumeration(pts):
     # Depth-first search over the flip graph through the public API only.
-    root = delaunay(ps)
+    root = delaunay(pts)
     seen = {root.canonical(): root}
     stack = [root]
     while stack:
@@ -218,7 +251,7 @@ def _reference_enumeration(ps):
             if len(tids) != 2:
                 continue
             try:
-                nxt = flip(cur, FlipMove(edge))
+                nxt = flip(cur, edge)
             except NonConvexQuad:
                 continue
             if nxt.canonical() not in seen:
@@ -229,14 +262,14 @@ def _reference_enumeration(ps):
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_enumeration_order_matches_reference_and_cap_is_exact(rng, n):
-    ps = PointSet2(random_delaunay(rng, n).points)
-    ref = _reference_enumeration(ps)
-    got = enumerate_triangulations(ps)
+    pts = random_delaunay(rng, n).points
+    ref = _reference_enumeration(pts)
+    got = enumerate_triangulations(pts)
     assert [t.canonical() for t in got] == [t.canonical() for t in ref]
     assert [t.triangles for t in got] == [t.triangles for t in ref]
-    assert len(enumerate_triangulations(ps, cap=len(ref))) == len(ref)
+    assert len(enumerate_triangulations(pts, cap=len(ref))) == len(ref)
     with pytest.raises(CapExceeded):
-        enumerate_triangulations(ps, cap=len(ref) - 1)
+        enumerate_triangulations(pts, cap=len(ref) - 1)
 
 
 def test_flip_from_delaunay_decreases_angle_vector(rng):
@@ -258,7 +291,7 @@ def test_flip_from_delaunay_decreases_angle_vector(rng):
         base = angle_vector(d)
         for edge in d.interior_edges():
             try:
-                flipped = flip(d, FlipMove(edge))
+                flipped = flip(d, edge)
             except NonConvexQuad:
                 continue
             assert angle_vector(flipped) < base
@@ -347,11 +380,8 @@ def test_make_topological_collinear_image():
 
 def test_json_round_trip(rng):
     d = random_delaunay(rng, 8)
-    ps = PointSet2(d.points)
-    ps2 = PointSet2.from_json(ps.to_json())
-    assert np.allclose(ps2.points, ps.points)
-    t2 = Triangulation2.from_json(d.to_json(), ps2.points)
-    assert t2.canonical() == d.canonical()
+    t2 = Triangulation2.from_json(d.to_json(), d.points)
+    assert t2.canonical() == d.canonical() and np.array_equal(t2.points, d.points)
     assert json.loads(d.to_json())["kind"] == "geometric"
 
 
@@ -432,26 +462,27 @@ def test_flip_keeps_the_other_triangles_and_appends_the_new_pair():
     # triangles are (3, 4, 2) and (0, 2, 4), in that order, after (0, 1, 2).
     pts = np.array([[0, 0], [2, 0], [3, 1], [1, 2], [-1, 1]], float)
     t = Triangulation2(pts, [(0, 1, 2), (0, 2, 3), (0, 3, 4)])
-    assert flip(t, FlipMove((0, 3))).triangles == ((0, 1, 2), (3, 4, 2), (0, 2, 4))
+    assert flip(t, (0, 3)).triangles == ((0, 1, 2), (3, 4, 2), (0, 2, 4))
 
 
 def test_flip_errors_keep_their_messages():
     pts = np.array([[0, 0], [4, 0], [2, 3], [2, 1]], float)
     t = Triangulation2(pts, [(0, 1, 3), (1, 2, 3), (0, 3, 2)])
     with pytest.raises(NotInteriorEdge, match=r"^edge \(0, 1\) is not an interior edge$"):
-        flip(t, FlipMove((1, 0)))
+        flip(t, (1, 0))
     with pytest.raises(NotInteriorEdge, match=r"^edge \(0, 2\) is not an interior edge$"):
-        flip(t, FlipMove((2, 0)))
+        flip(t, (2, 0))
     with pytest.raises(NonConvexQuad, match=r"^quad around edge \(0, 3\) is not strictly convex$"):
-        flip(t, FlipMove((3, 0)))
+        flip(t, (3, 0))
 
 
 def test_flip_rejects_inconsistently_oriented_triangles():
-    # Both triangles run along directed edge (0, 1): no consistent orientation.
-    pts = np.array([[0, 0], [1, 0], [0, 1], [1, -1]], float)
-    t = Triangulation2(pts, [(0, 1, 2), (0, 1, 3)], kind="topological")
+    # Two ccw triangles on the same side of edge (0, 1) both run along
+    # directed edge (0, 1): no consistent orientation.
+    pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1.2]], float)
+    t = Triangulation2(pts, [(0, 1, 2), (0, 1, 3)])
     with pytest.raises(ValueError, match="not consistently oriented") as exc:
-        flip(t, FlipMove((0, 1)))
+        flip(t, (0, 1))
     assert type(exc.value) is ValueError
 
 
@@ -506,6 +537,16 @@ def test_topological_triples_must_be_consistently_oriented():
         assert vf_triangulation(load(tris)).total == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="not consistently oriented"):
         load([[0, 1, 2], [0, 3, 2]])
+
+
+def test_topological_constructor_rejects_inconsistently_oriented_triples():
+    # Not only from_json: built directly, [(0, 1, 2), (0, 3, 2)] had VF
+    # -0.0367 where the consistently oriented triples give 0.2033.
+    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1.2]], float)
+    with pytest.raises(ValueError, match=_ORIENTATION) as exc:
+        Triangulation2(pts, [(0, 1, 2), (0, 3, 2)], kind="topological")
+    assert type(exc.value) is ValueError
+    Triangulation2(pts, [(0, 1, 2), (0, 2, 3)], kind="topological")
 
 
 _ORIENTATION = r"^triangles are not consistently oriented: a directed edge repeats$"
