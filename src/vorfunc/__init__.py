@@ -12,7 +12,7 @@ from .errors import (
     NotInteriorVertex,
     VorfuncError,
 )
-from .geom import CircumData, Tetrahedron3, Triangle2
+from .geom import CircumData, Triangle2
 from .integrate import Box, McEstimate, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import (
     Triangulation2,

@@ -77,16 +77,12 @@ def _emit(text: str, out_path: str):
 def _parse_diagonal(spec: str, n: int) -> tuple:
     if n != 6:
         raise ValueError(f"an octahedron has 6 points, got {n}")
-    spec = spec.strip()
-    if "," in spec:
-        i, j = (int(s) for s in spec.split(","))
-    elif len(spec) == 2 and set(spec.upper()) <= set(OCTA_LABELS):
-        i, j = (OCTA_LABELS.index(c) for c in spec.upper())
-    else:
-        raise ValueError(f"cannot parse diagonal {spec!r}")
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ValueError(f"diagonal {spec!r} out of range")
-    return i, j
+    pair = spec.strip().upper()
+    labels = [str(k) for k in range(n)] if "," in pair else list(OCTA_LABELS)
+    names = [s.strip() for s in pair.split(",")] if "," in pair else list(pair)
+    if len(names) != 2 or names[0] == names[1] or not set(names) <= set(labels):
+        raise ValueError(f"--diagonal {spec!r}: expected two letters of {OCTA_LABELS} or labels i,j (e.g. BE or 1,4)")
+    return labels.index(names[0]), labels.index(names[1])
 
 
 def _delaunay(pts):

@@ -7,7 +7,7 @@ class VorfuncError(Exception):
 
 class DegenerateSimplex(VorfuncError):
     """A simplex has no circumcenter: a planar triangle is exactly collinear, or a
-    tetrahedron is coplanar within TAU_GEOM (orient3, in_sphere)."""
+    tetrahedron is coplanar within TAU_GEOM (in_sphere)."""
 
 
 class NotGeneralPosition(VorfuncError):

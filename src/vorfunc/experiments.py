@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import FLAGS, Tetrahedron3, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere
+from .geom import FLAGS, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere, simplex_volume
 from .integrate import mc_integrate, sample_box
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -289,10 +289,14 @@ def octahedron_ring(points, diagonal) -> list:
 
 
 def octahedron_decomposition(points, diagonal) -> TetComplex:
-    """Four tetrahedra sharing the given diagonal of a 6-point octahedron."""
+    """Four tetrahedra sharing the given diagonal of a 6-point octahedron.
+    ValueError unless they share one orientation sign, as only a diagonal's do."""
     ring = octahedron_ring(points, diagonal)
     i, j = diagonal
     tets = [(i, j, ring[k], ring[(k + 1) % 4]) for k in range(4)]
+    vol = simplex_volume(_as_points(points, 3)[tets])
+    if not ((vol > 0).all() or (vol < 0).all()):
+        raise ValueError(f"({i}, {j}) is not a diagonal of the octahedron")
     return TetComplex(points, tets)
 
 
@@ -307,12 +311,8 @@ def octahedron_counterexample() -> ExperimentResult:
     tc_ac = octahedron_decomposition(OCTA_POINTS, (0, 2))
     vf_be = vf3(tc_be)
     vf_ac = vf3(tc_ac)
-    worst_insphere = max(
-        in_sphere(Tetrahedron3(*OCTA_POINTS[list(t)]), OCTA_POINTS[p])
-        for t in tc_be.tets
-        for p in range(len(OCTA_POINTS))
-        if p not in t
-    )
+    others = [[p for p in range(len(OCTA_POINTS)) if p not in t] for t in tc_be.tets]
+    worst_insphere = int(in_sphere(OCTA_POINTS[list(tc_be.tets)][:, None], OCTA_POINTS[others]).max())
     err_be = abs(vf_be - OCTA_EXPECTED["BE"])
     err_ac = abs(vf_ac - OCTA_EXPECTED["AC"])
     ok = err_be <= OCTA_TOL and err_ac <= OCTA_TOL and vf_ac > vf_be and worst_insphere <= 0
@@ -357,13 +357,13 @@ def _inside_tets(tets, x):
     A point is inside when no corner replaced by it turns the volume against
     the tetrahedron's, beyond a product of -1e-15.
     """
-    corners = [tets[:, None, k] for k in range(4)]
-    whole = det3(corners[1] - corners[0], corners[2] - corners[0], corners[3] - corners[0]) / 6.0
-    inside = np.ones((len(tets), len(x)), dtype=bool)
+    whole = simplex_volume(tets)[:, None]
+    q = np.repeat(tets[:, None], len(x), axis=1)  # (C, m, 4, 3)
+    inside = np.ones(q.shape[:2], dtype=bool)
     for k in range(4):
-        q = corners.copy()
-        q[k] = x
-        inside &= det3(q[1] - q[0], q[2] - q[0], q[3] - q[0]) / 6.0 * whole >= -1e-15
+        q[:, :, k] = x
+        inside &= simplex_volume(q) * whole >= -1e-15
+        q[:, :, k] = tets[:, None, k]
     return inside
 
 
@@ -380,7 +380,7 @@ def sd_local_density(tc: TetComplex, x) -> np.ndarray:
     tets = np.sort(np.asarray(tc.tets, int).reshape(-1, 4), axis=1)
     sign, _, center = flag_terms(tc.points, tets)
     image = center.reshape(-1, 4, 3)
-    vol = det3(image[:, 1] - image[:, 0], image[:, 2] - image[:, 0], image[:, 3] - image[:, 0]) / 6.0
+    vol = simplex_volume(image)
     source = tc.points[tets[:, FLAGS[3][:, 0]]].reshape(-1, 3)
     holds = _inside_tets(image, x) & (np.abs(vol) >= 1e-14)[:, None]
     signed = (sign.ravel() * np.where(vol > 0, 1, -1))[:, None] * ((x - source[:, None]) ** 2).sum(axis=2)

@@ -62,7 +62,7 @@ from .geom import (
     orient2,
     orient2_xy,
     reject_collinear,
-    signed_area,
+    simplex_volume,
 )
 from .integrate import Box, check_vanishes_on_boundary
 from .tri2d import GEOMETRIC, Triangulation2, convex_hull
@@ -209,7 +209,7 @@ def mu_terms(t: Triangle2) -> list:
     counterclockwise order the terms belong to the flags (a, ca), (a, ab),
     (b, ab), (b, bc), (c, bc), (c, ca).
     """
-    ccw = (0, 1, 2) if signed_area(t.a, t.b, t.c) >= 0.0 else (2, 1, 0)
+    ccw = (0, 1, 2) if simplex_volume(t.vertices()) >= 0.0 else (2, 1, 0)
     sign, integral, _ = flag_terms(t.vertices(), [ccw])
     return (sign[0] * integral[0])[[1, 0, 2, 3, 5, 4]].tolist()
 

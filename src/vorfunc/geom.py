@@ -18,13 +18,14 @@ triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
 check.  ``reject_collinear``, the closed forms' zero rule, runs the same
 filter on arrays of corners.
 
-``TAU_GEOM`` is a relative tolerance that serves only ``orient3``, whose
-coplanar verdict is the one 3D degeneracy check (``in_sphere`` raises on it),
-and ``convex_polygon_masks_xy``' closed band.
+``TAU_GEOM`` is a relative tolerance that serves only ``in_sphere``, whose
+coplanar verdict is the one 3D degeneracy check and whose on-sphere band is
+homogeneous of its determinant's degree, and ``convex_polygon_masks_xy``'
+closed band.  ``in_sphere`` is one array pass over (..., 4, 3) corners.
 
-``det3``, the triple product, is the one 3D determinant: ``signed_volume``,
-``orient3``, the flag kernel and ``in_sphere`` (by cofactors of its lifted
-4x4) use it.
+``det3``, the triple product, is the one 3D determinant: ``simplex_volume``
+(the one signed area or volume, of (..., d + 1, d) corner arrays), the flag
+kernel and ``in_sphere`` (by cofactors of its lifted 4x4) use it.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
 elementwise on arrays.  With them ``flag_terms``, the one flag kernel, gives
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex
 
-# Relative tolerance of orient3, in_sphere and convex_polygon_masks_xy.
+# Relative tolerance of in_sphere and convex_polygon_masks_xy.
 TAU_GEOM = 1e-9
 
 # Shewchuk's static error bounds for orient2 and in-circle, eps = 2^-53:
@@ -92,33 +93,9 @@ class Triangle2:
         return np.array([self.a, self.b, self.c])
 
 
-@dataclass
-class Tetrahedron3:
-    """Four points in space, kept in the given order; signed volume may have any sign."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        self.a, self.b, self.c, self.d = _as_points((self.a, self.b, self.c, self.d), 3)
-
-    def vertices(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c, self.d])
-
-
 class CircumData(NamedTuple):
     center: np.ndarray
     radius: float
-
-
-def signed_area(a, b, c) -> float:
-    """Signed area of triangle (a, b, c); positive for counterclockwise order."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    return 0.5 * float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
 def det3(u, v, w):
@@ -128,12 +105,6 @@ def det3(u, v, w):
     determinant of the package.
     """
     return (u * np.cross(v, w)).sum(axis=-1)
-
-
-def signed_volume(a, b, c, d) -> float:
-    """Signed volume of tetrahedron (a, b, c, d); positive for right-handed order."""
-    a = np.asarray(a, float)
-    return float(det3(np.asarray(b, float) - a, np.asarray(c, float) - a, np.asarray(d, float) - a)) / 6.0
 
 
 def _orient2_exact(ax, ay, bx, by, cx, cy) -> int:
@@ -183,19 +154,6 @@ def orient2(a, b, c) -> int:
     """
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     return orient2_xy(float(ax), float(ay), float(bx), float(by), float(cx), float(cy))
-
-
-def orient3(a, b, c, d) -> int:
-    """Sign of the signed volume of (a, b, c, d), with relative tolerance."""
-    a = np.asarray(a, float)
-    rows = [np.asarray(v, float) - a for v in (b, c, d)]
-    det = float(det3(*rows))
-    scale = 1.0
-    for r in rows:
-        scale *= np.abs(r).sum()
-    if abs(det) <= TAU_GEOM * scale:
-        return 0
-    return 1 if det > 0 else -1
 
 
 def circumcenter_offset(ux, uy, vx, vy):
@@ -304,23 +262,31 @@ def in_circle(t: Triangle2, p) -> int:
     return in_circle_xy(ax, ay, bx, by, cx, cy, px, py)
 
 
-def in_sphere(t: Tetrahedron3, p) -> int:
-    """+1 if p lies strictly inside the circumsphere of a positively oriented t."""
-    a, b, c, d = t.a, t.b, t.c, t.d
-    if orient3(a, b, c, d) == 0:
+def in_sphere(corners, p):
+    """+1 where p lies strictly inside the circumsphere of positively oriented
+    corners, -1 outside, 0 on it; one pass over (..., 4, 3) corners broadcast
+    against (..., 3) points.  The on-sphere band, TAU_GEOM sum_i lift_i
+    prod_{j != i} |e_j|_1, has the determinant's degree 5, so scaling by a
+    power of two keeps every sign.  Raises DegenerateSimplex for a tetrahedron
+    coplanar within TAU_GEOM of the product of its edges' L1 norms.
+    """
+    c, p = np.asarray(corners, float), np.asarray(p, float)
+    if c.shape[-2:] != (4, 3) or p.shape[-1:] != (3,):
+        raise ValueError(f"expected (..., 4, 3) corners and (..., 3) points, got shapes {c.shape} and {p.shape}")
+    _as_points(np.concatenate([c.reshape(-1, 3), p.reshape(-1, 3)]), 3)
+    rows = c[..., 1:, :] - c[..., :1, :]
+    if (np.abs(_det(rows)) <= TAU_GEOM * np.prod(np.abs(rows).sum(axis=-1), axis=-1)).any():
         raise DegenerateSimplex("coplanar tetrahedron")
-    e = np.stack([a, b, c, d]) - _as_points((p,), 3)
-    lift = (e * e).sum(axis=1)
-    # Rows (e, |e|^2) for a, b, c, d; cofactor expansion along the lift
-    # column.  Row order (a, b, c, d) flips the inside sign relative to the
-    # 2D case.
-    minors = det3(e[[1, 0, 0, 0]], e[[2, 2, 1, 1]], e[[3, 3, 3, 2]])
-    det = float(lift @ (minors * [1.0, -1.0, 1.0, -1.0]))
-    scale = math.prod(np.abs(e).sum(axis=1).tolist())
-    tol = TAU_GEOM * scale * max(float(lift.max()), 1e-300)
-    if abs(det) <= tol:
-        return 0
-    return 1 if det > 0 else -1
+    e = c - p[..., None, :]
+    lift = (e * e).sum(axis=-1)
+    # Rows (e, |e|^2) for the four corners; cofactor expansion along the lift
+    # column.  Corner order flips the inside sign relative to the 2D case.
+    minors = det3(e[..., [1, 0, 0, 0], :], e[..., [2, 2, 1, 1], :], e[..., [3, 3, 3, 2], :])
+    det = (lift * minors * [1.0, -1.0, 1.0, -1.0]).sum(axis=-1)
+    norm = np.abs(e).sum(axis=-1)
+    others = norm[..., [1, 0, 0, 0]] * norm[..., [2, 2, 1, 1]] * norm[..., [3, 3, 3, 2]]
+    tol = TAU_GEOM * (lift * others).sum(axis=-1)
+    return np.where(np.abs(det) <= tol, 0, np.sign(det)).astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +345,15 @@ def _det(v):
     if v.shape[-1] == 2:
         return v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
     return det3(v[..., 0, :], v[..., 1, :], v[..., 2, :])
+
+
+def simplex_volume(corners):
+    """Signed d-volume of the simplices with corners (..., d + 1, d), d = 2 or 3:
+    det(v_1 - v_0, ..., v_d - v_0) / d!, positive for counterclockwise
+    triangles and right-handed tetrahedra.  The one signed area or volume of
+    the package."""
+    v = np.asarray(corners, float)
+    return _det(v[..., 1:, :] - v[..., :1, :]) / math.factorial(v.shape[-1])
 
 
 def second_moment(v):

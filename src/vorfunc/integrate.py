@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRegion
-from .geom import Tetrahedron3, Triangle2, signed_area, signed_volume
+from .geom import _as_points, simplex_volume
 
 # Fixed chunk size: sample stream i is seeded independently, so estimates do
 # not depend on how chunks are scheduled.
@@ -49,24 +49,34 @@ class McEstimate:
     seed: int
 
 
-def quad_triangle(t: Triangle2, f) -> float:
-    """Integral of f over t by the edge-midpoint rule (exact to degree 2).
+def _simplex(corners, d):
+    """The (d + 1, d) corners of a d-simplex, checked by _as_points."""
+    v = _as_points(corners, d)
+    if len(v) != d + 1:
+        raise ValueError(f"a {d}-simplex has {d + 1} corners, got {len(v)}")
+    return v
+
+
+def quad_triangle(corners, f) -> float:
+    """Integral of f over the triangle with corners (3, 2) by the edge-midpoint
+    rule (exact to degree 2).
 
     The result carries the sign of the triangle's orientation; a degenerate
     triangle integrates to 0.
     """
-    v = t.vertices()
-    area = signed_area(v[0], v[1], v[2])
+    v = _simplex(corners, 2)
+    area = simplex_volume(v)
     if area == 0.0:
         return 0.0
     mids = 0.5 * (v + np.roll(v, -1, axis=0))
     return float(area / 3.0 * np.sum(f(mids)))
 
 
-def quad_tetra(t: Tetrahedron3, f) -> float:
-    """Integral of f over t, signed by orientation, exact to degree 2."""
-    v = t.vertices()
-    vol = signed_volume(v[0], v[1], v[2], v[3])
+def quad_tetra(corners, f) -> float:
+    """Integral of f over the tetrahedron with corners (4, 3), signed by
+    orientation, exact to degree 2."""
+    v = _simplex(corners, 3)
+    vol = simplex_volume(v)
     if vol == 0.0:
         return 0.0
     bary = np.full((4, 4), _TET_BETA)
@@ -103,19 +113,14 @@ def _region_geometry(region):
         if np.any(hi <= lo):
             raise InvalidRegion(f"empty box {region!r}")
         return region.measure(), lambda rng, m: sample_box(lo, hi, rng, m)
-    if isinstance(region, Triangle2):
-        v = region.vertices()
-        area = abs(signed_area(v[0], v[1], v[2]))
-        if area == 0.0:
-            raise InvalidRegion("degenerate triangle region")
-        return area, lambda rng, m: _sample_simplex(v, rng, m)
-    if isinstance(region, Tetrahedron3):
-        v = region.vertices()
-        vol = abs(signed_volume(v[0], v[1], v[2], v[3]))
-        if vol == 0.0:
-            raise InvalidRegion("degenerate tetrahedron region")
-        return vol, lambda rng, m: _sample_simplex(v, rng, m)
-    raise InvalidRegion(f"unsupported region type {type(region).__name__}")
+    shape = np.shape(region)
+    if len(shape) != 2 or shape[1] not in (2, 3) or shape[0] != shape[1] + 1:
+        raise InvalidRegion(f"expected a Box or (d + 1, d) simplex corners, d = 2 or 3, got shape {shape}")
+    v = _as_points(region, shape[1])
+    measure = abs(float(simplex_volume(v)))
+    if measure == 0.0:
+        raise InvalidRegion("degenerate simplex region")
+    return measure, lambda rng, m: _sample_simplex(v, rng, m)
 
 
 def check_vanishes_on_boundary(f, box: Box):

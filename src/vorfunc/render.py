@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geom import simplex_volume
 from .subdivision import SubdividedComplex, barycentric_subdivide
 from .tri2d import Triangulation2
 
@@ -59,12 +60,10 @@ def svg_triangulation(t: Triangulation2) -> str:
 def _reversed_cells(sd: SubdividedComplex) -> list:
     """Whether the circumcenter map reverses each cell, from one array pass.
 
-    A cell is reversed when signed_area of its image and its cell sign have
-    opposite signs.
+    A cell is reversed when the simplex_volume of its image and its cell sign
+    have opposite signs.
     """
-    a, b, c = (sd.gamma[sd.cells[:, k]] for k in range(3))
-    area = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    return (area * sd.cell_sign < 0).tolist()
+    return (simplex_volume(sd.gamma[sd.cells]) * sd.cell_sign < 0).tolist()
 
 
 def _cell_polygons(sd: SubdividedComplex, use_image: bool) -> list:

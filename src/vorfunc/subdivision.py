@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInteriorVertex
-from .geom import FLAGS, Tetrahedron3, Triangle2, _as_points, det3, flag_terms, second_moment
+from .geom import FLAGS, _as_points, flag_terms, second_moment, simplex_volume
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
 from . import functional2d
@@ -61,8 +61,7 @@ class TetComplex:
     def __init__(self, points, tets):
         pts = _as_points(points, 3)
         tets = np.array(tets, int).reshape(-1, 4)  # a copy: reoriented in place below
-        p = pts[tets]
-        vol = det3(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0])
+        vol = simplex_volume(pts[tets])
         if (vol == 0.0).any():
             raise ValueError(f"degenerate tetrahedron {tuple(tets[np.argmax(vol == 0.0)].tolist())}")
         flip = ~(vol > 0.0)
@@ -179,13 +178,8 @@ def vf_sd_cell(sd: SubdividedComplex, c: int) -> float:
     degenerate image contributes 0.
     """
     a = sd.source_points[sd.source_simplices[sd.cells[c, 0], 0]]
-    image = sd.gamma[sd.cells[c]]
-    f = lambda pts: ((pts - a) ** 2).sum(axis=1)
-    if sd.dim == 2:
-        val = quad_triangle(Triangle2(*image), f)
-    else:
-        val = quad_tetra(Tetrahedron3(*image), f)
-    return int(sd.cell_sign[c]) * val
+    quad = quad_triangle if sd.dim == 2 else quad_tetra
+    return int(sd.cell_sign[c]) * quad(sd.gamma[sd.cells[c]], lambda pts: ((pts - a) ** 2).sum(axis=1))
 
 
 def _flag_sum(points, simplices) -> float:

@@ -159,9 +159,6 @@ class Triangulation2:
                 edges.setdefault(tuple(sorted(e)), []).append(idx)
         return edges
 
-    def interior_edges(self) -> list:
-        return [e for e, ts in self.edge_map().items() if len(ts) == 2]
-
     def boundary_vertices(self) -> set:
         """Labels on an unmatched directed edge; ValueError unless consistently oriented."""
         opp = _directed_edges(self.triangles)

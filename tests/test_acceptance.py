@@ -98,7 +98,7 @@ def test_criterion_02_closed_form_vs_oracle():
             def nearest_sq(p, v=verts):
                 return ((p[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).min(axis=1)
 
-            est1 = mc_integrate(t, nearest_sq, 10**5, seed=10_000 + i)
+            est1 = mc_integrate(verts, nearest_sq, 10**5, seed=10_000 + i)
             worst = max(worst, abs(vf - est1.value) / est1.std_error)
     ok = worst <= 3.0 and n_obtuse >= 50
     report(2, f"closed form vs oracle (worst {worst:.2f} sigma, {n_obtuse} obtuse)", ok)
@@ -215,8 +215,7 @@ def test_criterion_07_angle_lemma():
 
     def kappa(phi):
         mid = radius * np.cos(phi) * np.array([np.cos(phi), np.sin(phi)])
-        tri = Triangle2((0.0, 0.0), a, mid)
-        return quad_triangle(tri, lambda p: 2.0 * (p @ a) - radius**2)
+        return quad_triangle([(0.0, 0.0), a, mid], lambda p: 2.0 * (p @ a) - radius**2)
 
     phis = np.concatenate(
         [

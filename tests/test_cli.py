@@ -303,3 +303,17 @@ def test_functional_dim3_per_tet_equals_one_tet_vf3(tmp_path, capsys, diagonal):
     expected = [vf3(TetComplex(tc.points, [tet])) for tet in tc.tets]
     assert [v for _, v in obj["per_simplex"]] == expected
     assert obj["total"] == sum(expected)
+
+
+@pytest.mark.parametrize("diagonal", ["1,2,3", "x,y", "1,1", "BB", "B", "", "AB", "0,1"])
+def test_functional_dim3_rejects_a_malformed_or_non_diagonal_pair(tmp_path, capsys, diagonal):
+    from vorfunc.experiments import OCTA_POINTS
+
+    path = write_points(tmp_path, "octa.json", OCTA_POINTS.tolist())
+    code, out, err = run_cli(["functional", "--input", path, "--dim", "3", "--diagonal", diagonal], capsys)
+    assert code == 2
+    assert out == ""
+    if diagonal in ("AB", "0,1"):
+        assert err == "error: (0, 1) is not a diagonal of the octahedron\n"
+    else:
+        assert err.startswith(f"error: --diagonal {diagonal!r}: expected two letters of ABCDEX or labels i,j")

@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from vorfunc import experiments
-from vorfunc.geom import circumcenter_offset3, convex_polygon_masks_xy, signed_volume
+from vorfunc.geom import circumcenter_offset3, convex_polygon_masks_xy, simplex_volume
 from vorfunc.functional2d import g_field
 from vorfunc.tri2d import delaunay, make_topological
 from vorfunc.subdivision import TetComplex, barycentric_subdivide
@@ -138,6 +139,22 @@ def test_octahedron_decompositions_share_no_tets():
     assert {frozenset(t) for t in be.tets}.isdisjoint({frozenset(t) for t in ac.tets})
 
 
+def test_only_the_three_diagonals_decompose_the_octahedron():
+    # Around each of the 12 edges one ring tetrahedron has the other
+    # orientation, and the four do not tile the octahedron.
+    hull = pytest.importorskip("scipy.spatial").ConvexHull(OCTA_POINTS).volume
+    diagonals = []
+    for i, j in itertools.combinations(range(6), 2):
+        try:
+            tc = octahedron_decomposition(OCTA_POINTS, (i, j))
+        except ValueError as exc:
+            assert str(exc) == f"({i}, {j}) is not a diagonal of the octahedron"
+            continue
+        assert simplex_volume(tc.points[list(tc.tets)]).sum() == pytest.approx(hull, rel=1e-12)
+        diagonals.append((i, j))
+    assert diagonals == [(0, 2), (1, 4), (3, 5)]
+
+
 def test_fold_region_probe_census_and_witness():
     r = fold_region_probe()
     assert r.verdict == "pass"
@@ -234,12 +251,11 @@ def test_scan_enumerates_sets_past_5000_triangulations():
 
 
 def _reference_point_in_tet(tet_pts, x):
-    a, b, c, d = tet_pts
-    s0 = signed_volume(a, b, c, d)
+    s0 = simplex_volume(tet_pts)
     for rep in range(4):
-        q = [a, b, c, d]
+        q = list(tet_pts)
         q[rep] = x
-        if signed_volume(*q) * s0 < -1e-15:
+        if simplex_volume(q) * s0 < -1e-15:
             return False
     return True
 
@@ -250,7 +266,7 @@ def _reference_density(sd, x):
     total = 0.0
     for verts, sign in zip(sd.cells.tolist(), sd.cell_sign.tolist()):
         img = sd.gamma[verts]
-        vol = signed_volume(*img)
+        vol = simplex_volume(img)
         if abs(vol) < 1e-14:
             continue
         if _reference_point_in_tet(img, x):

@@ -78,7 +78,7 @@ def test_rajan_is_lifted_volume(rng):
             interp = c[0] * p[:, 0] + c[1] * p[:, 1] + c[2]
             return interp - (p**2).sum(axis=1)
 
-        est = mc_integrate(t, gap, 10**5, seed=seed)
+        est = mc_integrate(v, gap, 10**5, seed=seed)
         assert abs(est.value - rajan_triangle(t)) <= 3 * est.std_error
 
 

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from vorfunc.errors import DegenerateSimplex
 from vorfunc.geom import (
     TAU_GEOM,
-    Tetrahedron3,
     Triangle2,
     circumcenter_offset3,
     circumcircle2,
@@ -18,6 +17,7 @@ from vorfunc.geom import (
     orient2,
 )
 from vorfunc.functional2d import g_triangle_points
+from vorfunc.integrate import quad_tetra
 from vorfunc.tri2d import convex_hull
 
 from conftest import random_triangle
@@ -30,16 +30,19 @@ def test_simplices_validate_their_corners():
     t = Triangle2([0, 0], np.array([1, 0]), (0.5, 2))
     assert [v.tolist() for v in (t.a, t.b, t.c)] == [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]]
     assert t.vertices().dtype == float
-    s = Tetrahedron3(*np.eye(4, 3))
-    assert s.d.tolist() == [0.0, 0.0, 0.0]
+    ones = lambda p: np.ones(len(p))
+    assert quad_tetra(np.eye(4, 3), ones) == pytest.approx(-1 / 6)
     bad = [
         lambda: Triangle2((0, 0), (1, 0), (0, 1, 2)),
         lambda: Triangle2((0, 0, 0), (1, 0, 0), (0, 1, 0)),
         lambda: Triangle2((0, 0), (1, np.nan), (0, 1)),
         lambda: Triangle2((0, 0), (1, 0), (np.inf, 1)),
-        lambda: Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1)),
-        lambda: Tetrahedron3(*np.eye(4, 2)),
-        lambda: Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, -np.inf)),
+        lambda: quad_tetra([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1)], ones),
+        lambda: quad_tetra(np.eye(4, 2), ones),
+        lambda: quad_tetra([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, -np.inf)], ones),
+        lambda: in_sphere(np.eye(4, 2), (0, 0, 0)),
+        lambda: in_sphere(np.eye(4, 3), (0, 0)),
+        lambda: in_sphere(np.eye(4, 3), (0, 0, np.nan)),
     ]
     for make in bad:
         with pytest.raises(ValueError):
@@ -131,10 +134,44 @@ def test_in_circle_antisymmetric_under_orientation(rng):
         assert s1 == -s2
 
 
+UNIT_TET = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], float)
+
+
 def test_in_sphere_basic():
-    t = Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert in_sphere(t, (0.5, 0.5, 0.5)) == 1
-    assert in_sphere(t, (9, 9, 9)) == -1
+    assert in_sphere(UNIT_TET, (0.5, 0.5, 0.5)) == 1
+    assert in_sphere(UNIT_TET, (9, 9, 9)) == -1
+
+
+def test_in_sphere_signs_hold_under_power_of_two_scaling():
+    # The circumsphere has center (1/2, 1/2, 1/2) and radius sqrt(3)/2:
+    # center, far point, two points on it, and points 1e-4 outside and inside.
+    r = np.sqrt(3) / 2
+    p = np.array(
+        [(0.5, 0.5, 0.5), (9, 9, 9), (1, 1, 0), (1, 1, 1), (0.5 + r + 1e-4, 0.5, 0.5), (0.5 + r - 1e-4, 0.5, 0.5)]
+    )
+    assert in_sphere(UNIT_TET, p).tolist() == [1, -1, 0, 0, -1, 1]
+    for k in range(-40, 41):
+        assert in_sphere(UNIT_TET * 2.0**k, p * 2.0**k).tolist() == [1, -1, 0, 0, -1, 1], k
+
+
+def test_in_sphere_on_arrays_equals_per_tetrahedron_calls(rng):
+    tets = rng.standard_normal((50, 4, 3))
+    p = rng.standard_normal((50, 3)) * 1.5
+    got = in_sphere(tets, p)
+    assert got.shape == (50,)
+    assert got.tolist() == [int(in_sphere(t, q)) for t, q in zip(tets, p)]
+    many = in_sphere(tets[0], p)
+    assert many.tolist() == [int(in_sphere(tets[0], q)) for q in p]
+    assert in_sphere(tets[:, None], p[:5]).tolist() == [[int(in_sphere(t, q)) for q in p[:5]] for t in tets]
+    assert {-1, 1} <= set(got.tolist())
+
+
+def test_in_sphere_rejects_a_coplanar_tetrahedron():
+    flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    with pytest.raises(DegenerateSimplex):
+        in_sphere(flat, (0.5, 0.5, 0.5))
+    with pytest.raises(DegenerateSimplex):
+        in_sphere(np.stack([UNIT_TET, flat]), (0.5, 0.5, 0.5))
 
 
 # The nearest and nearest-visible vertex tests read the g kernel: the squared

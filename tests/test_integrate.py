@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from vorfunc.errors import InvalidRegion
-from vorfunc.geom import Tetrahedron3, Triangle2
 from vorfunc.integrate import Box, mc_integrate, quad_tetra, quad_triangle, sample_box
 
 from conftest import random_triangle
 
-RIGHT = Triangle2((0, 0), (1, 0), (0, 1))
-CORNER = Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+RIGHT = [(0, 0), (1, 0), (0, 1)]
+CORNER = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def sq_norm(pts):
@@ -21,20 +20,19 @@ def test_quad_triangle_quadratic():
 
 def test_quad_triangle_constant_is_signed_area(rng):
     for _ in range(20):
-        t = random_triangle(rng)
-        v = t.vertices()
+        v = random_triangle(rng).vertices()
         e1, e2 = v[1] - v[0], v[2] - v[0]
         area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-        assert quad_triangle(t, lambda p: np.ones(len(p))) == pytest.approx(float(area))
+        assert quad_triangle(v, lambda p: np.ones(len(p))) == pytest.approx(float(area))
 
 
 def test_quad_triangle_orientation_sign():
-    rev = Triangle2((0, 0), (0, 1), (1, 0))
+    rev = [(0, 0), (0, 1), (1, 0)]
     assert quad_triangle(rev, sq_norm) == pytest.approx(-1 / 6)
 
 
 def test_quad_triangle_degenerate_is_zero():
-    assert quad_triangle(Triangle2((0, 0), (1, 1), (2, 2)), sq_norm) == 0.0
+    assert quad_triangle([(0, 0), (1, 1), (2, 2)], sq_norm) == 0.0
 
 
 def test_quad_tetra_constant():
@@ -42,7 +40,7 @@ def test_quad_tetra_constant():
 
 
 def test_quad_tetra_odd_permutation_negates():
-    swapped = Tetrahedron3((0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0))
+    swapped = [(0, 0, 0), (1, 0, 0), (0, 0, 1), (0, 1, 0)]
     assert quad_tetra(swapped, sq_norm) == pytest.approx(-quad_tetra(CORNER, sq_norm))
 
 
@@ -78,7 +76,10 @@ def test_mc_invalid_regions():
     with pytest.raises(InvalidRegion):
         mc_integrate(Box((0, 0), (0, 1)), sq_norm, 10**4, seed=0)
     with pytest.raises(InvalidRegion):
-        mc_integrate(Triangle2((0, 0), (1, 1), (2, 2)), sq_norm, 10**4, seed=0)
+        mc_integrate([(0, 0), (1, 1), (2, 2)], sq_norm, 10**4, seed=0)
+    for corners in (np.eye(3), np.eye(4, 2)):
+        with pytest.raises(InvalidRegion):
+            mc_integrate(corners, sq_norm, 10**4, seed=0)
     with pytest.raises(ValueError):
         mc_integrate(Box((0, 0), (1, 1)), sq_norm, 10, seed=0)
 
@@ -87,7 +88,7 @@ def test_quad_linearity(rng):
     f = sq_norm
     g = lambda p: p[:, 0] * p[:, 1] - 2.0 * p[:, 1]
     for _ in range(50):
-        t = random_triangle(rng)
+        t = random_triangle(rng).vertices()
         alpha, beta = rng.random(2) * 4 - 2
         combo = quad_triangle(t, lambda p: alpha * f(p) + beta * g(p))
         split = alpha * quad_triangle(t, f) + beta * quad_triangle(t, g)
@@ -97,7 +98,7 @@ def test_quad_linearity(rng):
 def test_quad_vs_mc_random_quadratics(rng):
     # Degree-2 exactness cross-checked against the sampling oracle.
     for _ in range(100):
-        t = random_triangle(rng)
+        t = random_triangle(rng).vertices()
         coef = rng.random(6) * 2 - 1
 
         def f(p, c=coef):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 
 from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
-from vorfunc.geom import signed_area
+from vorfunc.geom import simplex_volume
 from vorfunc.render import _svg_coords, svg_gamma_image
 from vorfunc.subdivision import barycentric_subdivide
 from vorfunc.tri2d import Triangulation2, delaunay, make_topological
@@ -21,7 +21,7 @@ def _gamma_cases(rng):
 
 
 def test_gamma_shading_matches_a_per_cell_walk(rng):
-    # Cell by cell: the c-th polygon is shaded exactly when signed_area of
+    # Cell by cell: the c-th polygon is shaded exactly when simplex_volume of
     # cell c's image is opposite to its cell sign, and its points are the
     # image corners of cell c's vertex ids.
     shaded = []
@@ -32,7 +32,7 @@ def test_gamma_shading_matches_a_per_cell_walk(rng):
         assert len(polygons) == len(sd.cells)
         for c, (cls, points) in enumerate(polygons):
             verts = sd.cells[c].tolist()
-            reversed_ = signed_area(*sd.gamma[verts]) * sd.cell_sign[c] < 0
+            reversed_ = simplex_volume(sd.gamma[verts]) * sd.cell_sign[c] < 0
             assert cls == ("cell neg" if reversed_ else "cell")
             assert points == " ".join(coords[v] for v in verts)
         shaded.append(sum(cls == "cell neg" for cls, _ in polygons))

@@ -15,7 +15,7 @@ from vorfunc.geom import (
     circumsphere_offset,
     convex_polygon_masks_xy,
     flag_terms,
-    signed_area,
+    simplex_volume,
 )
 from vorfunc.functional2d import vf_triangle, vf_triangulation
 from vorfunc.subdivision import (
@@ -312,7 +312,7 @@ def test_cancellation_sign_census(rng):
         for v in set(range(10)) - d.boundary_vertices():
             star = [verts for verts in sd.cells.tolist() if sd.source_simplices[verts[0], 0] == v]
             image_signs = [
-                1 if signed_area(*sd.gamma[verts]) > 0 else -1 for verts in star
+                1 if simplex_volume(sd.gamma[verts]) > 0 else -1 for verts in star
             ]
             lhs, rhs = interior_cancellation_check(d, v)
             assert rhs == pytest.approx(lhs, rel=1e-9, abs=1e-12)
@@ -449,13 +449,12 @@ def test_vf3_regular_tetrahedron_matches_nearest_mc():
     # of the squared distance to the nearest vertex.
     v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
     tc = TetComplex(v, [(0, 1, 2, 3)])
-    from vorfunc.geom import Tetrahedron3
     from vorfunc.integrate import mc_integrate
 
     def nearest_sq(p):
         return ((p[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).min(axis=1)
 
-    est = mc_integrate(Tetrahedron3(*v), nearest_sq, 4 * 10**5, seed=5)
+    est = mc_integrate(v, nearest_sq, 4 * 10**5, seed=5)
     assert abs(vf3(tc) - est.value) <= 3 * est.std_error
 
 
