@@ -8,7 +8,8 @@ Three headline results drive this module:
   (keeping all incidences) produces a topological triangulation whose
   functional exceeds the Delaunay value,
 * a 6-point octahedron in 3D whose non-Delaunay diagonal decomposition beats
-  the Delaunay one, plus the fold-over probe explaining why.
+  the Delaunay one (a diagonal's ring of tetrahedra is the cyclic order that
+  makes every volume positive), plus the fold-over probe explaining why.
 
 Every experiment is deterministic for a fixed seed and serializes to a stable
 JSON report.
@@ -16,13 +17,14 @@ JSON report.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import FLAGS, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere, simplex_volume
+from .geom import FLAGS, _as_labels, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere, simplex_volume
 from .integrate import mc_integrate, sample_box
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -269,35 +271,21 @@ OCTA_EXPECTED = {"BE": 3413.75, "AC": 3432.96}
 OCTA_TOL = 0.05
 
 
-def octahedron_ring(points, diagonal) -> list:
-    """Cyclic order of the four equatorial vertices around a diagonal axis."""
+def octahedron_decomposition(points, diagonal) -> TetComplex:
+    """Four positive tetrahedra (i, j, a, b) around the diagonal (i, j) of a 6-point octahedron.
+
+    The ring of a, b starts at the smallest other label; ValueError if no ring order is all positive.
+    """
     pts = _as_points(points, 3)
     if len(pts) != 6:
         raise ValueError(f"an octahedron has 6 points, got {len(pts)}")
-    i, j = diagonal
-    others = [k for k in range(len(pts)) if k not in (i, j)]
-    axis = pts[j] - pts[i]
-    axis = axis / np.linalg.norm(axis)
-    mid = 0.5 * (pts[i] + pts[j])
-    u = np.cross(axis, [1.0, 0.0, 0.0])
-    if np.linalg.norm(u) < 1e-9:
-        u = np.cross(axis, [0.0, 1.0, 0.0])
-    u = u / np.linalg.norm(u)
-    v = np.cross(axis, u)
-    ang = [np.arctan2((pts[k] - mid) @ v, (pts[k] - mid) @ u) for k in others]
-    return [others[t] for t in np.argsort(ang)]
-
-
-def octahedron_decomposition(points, diagonal) -> TetComplex:
-    """Four tetrahedra sharing the given diagonal of a 6-point octahedron.
-    ValueError unless they share one orientation sign, as only a diagonal's do."""
-    ring = octahedron_ring(points, diagonal)
-    i, j = diagonal
-    tets = [(i, j, ring[k], ring[(k + 1) % 4]) for k in range(4)]
-    vol = simplex_volume(_as_points(points, 3)[tets])
-    if not ((vol > 0).all() or (vol < 0).all()):
-        raise ValueError(f"({i}, {j}) is not a diagonal of the octahedron")
-    return TetComplex(points, tets)
+    i, j = _as_labels(diagonal, len(pts), 2, "diagonal").reshape(2).tolist()
+    first, *rest = (k for k in range(6) if k not in (i, j))
+    for ring in itertools.permutations(rest, 3):
+        tets = [(i, j, a, b) for a, b in zip((first, *ring), (*ring, first))]
+        if (simplex_volume(pts[tets]) > 0).all():
+            return TetComplex(pts, tets)
+    raise ValueError(f"({i}, {j}) is not a diagonal of the octahedron")
 
 
 def octahedron_counterexample() -> ExperimentResult:

@@ -1,7 +1,8 @@
 """Geometric primitives in 2D and 3D.
 
 Orientation and in-circle/in-sphere predicates, circumcenters, and one
-containment and vertex-visibility kernel for convex polygons.
+containment and vertex-visibility kernel for convex polygons.  ``_as_points``
+and ``_as_labels`` are the one point check and the one label check.
 
 The planar predicates are exact: "degenerate" means exactly degenerate.
 Each has one kernel on plain Python floats, ``orient2_xy`` and
@@ -15,8 +16,8 @@ many triples (the Delaunay sweep and its flips, flip-graph enumeration)
 convert their coordinates once and call the kernels directly;
 ``orient2``/``in_circle`` delegate to them, and the sweep, which knows its
 triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
-check.  ``reject_collinear``, the closed forms' zero rule, runs the same
-filter on arrays of corners.
+check.  ``orient2_rows`` runs the same filter on arrays of corners, for
+Triangulation2 and ``reject_collinear``, the closed forms' zero rule.
 
 ``TAU_GEOM`` is a relative tolerance that serves only ``in_sphere``, whose
 coplanar verdict is the one 3D degeneracy check and whose on-sphere band is
@@ -72,6 +73,23 @@ def _as_points(points, dim):
         raise ValueError(f"point {bad} has a non-finite coordinate")
     a.setflags(write=False)
     return a
+
+
+def _as_labels(simplices, n, k, name):
+    """The simplices as the rows of a (T, k) int array, checked in one pass.
+
+    The one label check of the package: ValueError for rows of another length,
+    or naming the first with a label that is not an integral value in range(n).
+    """
+    a = np.array(simplices, dtype=float)
+    if a.ndim > 2 or a.size and a.shape[-1:] != (k,):
+        raise ValueError(f"expected {name} rows of {k} labels, got shape {a.shape}")
+    a = a.reshape(-1, k)
+    ok = ((a >= 0) & (a < n) & (a == np.floor(a))).all(axis=1)
+    if not ok.all():
+        bad = ", ".join(str(int(v) if v.is_integer() else v) for v in a[np.argmin(ok)].tolist())
+        raise ValueError(f"{name} ({bad}) has a label outside range({n})")
+    return a.astype(int)
 
 
 @dataclass
@@ -130,21 +148,28 @@ def orient2_xy(ax, ay, bx, by, cx, cy) -> int:
     return _orient2_exact(ax, ay, bx, by, cx, cy)
 
 
-def reject_collinear(labels, corners):
-    """Raise DegenerateSimplex, naming its label triple, for the first exactly collinear triangle.
+def orient2_rows(corners):
+    """orient2_xy of each row of (T, 3, 2) corners, as a (T,) int array.
 
-    ``labels`` is (T, 3) and ``corners`` (T, 3, 2).  orient2_xy's filter
-    decides every row at once from the edge vectors off corner 0; only the
-    rows it leaves undecided get the exact sign.
+    orient2_xy's filter decides every row at once from the edge vectors off
+    corner 0; rows it leaves undecided (overflowed ones too) get the exact sign.
     """
-    u = corners[:, 1] - corners[:, 0]
-    v = corners[:, 2] - corners[:, 0]
-    left, right = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
-    bound = _ORIENT_BOUND * (np.abs(left) + np.abs(right))
-    undecided = ~((np.abs(left - right) > bound) & (bound > _BOUND_MIN))
-    for i in np.flatnonzero(undecided).tolist():
-        if _orient2_exact(*corners[i].ravel().tolist()) == 0:
-            raise DegenerateSimplex(f"collinear triangle {tuple(int(x) for x in labels[i])}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = corners[:, 1:] - corners[:, :1]
+        left, right = e[:, 0, 0] * e[:, 1, 1], e[:, 0, 1] * e[:, 1, 0]
+        det = left - right
+        bound = _ORIENT_BOUND * (np.abs(left) + np.abs(right))
+    sign = np.where(det > 0, 1, -1)
+    for i in np.flatnonzero(~((np.abs(det) > bound) & (bound > _BOUND_MIN))).tolist():
+        sign[i] = _orient2_exact(*corners[i].ravel().tolist())
+    return sign
+
+
+def reject_collinear(labels, corners):
+    """Raise DegenerateSimplex naming the first exactly collinear triangle of (T, 3, 2) corners."""
+    zero = orient2_rows(corners) == 0
+    if zero.any():
+        raise DegenerateSimplex(f"collinear triangle {tuple(labels[np.argmax(zero)].tolist())}")
 
 
 def orient2(a, b, c) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInteriorVertex
-from .geom import FLAGS, _as_points, flag_terms, second_moment, simplex_volume
+from .geom import FLAGS, _as_labels, _as_points, flag_terms, second_moment, simplex_volume
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
 from . import functional2d
@@ -49,10 +49,10 @@ class TetComplex:
     """A list of tetrahedra (label 4-tuples) over labeled 3D points.
 
     Tetrahedra are normalized to positive orientation at construction, all
-    with one array determinant; a coplanar one raises ValueError naming the
-    first.  ``points`` is a read-only copy of the input, made by geom's one
-    point check, so the complex cannot go stale; ``==`` and ``hash`` are by
-    identity.
+    with one array determinant; a coplanar one, or one with a label outside
+    range(n), raises ValueError naming the first.  ``points`` is a read-only
+    copy of the input, made by geom's one point check, so the complex cannot
+    go stale; ``==`` and ``hash`` are by identity.
     """
 
     points: np.ndarray
@@ -60,7 +60,7 @@ class TetComplex:
 
     def __init__(self, points, tets):
         pts = _as_points(points, 3)
-        tets = np.array(tets, int).reshape(-1, 4)  # a copy: reoriented in place below
+        tets = _as_labels(tets, len(pts), 4, "tetrahedron")  # a copy: reoriented in place below
         vol = simplex_volume(pts[tets])
         if (vol == 0.0).any():
             raise ValueError(f"degenerate tetrahedron {tuple(tets[np.argmax(vol == 0.0)].tolist())}")
@@ -275,10 +275,11 @@ def interior_cancellation_check(d: Triangulation2, vertex: int) -> tuple[float, 
 
     Left: exact integral of squared distance over the Voronoi polygon of the
     vertex, a fan of image integrals about the vertex.  Right: signed sum of
-    the flag terms (``flag_terms``) of the subdivision cells
-    owned by the vertex.  Both come from coordinates relative to the vertex
-    or to a triangle corner, and agree for Delaunay input.
+    the ``flag_terms`` of the subdivision cells owned by the vertex.  Both
+    come from coordinates relative to the vertex or to a triangle corner,
+    and agree for Delaunay input.  ValueError for a vertex outside range(n).
     """
+    vertex = _as_labels([vertex], len(d.points), 1, "vertex").item()
     if vertex in d.boundary_vertices():
         raise NotInteriorVertex(f"vertex {vertex} lies on the hull")
     poly = _voronoi_cell(d.points, vertex)

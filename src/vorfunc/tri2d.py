@@ -2,8 +2,8 @@
 
 Points are plain (n, 2) arrays: label i is row i.  A Triangulation2 keeps a
 read-only copy, made by geom's one point check (shape and finiteness), and
-stores triangles as label triples over it; a label outside range(n) is
-rejected by name.  Geometric triangulations are normalized to
+stores triangles as label triples over it, checked by geom's one label
+check.  One ``orient2_rows`` pass normalizes geometric triangulations to
 counterclockwise triples with all orientation signs +1; topological
 triangulations (label complexes mapped through permuted positions) keep
 their combinatorics and carry the sign of each mapped triangle, read against
@@ -45,7 +45,7 @@ from .errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from .geom import _as_points, in_circle_ccw_xy, in_circle_xy, orient2_xy
+from .geom import _as_labels, _as_points, in_circle_ccw_xy, in_circle_xy, orient2_rows, orient2_xy
 
 GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
@@ -75,16 +75,6 @@ def convex_hull(points: np.ndarray) -> list:
     return lower[:-1] + upper[:-1]
 
 
-def _orient(xy, t) -> int:
-    """orient2 of triangle ``t`` over the [x, y] pairs ``xy``.
-
-    ValueError naming ``t`` when a label is outside range(len(xy)).
-    """
-    if min(t) < 0 or max(t) >= len(xy):
-        raise ValueError(f"triangle {t} has a label outside range({len(xy)})")
-    return orient2_xy(*xy[t[0]], *xy[t[1]], *xy[t[2]])
-
-
 class _TriangleTable:
     """The distinct ordered triangles of one enumeration's triangulations.
 
@@ -112,25 +102,21 @@ class Triangulation2:
         if kind not in (GEOMETRIC, TOPOLOGICAL):
             raise ValueError(f"unknown triangulation kind {kind!r}")
         self.points = _as_points(points, 2)
-        tris = [tuple(int(v) for v in t) for t in triangles]
-        if kind == GEOMETRIC and _normalize:
-            xy = self.points.tolist()
-            tris = [self._ccw(xy, t) for t in tris]
-        self.triangles = tuple(tris)
-        self.kind = kind
+        tris = _as_labels(triangles, len(self.points), 3, "triangle")
+        sign = orient2_rows(self.points[tris]) if kind == TOPOLOGICAL or _normalize else np.ones(len(tris), int)
+        if not sign.all():
+            t = tuple(tris[np.argmin(sign != 0)].tolist())
+            if kind == GEOMETRIC:
+                raise NotGeneralPosition(f"degenerate triangle {t}", t)
+            raise CollinearImage(f"triangle {t} maps to a degenerate triangle")
         if kind == GEOMETRIC:
-            self.signs = (1,) * len(tris)
-        else:
-            xy = self.points.tolist()
-            signs = []
-            for t in tris:
-                s = _orient(xy, t)
-                if s == 0:
-                    raise CollinearImage(f"triangle {t} maps to a degenerate triangle")
-                signs.append(s)
+            # Normalized to ccw: a clockwise triple swaps its last two labels.
+            tris[sign < 0] = tris[sign < 0][:, [0, 2, 1]]
+        self.triangles = tuple(map(tuple, tris.tolist()))
+        self.kind, self.signs = kind, tuple(sign.tolist()) if kind == TOPOLOGICAL else (1,) * len(tris)
+        if kind == TOPOLOGICAL:
             # Each sign is read against its triple's order, so the orders must agree.
-            _directed_edges(tris)
-            self.signs = tuple(signs)
+            _directed_edges(self.triangles)
 
     @classmethod
     def _enumerated(cls, points, triangles, signs, table):
@@ -141,13 +127,6 @@ class Triangulation2:
         t = cls.__new__(cls)
         t.points, t.triangles, t.kind, t.signs, t._table = points, triangles, GEOMETRIC, signs, table
         return t
-
-    @staticmethod
-    def _ccw(xy, t):
-        s = _orient(xy, t)
-        if s == 0:
-            raise NotGeneralPosition(f"degenerate triangle {t}", t)
-        return t if s > 0 else (t[0], t[2], t[1])
 
     # -- combinatorics ------------------------------------------------------
 
@@ -414,9 +393,9 @@ def flip(t: Triangulation2, edge) -> Triangulation2:
     """Replace the diagonal of the convex quadrangle across ``edge``, an interior label pair.
 
     The two triangles leave the list and the two new ones are appended.
-    ValueError when the triangles are not consistently oriented.
+    ValueError for a label outside range(n) or inconsistently oriented triangles.
     """
-    edge = tuple(sorted(int(v) for v in edge))
+    edge = tuple(sorted(_as_labels(edge, len(t.points), 2, "edge").reshape(2).tolist()))
     opp = _directed_edges(t.triangles)
     u, v = next((e for e in _interior_edges(opp) if tuple(sorted(e)) == edge), (None, None))
     if u is None:

@@ -16,6 +16,7 @@ from vorfunc.experiments import (
     FOLDED_SWAP,
     FOLDED_TRIANGLES,
     OCTA_EXPECTED,
+    OCTA_LABELS,
     OCTA_POINTS,
     OCTA_TOL,
     build_folded_configuration,
@@ -137,6 +138,16 @@ def test_octahedron_decompositions_share_no_tets():
     ac = octahedron_decomposition(OCTA_POINTS, (0, 2))
     assert len(be.tets) == len(ac.tets) == 4
     assert {frozenset(t) for t in be.tets}.isdisjoint({frozenset(t) for t in ac.tets})
+
+
+def test_octahedron_ring_starts_at_the_smallest_label_with_positive_tetrahedra():
+    for name in ("BE", "AC", "DX"):
+        i, j = (OCTA_LABELS.index(c) for c in name)
+        tets = octahedron_decomposition(OCTA_POINTS, (i, j)).tets
+        ring = [t[2] for t in tets]
+        assert ring[0] == min(set(range(6)) - {i, j}) and sorted(ring) == sorted(set(range(6)) - {i, j})
+        assert tets == tuple((i, j, a, b) for a, b in zip(ring, ring[1:] + ring[:1]))
+        assert (simplex_volume(OCTA_POINTS[list(tets)]) > 0).all(), name
 
 
 def test_only_the_three_diagonals_decompose_the_octahedron():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vorfunc import geom
 from vorfunc.errors import DegenerateSimplex
 from vorfunc.geom import (
     TAU_GEOM,
@@ -15,6 +16,8 @@ from vorfunc.geom import (
     in_circle,
     in_sphere,
     orient2,
+    orient2_rows,
+    orient2_xy,
 )
 from vorfunc.functional2d import g_triangle_points
 from vorfunc.integrate import quad_tetra
@@ -379,6 +382,30 @@ def _scaled(points, scale):
 def test_orient2_sign_is_exact_at_every_scale(abc, scale):
     abc = _scaled(abc, scale)
     assert orient2(*abc) == _exact_orient2(*abc)
+
+
+def test_orient2_rows_equals_orient2_xy_row_by_row(monkeypatch):
+    rng = np.random.default_rng(11)
+    random = rng.normal(size=(200, 3, 2))
+    # Exactly collinear triples b + t a on a 2^-2 grid (sign 0), and points
+    # 2^-53 steps off (0.5, 0.5) against the line through (12, 12) and
+    # (24, 24), in both corner orders: the filter decides none of these.
+    a, b = rng.integers(-8, 9, (2, 200, 1, 2)) / 4.0
+    line = b + rng.integers(-3, 4, (200, 3, 1)) * a
+    steps = (0.5 + np.arange(32, 40) * 2.0**-53).tolist()
+    near = np.array([[(x, y), (12, 12), (24, 24)] for x in steps for y in steps])
+    corners = np.concatenate([random, line, near, near[:, ::-1]])
+    undecided = len(line) + 2 * len(near)
+    real_exact, exact_calls = geom._orient2_exact, []
+    for scale in [2.0**k for k in range(-40, 41)] + [2.0**-530, 2.0**500]:
+        scaled = corners * scale
+        want = [orient2_xy(*row) for row in scaled.reshape(-1, 6).tolist()]
+        monkeypatch.setattr(geom, "_orient2_exact", lambda *c: exact_calls.append(c) or real_exact(*c))
+        got = orient2_rows(scaled)
+        monkeypatch.setattr(geom, "_orient2_exact", real_exact)
+        assert got.dtype.kind == "i" and got.tolist() == want, scale
+        assert want[len(random) : len(random) + len(line)] == [0] * len(line)
+    assert len(exact_calls) >= 83 * undecided
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

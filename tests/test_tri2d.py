@@ -12,8 +12,9 @@ from vorfunc.errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
+from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP, OCTA_POINTS, octahedron_decomposition
 from vorfunc.geom import simplex_volume
+from vorfunc.subdivision import TetComplex, interior_cancellation_check
 from vorfunc.tri2d import (
     Triangulation2,
     convex_hull,
@@ -76,6 +77,67 @@ def test_triangulation_rejects_a_label_out_of_range(kind, label):
     pts = np.array([[0, 0], [1, 0], [0, 1]], float)
     with pytest.raises(ValueError, match=rf"^triangle \(0, 1, {label}\) has a label outside range\(3\)$"):
         Triangulation2(pts, [(0, 1, label)], kind=kind)
+
+
+# Triangle (0, 1, 2) of _ON_A_LINE is degenerate: labels are checked before
+# any orientation is read.
+_ON_A_LINE = np.array([[0, 0], [1, 0], [2, 0], [0, 1]], float)
+
+
+def _delaunay12():
+    return delaunay(np.random.default_rng(5).random((12, 2)))
+
+
+# Entry point -> (n, the call with label x, the simplex its message names).
+_LABEL_ENTRY_POINTS = {
+    "geometric": (4, lambda x: Triangulation2(_ON_A_LINE, [(0, 1, 2), (0, 3, x)]), "triangle (0, 3, {})"),
+    "topological": (
+        4,
+        lambda x: Triangulation2(_ON_A_LINE, [(0, 1, 2), (0, 3, x)], kind="topological"),
+        "triangle (0, 3, {})",
+    ),
+    "unnormalized": (4, lambda x: Triangulation2(_ON_A_LINE, [(0, 3, x)], _normalize=False), "triangle (0, 3, {})"),
+    "tetrahedron": (6, lambda x: TetComplex(OCTA_POINTS, [(0, 1, 2, x)]), "tetrahedron (0, 1, 2, {})"),
+    "diagonal": (6, lambda x: octahedron_decomposition(OCTA_POINTS, (1, x)), "diagonal (1, {})"),
+    "edge": (12, lambda x: flip(_delaunay12(), (0, x)), "edge (0, {})"),
+    "vertex": (12, lambda x: interior_cancellation_check(_delaunay12(), x), "vertex ({})"),
+}
+
+
+def _label_cases():
+    for entry, (n, _, simplex) in _LABEL_ENTRY_POINTS.items():
+        for x in (-1, n, 1.7):
+            message = rf"^{re.escape(simplex.format(x))} has a label outside range\({n}\)$"
+            yield pytest.param(entry, x, message, id=f"{entry}-{x}")
+    # Both labels in range, but a repeated one is no diagonal.
+    yield pytest.param("diagonal", 1, r"^\(1, 1\) is not a diagonal of the octahedron$", id="diagonal-repeated")
+
+
+@pytest.mark.parametrize("entry, x, message", list(_label_cases()))
+def test_every_label_entry_point_rejects_a_label_outside_range(entry, x, message):
+    # -1 would read a point from the end, n would raise IndexError, and 1.7
+    # would be truncated to 1.
+    with pytest.raises(ValueError, match=message):
+        _LABEL_ENTRY_POINTS[entry][1](x)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Triangulation2(_ON_A_LINE, [(0, 1), (2, 3), (0, 2)], _normalize=False),
+            r"triangle rows of 3 labels, got shape \(3, 2\)",
+        ),
+        (lambda: Triangulation2(_ON_A_LINE, [0, 1, 3, 1, 2, 3]), r"triangle rows of 3 labels, got shape \(6,\)"),
+        (lambda: TetComplex(OCTA_POINTS, [0, 1, 2, 3, 0, 1, 2, 4]), r"tetrahedron rows of 4 labels, got shape \(8,\)"),
+        (lambda: flip(_delaunay12(), (0, 1, 2)), r"edge rows of 2 labels, got shape \(3,\)"),
+    ],
+    ids=["pairs", "flat triangles", "flat tetrahedra", "three-label edge"],
+)
+def test_simplices_of_another_length_are_rejected(call, message):
+    # Reshaped, these labels would regroup into other simplices.
+    with pytest.raises(ValueError, match=rf"^expected {message}$"):
+        call()
 
 
 def test_delaunay_unit_square_rejected():
