@@ -123,11 +123,13 @@ def _functional_report(args, pts) -> FunctionalReport:
             diag = _parse_diagonal(args.diagonal, len(pts))
             tc = octahedron_decomposition(pts, diag)
             sign, integral, _ = flag_terms(tc.points, tc.tets)
-            # One row per tetrahedron, each summed as vf3 sums a one-tet complex.
-            values = [math.fsum(row) for row in (sign * integral).tolist()]
+            terms = (sign * integral).tolist()
         except (ValueError, VorfuncError) as exc:
             _fail(2, str(exc))
-        return FunctionalReport("vf3", float(sum(values)), tuple(enumerate(values)))
+        # One row per tetrahedron, each summed as vf3 sums a one-tet complex; the
+        # total is vf3's exactly rounded sum of every term, so row order cannot move it.
+        values = [math.fsum(row) for row in terms]
+        return FunctionalReport("vf3", math.fsum(v for row in terms for v in row), tuple(enumerate(values)))
     return _FUNCTIONALS[args.which](_delaunay(pts), args)
 
 

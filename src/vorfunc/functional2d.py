@@ -17,11 +17,11 @@ all angles are acute, and is defined by the same closed form (possibly
 negative) in the obtuse case.
 
 The triangulations that one enumerate_triangulations call returns share one
-table of these terms over their distinct ordered corner triples, filled by one
-array pass on first use.  Each functional gathers its triangulation's rows
-from it; the arithmetic is elementwise, so every row equals the value the
-triangulation would get alone.  The last bits depend on which corner comes
-first, so rows are keyed by the ordered triple.
+table over their distinct ordered corner triples, with one list column per
+functional, filled by one array pass on first use; a functional is a list
+gather from its column, summed in triangle order.  The arithmetic is
+elementwise, so every row equals the value the triangulation would get alone;
+the last bits depend on the first corner, so rows are keyed by ordered triple.
 
 The pointwise field g carries the same information locally:
 
@@ -125,23 +125,23 @@ def _closed_form_terms(points, triangles):
     return _closed_form(u[:, 0], u[:, 1], v[:, 0], v[:, 1])
 
 
-def _terms(t: Triangulation2):
-    """_closed_form_terms of ``t``'s triangles.
+def _values(t: Triangulation2, key, formula) -> list:
+    """formula(area, e2, r2) of each of ``t``'s triangles, signed, as a list.
 
-    An enumerated triangulation gathers its rows from its enumeration's
-    table, filled on first use by one _closed_form_terms call over the
-    distinct ordered triples of all its triangulations.  The arithmetic is
-    elementwise, so each row equals the value computed alone.  Every
-    enumerated triangle came from an exact strictly convex flip, so none is
-    collinear.
+    An enumerated triangulation reads its rows from column ``key`` of its
+    enumeration's table, filled on first use by one _closed_form_terms call
+    over the distinct ordered triples of all its triangulations.  The
+    arithmetic is elementwise, so each row equals the value computed alone.
+    Every enumerated triangle came from an exact strictly convex flip, so
+    none is collinear and every sign is +1.
     """
     table = t._table
-    if table is not None:
-        if table.terms is None:
-            table.terms = np.stack(_closed_form_terms(t.points, list(table.rows)))
-        rows = table.rows
-        return table.terms[:, [rows[x] for x in t.triangles]]
-    return _closed_form_terms(t.points, t.triangles)
+    if table is None:
+        return (np.asarray(t.signs) * formula(*_closed_form_terms(t.points, t.triangles))).tolist()
+    if key not in table.columns:
+        table.columns[key] = formula(*_closed_form_terms(t.points, list(table.rows))).tolist()
+    column, rows = table.columns[key], table.rows
+    return [column[rows[x]] for x in t.triangles]
 
 
 def _triangle_terms(t: Triangle2):
@@ -169,29 +169,26 @@ def rajan_triangle(t: Triangle2) -> float:
     return area / 12.0 * e2
 
 
-def _report(kind: str, values: np.ndarray) -> FunctionalReport:
-    vals = values.tolist()
-    return FunctionalReport(kind, float(sum(vals)), tuple(enumerate(vals)))
+def _report(kind: str, values: list) -> FunctionalReport:
+    return FunctionalReport(kind, float(sum(values)), tuple(enumerate(values)))
 
 
 def vf_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of vf_triangle over all triangles."""
-    area, e2, r2 = _terms(t)
-    return _report("vf", np.asarray(t.signs) * (area / 12.0 * (e2 - 4.0 * r2)))
+    return _report("vf", _values(t, "vf", lambda area, e2, r2: area / 12.0 * (e2 - 4.0 * r2)))
 
 
 def rajan_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of rajan_triangle over all triangles."""
-    area, e2, _ = _terms(t)
-    return _report("rajan", np.asarray(t.signs) * (area / 12.0 * e2))
+    return _report("rajan", _values(t, "rajan", lambda area, e2, r2: area / 12.0 * e2))
 
 
 def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
     """Sum over triangles of circumradius**alpha times area (geometric only)."""
     if t.kind != GEOMETRIC:
         raise ValueError("radius functional is defined for geometric triangulations")
-    area, _, r2 = _terms(t)
-    return _report(f"rf{alpha:g}", r2 ** (alpha / 2.0) * area)
+    # Keyed by alpha itself: labels such as "rf2" round it.
+    return _report(f"rf{alpha:g}", _values(t, alpha, lambda area, e2, r2: r2 ** (alpha / 2.0) * area))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ convert their coordinates once and call the kernels directly;
 ``orient2``/``in_circle`` delegate to them, and the sweep, which knows its
 triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
 check.  ``orient2_rows`` runs the same filter on arrays of corners, for
-Triangulation2 and ``reject_collinear``, the closed forms' zero rule.
+Triangulation2 and ``reject_collinear``, the closed forms' and flags' zero rule.
 
 ``TAU_GEOM`` is a relative tolerance that serves only ``in_sphere``, whose
 coplanar verdict is the one 3D degeneracy check and whose on-sphere band is
@@ -166,10 +166,11 @@ def orient2_rows(corners):
 
 
 def reject_collinear(labels, corners):
-    """Raise DegenerateSimplex naming the first exactly collinear triangle of (T, 3, 2) corners."""
-    zero = orient2_rows(corners) == 0
-    if zero.any():
-        raise DegenerateSimplex(f"collinear triangle {tuple(labels[np.argmax(zero)].tolist())}")
+    """orient2_rows of (T, 3, 2) corners, or DegenerateSimplex naming the first collinear triangle."""
+    sign = orient2_rows(corners)
+    if not sign.all():
+        raise DegenerateSimplex(f"collinear triangle {tuple(labels[np.argmin(sign != 0)].tolist())}")
+    return sign
 
 
 def orient2(a, b, c) -> int:
@@ -403,9 +404,9 @@ def flag_terms(points, simplices):
     (T, F) is the second_moment of that image about X.  The cell adds
     sign * integral to the functional.  All but ``center`` come from edge
     vectors relative to each simplex's first corner, and flag 0's image
-    corners are exactly that corner plus their offsets.  Raises
-    DegenerateSimplex, naming the labels, for a triangle orient2 calls
-    collinear.
+    corners are exactly that corner plus their offsets.  Planar signs are
+    exact; raises DegenerateSimplex, naming the labels, for a triangle orient2
+    calls collinear.
     """
     p = np.asarray(points, float)
     d = p.shape[1]
@@ -414,14 +415,16 @@ def flag_terms(points, simplices):
     rel = p - p[:, :1]
     x = rel[:, FLAGS[d][:, 0]]
     edges = rel[:, FLAGS[d][:, 1:]] - x[:, :, None]  # Y - X[, Z - X], W - X
-    sign = np.where(_det(edges) > 0.0, 1, -1)
     image = np.zeros(x.shape[:2] + (d + 1, d))  # about X: X, XY[, XYZ], the simplex
     image[:, :, 1] = 0.5 * edges[:, :, 0]
     if d == 2:
-        reject_collinear(labels, p)
+        # Flag (X, Y, W) has its triangle's exact orientation times the parity
+        # of the permutation (X, Y, W) of its corners.
+        sign = reject_collinear(labels, p)[:, None] * np.array([1, -1, -1, 1, 1, -1])
         (ux, uy), (vx, vy) = rel[:, 1].T, rel[:, 2].T
         top = np.stack(circumcenter_offset(ux, uy, vx, vy), axis=1)
     else:
+        sign = np.where(_det(edges) > 0.0, 1, -1)
         image[:, :, 2] = circumcenter_offset3(edges[:, :, 0], edges[:, :, 1])
         top = circumsphere_offset(rel[:, 1], rel[:, 2], rel[:, 3])
     image[:, :, d] = top[:, None] - x

@@ -24,11 +24,11 @@ predicates are exact.
 Enumeration decides each move before doing its work.  Every triangle gets a
 bit the first time a move meets it, and a triangulation's key is the OR of
 its triangles' bits, so a move's key is its parent's with four bits
-toggled.  Each quad's convexity is decided once, by the test flip() uses,
-and only moves to unseen keys copy the map and flip it.  The triangulations
-of one enumeration share their points, their sign tuple, their triangle
-tuples and one table of their distinct ordered triples, from which
-functional2d gathers closed forms.
+toggled.  One pass over each popped map gives each interior edge once, with
+its quad, as for flip(); each quad's convexity is decided once, by flip()'s
+test, and only moves to unseen keys copy the map and flip it.  An
+enumeration's triangulations share their points, sign tuple, triangle tuples
+and one table of their distinct ordered triples, one list column per functional.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ class _TriangleTable:
     """The distinct ordered triangles of one enumeration's triangulations.
 
     ``rows`` numbers each (a, b, c) triple in order of first appearance;
-    ``terms`` is left for functional2d to fill on first use.
+    ``columns[key]``, one functional's list of row values, is left for
+    functional2d to fill on first use.
     """
 
     def __init__(self):
         self.rows = {}
-        self.terms = None
+        self.columns = {}
 
 
 class Triangulation2:
@@ -253,16 +254,20 @@ def _triangles(opp) -> list:
     return [(a, b, c) for (a, b), c in islice(opp.items(), 0, None, 3)]
 
 
-def _interior_edges(opp):
-    """Each interior edge of a directed-edge map once, directed as in its earlier triangle.
-
-    The order is that of Triangulation2.edge_map over the map's triangle list.
-    """
-    done = set()
-    for u, v in opp:
-        if (v, u) in opp and (v, u) not in done:
-            done.add((u, v))
-            yield u, v
+def _interior_edges(opp) -> list:
+    """Each interior edge (u, v) of a directed-edge map once, in one pass, as the
+    quad (u, v, k, l) of its triangles (u, v, k), (v, u, l), directed as in the
+    earlier one.  The order is that of Triangulation2.edge_map over the
+    map's triangle list."""
+    done, quads = set(), []
+    for e, k in opp.items():
+        u, v = e
+        if (v, u) not in done:
+            l = opp.get((v, u))
+            if l is not None:
+                done.add(e)
+                quads.append((u, v, k, l))
+    return quads
 
 
 def _strictly_convex(xy, u, v, k, l) -> bool:
@@ -274,13 +279,12 @@ def _strictly_convex(xy, u, v, k, l) -> bool:
     return orient2_xy(*xy[l], *xy[v], *xy[k]) > 0 and orient2_xy(*xy[k], *xy[u], *xy[l]) > 0
 
 
-def _flip(opp, u, v):
+def _flip(opp, u, v, k, l):
     """Flip diagonal (u, v) of triangles (u, v, k), (v, u, l) to (k, l), in place.
 
     Both triangles leave the map; (u, l, k) and (v, k, l) are added after the
     rest, three keys each, so the map stays readable by _triangles.
     """
-    k, l = opp[u, v], opp[v, u]
     for e in ((u, v), (v, k), (k, u), (v, u), (u, l), (l, v)):
         del opp[e]
     opp[u, l], opp[l, k], opp[k, u] = k, u, l
@@ -342,7 +346,7 @@ def _sweep_delaunay(pts):
                 raise NotGeneralPosition(f"cocircular points {v}, {u}, {q}, {p}", (v, u, q, p))
             if s < 0:
                 continue
-            _flip(opp, u, v)
+            _flip(opp, u, v, p, q)
             work += [(u, q), (q, v)]
         # Keep the hidden arc, from the chain's end round to its start, then p.
         hull = (hull[f - 1 : b] if f else hull[-1:] + hull[:b]) + [p]
@@ -397,12 +401,12 @@ def flip(t: Triangulation2, edge) -> Triangulation2:
     """
     edge = tuple(sorted(_as_labels(edge, len(t.points), 2, "edge").reshape(2).tolist()))
     opp = _directed_edges(t.triangles)
-    u, v = next((e for e in _interior_edges(opp) if tuple(sorted(e)) == edge), (None, None))
-    if u is None:
+    quad = next((q for q in _interior_edges(opp) if tuple(sorted(q[:2])) == edge), None)
+    if quad is None:
         raise NotInteriorEdge(f"edge {edge} is not an interior edge")
-    if not _strictly_convex(t.points.tolist(), u, v, opp[u, v], opp[v, u]):
+    if not _strictly_convex(t.points.tolist(), *quad):
         raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
-    _flip(opp, u, v)
+    _flip(opp, *quad)
     return Triangulation2(t.points, _triangles(opp), kind=t.kind, _normalize=False)
 
 
@@ -438,31 +442,27 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
     # Triangles are stored once: each state's list holds the shared tuples.
     shared = {t: t for t in root.triangles}
     table = _TriangleTable()
-    key = 0
-    for t in root.triangles:
-        key |= bit(t)
+    # Distinct triangles hold distinct bits, so their sum is their OR.
+    key = sum(bit(t) for t in root.triangles)
     seen = {key: Triangulation2._enumerated(root.points, root.triangles, root.signs, table)}
     stack = [(_directed_edges(root.triangles), key)]
     while stack:
         cur, key = stack.pop()
-        for u, v in _interior_edges(cur):
-            k, l = cur[u, v], cur[v, u]
-            quad = u, v, k, l
+        for quad in _interior_edges(cur):
             mask = masks.get(quad)
             if mask is None:
-                mask = masks[quad] = (
-                    bit((u, v, k)) ^ bit((v, u, l)) ^ bit((u, l, k)) ^ bit((v, k, l))
-                    if _strictly_convex(xy, u, v, k, l)
-                    else 0
-                )
+                u, v, k, l = quad
+                convex = _strictly_convex(xy, u, v, k, l)
+                mask = masks[quad] = bit((u, v, k)) ^ bit((v, u, l)) ^ bit((u, l, k)) ^ bit((v, k, l)) if convex else 0
+            # A rejected quad's mask is 0: its key is the current one, seen.
             nkey = key ^ mask
-            if not mask or nkey in seen:
+            if nkey in seen:
                 continue
             if len(seen) >= cap:
                 raise CapExceeded(f"more than {cap} triangulations")
             nxt = dict(cur)
-            _flip(nxt, u, v)
-            tris = tuple(shared.setdefault(t, t) for t in _triangles(nxt))
+            _flip(nxt, *quad)
+            tris = tuple([shared.setdefault(t, t) for t in _triangles(nxt)])
             seen[nkey] = Triangulation2._enumerated(root.points, tris, root.signs, table)
             stack.append((nxt, nkey))
     table.rows = {t: i for i, t in enumerate(shared)}

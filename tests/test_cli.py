@@ -303,6 +303,32 @@ def test_functional_dim3_per_tet_equals_one_tet_vf3(tmp_path, capsys, diagonal):
     expected = [vf3(TetComplex(tc.points, [tet])) for tet in tc.tets]
     assert [v for _, v in obj["per_simplex"]] == expected
     assert obj["total"] == sum(expected)
+    assert obj["total"] == vf3(tc)
+
+
+@pytest.mark.parametrize("diagonal", ["BE", "AC", "DX"])
+def test_functional_dim3_total_does_not_depend_on_the_tetrahedron_order(tmp_path, capsys, monkeypatch, diagonal):
+    # The total is one exactly rounded sum of every flag term, as in vf3, so
+    # rotating the decomposition's tetrahedra moves the rows but not the total.
+    import vorfunc.cli
+    from vorfunc.experiments import OCTA_POINTS, octahedron_decomposition
+    from vorfunc.subdivision import TetComplex
+
+    def rotated(r):
+        def decomposition(pts, diag):
+            tc = octahedron_decomposition(pts, diag)
+            return TetComplex(tc.points, tc.tets[r:] + tc.tets[:r])
+
+        return decomposition
+
+    path = write_points(tmp_path, "octa.json", OCTA_POINTS.tolist())
+    totals = []
+    for r in range(4):
+        monkeypatch.setattr(vorfunc.cli, "octahedron_decomposition", rotated(r))
+        code, out, _ = run_cli(["functional", "--input", path, "--dim", "3", "--diagonal", diagonal], capsys)
+        assert code == 0
+        totals.append(json.loads(out)["total"])
+    assert len(set(totals)) == 1
 
 
 @pytest.mark.parametrize("diagonal", ["1,2,3", "x,y", "1,1", "BB", "B", "", "AB", "0,1"])

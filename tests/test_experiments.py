@@ -197,6 +197,13 @@ def test_scan_rows_are_pinned():
     assert len(rows) == 2114 and _sha1(text) == "32159ad73a9db8d0af29e3978ac074112dc4aa26"
 
 
+def test_rf2_scan_rows_are_pinned():
+    # The same scan ranked by the squared-radius functional, rendered alike.
+    _, rows = optimality_scan(10, 2, seed=7, functional="rf2")
+    text = "".join(f"{t},{i},{v!r},{int(d)},{int(m)}\n" for t, i, v, d, m in rows)
+    assert len(rows) == 2114 and _sha1(text) == "7320b6ce6886e8c7509a0b87c1e1b5ce34942b14"
+
+
 def test_scan_four_points_convex():
     result, rows = optimality_scan(4, 5, seed=3)
     assert result.verdict == "pass"

@@ -139,11 +139,15 @@ _FUNCTIONALS = (
     rajan_triangulation,
     lambda t: radius_functional(t, 2.0),
     lambda t: radius_functional(t, 1.0),
+    # 2.0000001 is labeled "rf2", like 2.0: the shared table keys each column
+    # by alpha itself, so neither may read the other's values.
+    lambda t: radius_functional(t, 2.0000001),
+    lambda t: radius_functional(t, 0.5),
 )
 
 
 def _functional_jsons(t):
-    """vf, rajan, rf2 and rf1 of ``t`` as JSON, or the DegenerateSimplex message."""
+    """Each of _FUNCTIONALS of ``t`` as JSON, or the DegenerateSimplex message."""
     out = []
     for f in _FUNCTIONALS:
         try:

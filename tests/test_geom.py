@@ -459,3 +459,22 @@ def test_predicate_signs_are_exact_within_ulps_of_a_line_or_a_circle():
             else:
                 assert in_circle(Triangle2(*scaled[:3]), scaled[3]) == exact, (pts, scale)
     assert float_wrong > 100
+
+
+def test_planar_flag_signs_are_exact_orientations_times_flag_parities():
+    # The near-line triangles above, in all three corner rotations: each flag
+    # (X, Y, W) is its triangle's exact orientation times the parity of the
+    # permutation (X, Y, W), where a float determinant of the flag's edges can
+    # give the other sign.
+    near = [(0.5 + i * 2.0**-53, 0.5 + j * 2.0**-53) for i in range(32, 64) for j in range(32, 64) if i != j]
+    m = len(near)
+    pts = np.array(near + [(12.0, 12.0), (24.0, 24.0)])
+    tris = np.array([(i, m, m + 1)[k:] + (i, m, m + 1)[:k] for i in range(m) for k in range(3)])
+    # Some float cross products are 0, so those integrals are not finite.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sign, integral, _ = geom.flag_terms(pts, tris)
+    exact = np.array([_exact_orient2(*pts[t].tolist()) for t in tris])
+    parity = np.array([round(np.linalg.det(np.eye(3)[f])) for f in geom.FLAGS[2]])
+    finite = np.isfinite(integral)
+    assert finite.sum() > 1000
+    assert (sign == exact[:, None] * parity)[finite].all()
