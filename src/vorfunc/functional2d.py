@@ -48,6 +48,7 @@ serves the subdivision in both dimensions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,12 @@ def rajan_triangulation(t: Triangulation2) -> FunctionalReport:
 
 
 def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
-    """Sum over triangles of circumradius**alpha times area (geometric only)."""
+    """Sum over triangles of circumradius**alpha times area (geometric only).
+
+    ValueError for a non-finite ``alpha``, before any table column is made.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if t.kind != GEOMETRIC:
         raise ValueError("radius functional is defined for geometric triangulations")
     # Keyed by alpha itself: labels such as "rf2" round it.

@@ -14,8 +14,8 @@ One adjacency serves every algorithm here: a directed-edge map from edge
 step on it.  Delaunay construction is one lexicographic sweep: each new point
 finds the hull edges it sees by walking the hull from the point added before
 it, and its fan is legalized with that flip as it is added; triangles come in
-a canonical order (ccw, smallest label first, sorted).  flip() and the
-depth-first enumeration of the flip graph use the same map and flip.
+a canonical order (ccw, smallest label first, sorted).  flip() uses the same
+map and flip, and the enumeration of the flip graph starts from the map.
 validate() reads it too: the triples must form an oriented disk, and a
 geometric triangulation's unmatched directed edges must be the ccw hull cycle.
 Exact degeneracies are rejected (NotGeneralPosition), never perturbed: the
@@ -24,11 +24,13 @@ predicates are exact.
 Enumeration decides each move before doing its work.  Every triangle gets a
 bit the first time a move meets it, and a triangulation's key is the OR of
 its triangles' bits, so a move's key is its parent's with four bits
-toggled.  One pass over each popped map gives each interior edge once, with
-its quad, as for flip(); each quad's convexity is decided once, by flip()'s
-test, and only moves to unseen keys copy the map and flip it.  An
-enumeration's triangulations share their points, sign tuple, triangle tuples
-and one table of their distinct ordered triples, one list column per functional.
+toggled.  Only the root is read from a map.  A state carries its triangle
+tuple and one record per interior edge: its quad as flip() reads it, and its
+places in the map's order (three per triangle, new triangles last).  A
+move updates at most five records, and a popped state sorts only its records
+to unseen keys; each quad's convexity is decided once, by flip()'s test.  An enumeration's
+triangulations share their points, sign tuple, triangle tuples and one table
+of their distinct ordered triples, one list column per functional.
 """
 
 from __future__ import annotations
@@ -416,21 +418,29 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
     The flip graph of a planar point set is connected, so depth-first search
     from the Delaunay triangulation reaches every triangulation.  The result
     lists them in discovery order, Delaunay first.  Raises CapExceeded when
-    more than ``cap`` triangulations are found.
+    more than ``cap`` triangulations are found; ValueError unless ``cap`` is
+    an int >= 1.
 
-    Each state is a directed-edge map; its moves are its interior edges in
-    edge_map order.  A triangle's bit is assigned the first time a move
-    meets it, under each of its three rotations, and a state's key is the
-    OR of its triangles' bits.  A move toggles four bits, the two triangles
-    it removes and the two it adds.  That mask is worked out once per quad
-    (u, v, k, l), 0 when _strictly_convex rejects the quad, so every
-    convexity decision is that test's own, with its exact signs.  Only a
-    move to an unseen key copies the map, flips it and reads its triangles
-    back.
+    A triangle's bit is assigned the first time a move meets it, under each
+    of its three rotations, and a state's key is the OR of its triangles'
+    bits, so a move toggles four bits.  That mask is worked out once per quad,
+    for both directions, 0 when _strictly_convex rejects the quad.
+
+    A state is its triangle tuple and one record per interior edge,
+    (pos, mask, u, v, k, l, pos_twin, t_uv, t_vu): the quad as
+    _interior_edges gives it, the places of (u, v) and (v, u) in the state's
+    edge_map order (3 x the triangle's age + its rotation index) and the two
+    stored triangles.  A move's two new triangles take the next two ages, so
+    they come last, as flip() leaves them.  The child drops the flipped edge's
+    record, re-emits each interior edge of the quad's boundary from its older
+    side, and adds the new diagonal.  A popped state's moves are its records
+    to unseen keys, in place order; no two of them share a key.
     """
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError(f"cap must be an int >= 1, got {cap!r}")
     root = delaunay(points)
     xy = root.points.tolist()
-    bits = {}
+    bits, masks = {}, {}
 
     def bit(t):
         if t not in bits:
@@ -438,33 +448,53 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
             bits[a, b, c] = bits[b, c, a] = bits[c, a, b] = 1 << (len(bits) // 3)
         return bits[t]
 
-    masks = {}
-    # Triangles are stored once: each state's list holds the shared tuples.
-    shared = {t: t for t in root.triangles}
+    def record(pos, u, v, k, l, pos_twin, t_uv, t_vu):
+        mask = masks.get((u, v, k, l))
+        if mask is None:
+            convex = _strictly_convex(xy, u, v, k, l)
+            mask = bit((u, v, k)) ^ bit((v, u, l)) ^ bit((u, l, k)) ^ bit((v, k, l)) if convex else 0
+            masks[u, v, k, l] = masks[v, u, l, k] = mask
+        return pos, mask, u, v, k, l, pos_twin, t_uv, t_vu
+
+    # Triangles are stored once: each state's tuple holds the shared tuples.
+    tris = root.triangles
+    shared = {t: t for t in tris}
     table = _TriangleTable()
+    opp = _directed_edges(tris)
+    where = {e: i for i, e in enumerate(opp)}
+    quads = {}
+    for u, v, k, l in _interior_edges(opp):
+        pos, pos_twin = where[u, v], where[v, u]
+        quads[min(u, v), max(u, v)] = record(pos, u, v, k, l, pos_twin, tris[pos // 3], tris[pos_twin // 3])
     # Distinct triangles hold distinct bits, so their sum is their OR.
-    key = sum(bit(t) for t in root.triangles)
-    seen = {key: Triangulation2._enumerated(root.points, root.triangles, root.signs, table)}
-    stack = [(_directed_edges(root.triangles), key)]
+    key = sum(bit(t) for t in tris)
+    seen = {key: Triangulation2._enumerated(root.points, tris, root.signs, table)}
+    stack = [(tris, quads, len(tris), key)]
     while stack:
-        cur, key = stack.pop()
-        for quad in _interior_edges(cur):
-            mask = masks.get(quad)
-            if mask is None:
-                u, v, k, l = quad
-                convex = _strictly_convex(xy, u, v, k, l)
-                mask = masks[quad] = bit((u, v, k)) ^ bit((v, u, l)) ^ bit((u, l, k)) ^ bit((v, k, l)) if convex else 0
-            # A rejected quad's mask is 0: its key is the current one, seen.
-            nkey = key ^ mask
-            if nkey in seen:
-                continue
+        tris, quads, age, key = stack.pop()
+        # A rejected quad's mask is 0: its key is the current one, seen.
+        moves = sorted([r for r in quads.values() if key ^ r[1] not in seen])
+        for _, mask, u, v, k, l, _, t_uv, t_vu in moves:
             if len(seen) >= cap:
                 raise CapExceeded(f"more than {cap} triangulations")
-            nxt = dict(cur)
-            _flip(nxt, *quad)
-            tris = tuple([shared.setdefault(t, t) for t in _triangles(nxt)])
-            seen[nkey] = Triangulation2._enumerated(root.points, tris, root.signs, table)
-            stack.append((nxt, nkey))
+            t1, t2 = shared.setdefault((u, l, k), (u, l, k)), shared.setdefault((v, k, l), (v, k, l))
+            new = tuple([t for t in tris if t is not t_uv and t is not t_vu] + [t1, t2])
+            nq = dict(quads)
+            del nq[(u, v) if u < v else (v, u)]
+            a = 3 * age
+            # Boundary edge (p, q) keeps its direction and is now at place s of
+            # new triangle t, opposite c; its neighbour's side (q, p) comes first.
+            for p, q, c, s, t in ((u, l, k, a, t1), (k, u, l, a + 2, t1), (v, k, l, a + 3, t2), (l, v, k, a + 5, t2)):
+                e = (p, q) if p < q else (q, p)
+                r = nq.get(e)
+                if r is not None:
+                    place, x, tn = (r[6], r[5], r[8]) if r[2] == p else (r[0], r[4], r[7])
+                    nq[e] = record(place, q, p, x, c, s, tn, t)
+            # Flipping the new diagonal back toggles the same four bits.
+            nq[(k, l) if k < l else (l, k)] = (a + 1, mask, l, k, u, v, a + 4, t1, t2)
+            nkey = key ^ mask
+            seen[nkey] = Triangulation2._enumerated(root.points, new, root.signs, table)
+            stack.append((new, nq, age + 2, nkey))
     table.rows = {t: i for i, t in enumerate(shared)}
     return list(seen.values())
 

@@ -197,6 +197,13 @@ def test_scan_rows_are_pinned():
     assert len(rows) == 2114 and _sha1(text) == "32159ad73a9db8d0af29e3978ac074112dc4aa26"
 
 
+def test_scan_n12_rows_are_pinned():
+    # The rows of the scan at its documented size, rendered alike.
+    _, rows = optimality_scan(12, 1, seed=7)
+    text = "".join(f"{t},{i},{v!r},{int(d)},{int(m)}\n" for t, i, v, d, m in rows)
+    assert len(rows) == 8174 and _sha1(text) == "145836d31af52579bfcac77a8bcb51fcc710899e"
+
+
 def test_rf2_scan_rows_are_pinned():
     # The same scan ranked by the squared-radius functional, rendered alike.
     _, rows = optimality_scan(10, 2, seed=7, functional="rf2")

@@ -91,6 +91,19 @@ def test_radius_functional_single_triangle():
     assert rep.total == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_radius_functional_rejects_a_non_finite_alpha(alpha):
+    # A NaN key never matches, so each call would add a table column.
+    pts = np.array([[0.0, 0], [2, 0], [2.1, 1], [0.2, 1.1]])
+    t = enumerate_triangulations(pts)[0]
+    radius_functional(t, 2.0)
+    columns = dict(t._table.columns)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            radius_functional(t, alpha)
+    assert t._table.columns == columns
+
+
 def test_rf2_identity_random(rng):
     for _ in range(20):
         d = random_delaunay(rng, 8)

@@ -272,7 +272,7 @@ def test_enumerate_interior_point_forces_fan():
     assert len(enumerate_triangulations(pts)) == 1
 
 
-@pytest.mark.parametrize("n, catalan", [(5, 5), (6, 14), (7, 42), (8, 132), (9, 429), (10, 1430)])
+@pytest.mark.parametrize("n, catalan", [(5, 5), (6, 14), (7, 42), (8, 132), (9, 429), (10, 1430), (12, 16796)])
 def test_enumerate_convex_polygon_catalan(rng, n, catalan):
     # A convex n-gon has Catalan number C_(n-2) triangulations; jittered radii
     # keep the corners off one circle.
@@ -302,6 +302,13 @@ def test_enumerate_cap():
         enumerate_triangulations(pts, cap=5)
 
 
+@pytest.mark.parametrize("cap", [0, -5, 2.5, True, "7", None])
+def test_enumerate_rejects_a_cap_that_is_not_a_positive_int(cap):
+    pts = np.array([[0, 0], [1, 0], [0, 1]], float)
+    with pytest.raises(ValueError, match="cap must be an int >= 1"):
+        enumerate_triangulations(pts, cap=cap)
+
+
 def _reference_enumeration(pts):
     # Depth-first search over the flip graph through the public API only.
     root = delaunay(pts)
@@ -322,16 +329,27 @@ def _reference_enumeration(pts):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
-def test_enumeration_order_matches_reference_and_cap_is_exact(rng, n):
-    pts = random_delaunay(rng, n).points
+def _assert_matches_reference(pts):
     ref = _reference_enumeration(pts)
     got = enumerate_triangulations(pts)
     assert [t.canonical() for t in got] == [t.canonical() for t in ref]
     assert [t.triangles for t in got] == [t.triangles for t in ref]
     assert len(enumerate_triangulations(pts, cap=len(ref))) == len(ref)
-    with pytest.raises(CapExceeded):
+    # A set with one triangulation leaves cap 0, which is not a cap at all.
+    with pytest.raises(CapExceeded if len(ref) > 1 else ValueError):
         enumerate_triangulations(pts, cap=len(ref) - 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10])
+def test_enumeration_order_matches_reference_and_cap_is_exact(rng, n):
+    _assert_matches_reference(random_delaunay(rng, n).points)
+
+
+def test_enumeration_order_matches_reference_on_a_thin_gaussian():
+    # A 20:1 Gaussian puts most of its points on the hull, so most flips
+    # meet hull edges.
+    pts = np.random.default_rng(2709).standard_normal((9, 2)) * [1.0, 0.05]
+    _assert_matches_reference(pts)
 
 
 def test_flip_from_delaunay_decreases_angle_vector(rng):
