@@ -163,7 +163,11 @@ def cmd_counterexamples(args) -> int:
 
 def cmd_render(args) -> int:
     d = _delaunay(_load_points(args.input, 2))
-    _emit(_RENDERINGS[args.what](d), args.out)
+    # As in cmd_functional: an overflow that reaches a drawn coordinate raises
+    # ValueError (exit 2); one that stays off the drawing needs no warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        svg = _RENDERINGS[args.what](d)
+    _emit(svg, args.out)
     return 0
 
 

@@ -24,15 +24,25 @@ _STYLE = (
 )
 
 
-def _svg_coords(frame: np.ndarray, points: np.ndarray) -> list:
-    """"x,y" viewport strings of (m, 2) points, scaled so that ``frame`` fits."""
+def _svg_coords(frame: np.ndarray, points: np.ndarray, view: str = "drawing") -> list:
+    """"x,y" viewport strings of (m, 2) points, scaled so that ``frame`` fits.
+
+    ValueError naming ``view`` and the first point whose viewport coordinate
+    is not finite: a non-finite point, or a frame too wide for floats.
+    """
     lo = frame.min(axis=0)
     hi = frame.max(axis=0)
     span = float(max((hi - lo).max(), 1e-12))
     scale = (VIEW - 2.0 * MARGIN) / span
-    x = MARGIN + (points[:, 0] - lo[0]) * scale
-    y = VIEW - (MARGIN + (points[:, 1] - lo[1]) * scale)  # flip y
-    return [f"{x:.2f},{y:.2f}" for x, y in zip(x.tolist(), y.tolist())]
+    xy = np.empty((len(points), 2))
+    xy[:, 0] = MARGIN + (points[:, 0] - lo[0]) * scale
+    xy[:, 1] = VIEW - (MARGIN + (points[:, 1] - lo[1]) * scale)  # flip y
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"cannot draw the {view}: its point {bad} has a non-finite viewport coordinate")
+    # One % pass over the interleaved coordinates, split into "x,y" strings.
+    return ("%.2f,%.2f\n" * len(xy) % tuple(xy.ravel().tolist())).split("\n")[:-1]
 
 
 def _document(body: list) -> str:
@@ -46,7 +56,7 @@ def _document(body: list) -> str:
 
 def svg_triangulation(t: Triangulation2) -> str:
     """Triangle outlines plus vertex dots."""
-    coords = _svg_coords(t.points, t.points)
+    coords = _svg_coords(t.points, t.points, "triangulation")
     body = []
     for tri in t.triangles:
         pts = " ".join(coords[v] for v in tri)
@@ -69,7 +79,7 @@ def _reversed_cells(sd: SubdividedComplex) -> list:
 def _cell_polygons(sd: SubdividedComplex, use_image: bool) -> list:
     verts = sd.gamma if use_image else sd.vertices
     frame = np.vstack([sd.vertices, sd.gamma]) if use_image else sd.vertices
-    coords = _svg_coords(frame, verts)
+    coords = _svg_coords(frame, verts, "gamma image" if use_image else "subdivision")
     neg = _reversed_cells(sd) if use_image else [False] * len(sd.cells)
     body = []
     for (i, j, k), n in zip(sd.cells.tolist(), neg):

@@ -116,13 +116,20 @@ class SubdividedComplex:
 
 
 def _first_reach(rows):
-    """The distinct rows of a 2D array in the order they first occur, the
-    index of each first occurrence and, per row, the rank of its distinct row."""
-    unique, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return unique[order], first[order], rank[inverse.reshape(-1)]
+    """The distinct rows of a 2D integer array in the order they first occur,
+    the index of each first occurrence and, per row, the rank of its distinct row.
+
+    One stable sort brings equal rows together, each group led by its first
+    occurrence."""
+    order = np.lexsort(rows.T)
+    grouped = rows[order]
+    lead = np.ones(len(rows), bool)
+    lead[1:] = (grouped[1:] != grouped[:-1]).any(axis=1)
+    by_first = np.argsort(order[lead])
+    first = order[lead][by_first]
+    rank = np.empty(len(rows), int)
+    rank[order] = np.argsort(by_first)[np.cumsum(lead) - 1]
+    return rows[first], first, rank
 
 
 def barycentric_subdivide(source) -> SubdividedComplex:

@@ -11,15 +11,20 @@ the one orientation of their triples, which must be consistent.
 
 One adjacency serves every algorithm here: a directed-edge map from edge
 (u, v) of a consistently oriented triangle to its third corner, with one flip
-step on it.  Delaunay construction is one lexicographic sweep: each new point
-finds the hull edges it sees by walking the hull from the point added before
-it, and its fan is legalized with that flip as it is added; triangles come in
-a canonical order (ccw, smallest label first, sorted).  flip() uses the same
-map and flip, and the enumeration of the flip graph starts from the map.
-validate() reads it too: the triples must form an oriented disk, and a
-geometric triangulation's unmatched directed edges must be the ccw hull cycle.
-Exact degeneracies are rejected (NotGeneralPosition), never perturbed: the
-predicates are exact.
+step on it.  Delaunay construction is one radial sweep (Sinclair's S-hull):
+points are added by squared distance from the midpoint of their bounding
+box, compared exactly (a float comparison beyond its error bound, else
+``Fraction`` over the run of neighbours it cannot separate), so each new
+point lies strictly outside the hull so far.  The sweep is seeded by the two
+nearest points and the first later point off their line, fanned to the
+collinear points between.  Each new point finds the hull edges it sees from
+a pseudo-angle bucket table over a linked hull cycle, and its fan is
+legalized with that flip as it is added; triangles come in a canonical order
+(ccw, smallest label first, sorted).  flip() uses the same map and flip, and
+the enumeration of the flip graph starts from the map.  validate() reads it
+too: the triples must form an oriented disk, and a geometric triangulation's
+unmatched directed edges must be the ccw hull cycle.  Exact degeneracies are
+rejected (NotGeneralPosition), never perturbed: the predicates are exact.
 
 Enumeration decides each move before doing its work.  Every triangle gets a
 bit the first time a move meets it, and a triangulation's key is the OR of
@@ -36,6 +41,7 @@ of their distinct ordered triples, one list column per functional.
 from __future__ import annotations
 
 import json
+import math
 from itertools import islice
 
 import numpy as np
@@ -301,34 +307,112 @@ def _sees(xy, a, b, p) -> bool:
     return s < 0
 
 
+# A float squared distance (x - cx)^2 + (y - cy)^2 is within 4 eps of the
+# exact one (relative, eps = 2^-53), plus 2^-1073 where a square underflows.
+# Two sorted keys further apart than _KEY_BOUND = 16 eps times their sum plus
+# _KEY_TINY are in exact order, with room for the rounding of that test, and
+# so is every key up to the first against every key from the second on; an
+# infinite key, or a sum that overflows, is never apart.
+_KEY_BOUND = 2.0**-49
+_KEY_TINY = 2.0**-1060
+
+
+def _radial_order(xy, cx, cy) -> list:
+    """Labels by exact squared distance from (cx, cy), ties by label.
+
+    One float sort; each run of neighbours whose keys the bound cannot
+    separate is sorted again by _exact_radial_sort.
+    """
+    n = len(xy)
+    keys = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in xy]
+    order = sorted(range(n), key=keys.__getitem__)
+    start = 0
+    for i in range(1, n + 1):
+        if i < n:
+            a, b = keys[order[i - 1]], keys[order[i]]
+            if not b - a > _KEY_BOUND * (a + b) + _KEY_TINY:
+                continue
+        if i - start > 1:
+            order[start:i] = _exact_radial_sort(xy, cx, cy, order[start:i])
+        start = i
+    return order
+
+
+def _exact_radial_sort(xy, cx, cy, labels) -> list:
+    """``labels`` by squared distance from (cx, cy) in ``Fraction`` on the
+    original coordinates, which floats represent exactly; ties by label."""
+    from fractions import Fraction
+
+    fx, fy = Fraction(cx), Fraction(cy)
+    key = {p: (Fraction(xy[p][0]) - fx) ** 2 + (Fraction(xy[p][1]) - fy) ** 2 for p in labels}
+    return sorted(labels, key=lambda p: (key[p], p))
+
+
 def _sweep_delaunay(pts):
     """Delaunay triangles of ``pts`` in canonical order, by the one sweep of ``delaunay``."""
-    order = [int(i) for i in np.lexsort((pts[:, 1], pts[:, 0]))]
+    n = len(pts)
     xy = pts.tolist()
-    for a, b in zip(order, order[1:]):
+    lex = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    for a, b in zip(lex, lex[1:]):
         if xy[a] == xy[b]:
             raise NotGeneralPosition(f"duplicate points {a}, {b}", (a, b))
-    i0, i1, i2 = order[0], order[1], order[2]
-    s = orient2_xy(*xy[i0], *xy[i1], *xy[i2])
-    if s == 0:
-        raise NotGeneralPosition(f"collinear points {i0}, {i1}, {i2}", (i0, i1, i2))
-    # The ccw hull always ends with the last point added, the rightmost so far.
-    hull = [i0, i1, i2] if s > 0 else [i1, i0, i2]
-    opp = _directed_edges([hull])
-    for p in order[3:]:
-        # Hull edge j is (hull[j - 1], hull[j]); edges 0 and m - 1 meet at the
-        # last point, which p always sees.  Walk forward over the visible edges
-        # j < f, then back over j >= b, testing each run's first hidden edge.
-        m = len(hull)
-        f = 0
-        while f < m and _sees(xy, hull[f - 1], hull[f], p):
-            f += 1
-        b = m
-        while b - 1 > f and _sees(xy, hull[b - 2], hull[b - 1], p):
-            b -= 1
-        if f == m or (f == 0 and b == m):
-            raise NotGeneralPosition(f"point {p} has no consistent hull view", (p,))
-        chain = hull[b - 1 :] + hull[:f]
+    # The bounding box's midpoint; lex's ends hold the smallest and largest x.
+    ys = [y for _, y in xy]
+    cx, cy = xy[lex[0]][0] / 2 + xy[lex[-1]][0] / 2, min(ys) / 2 + max(ys) / 2
+    order = _radial_order(xy, cx, cy)
+    # Seed: the two nearest points and the first later point off their line;
+    # the points between lie on that line, are sorted along it and fanned.
+    i0, i1 = order[0], order[1]
+    k = 2
+    while k < n and orient2_xy(*xy[i0], *xy[i1], *xy[order[k]]) == 0:
+        k += 1
+    if k == n:
+        raise NotGeneralPosition(f"collinear points {i0}, {i1}, {order[2]}", (i0, i1, order[2]))
+    p = order[k]
+    line = sorted(order[:k], key=xy.__getitem__)
+    if orient2_xy(*xy[line[0]], *xy[line[-1]], *xy[p]) < 0:
+        line.reverse()
+    opp = _directed_edges([(u, v, p) for u, v in zip(line, line[1:])])
+    # The ccw hull as a linked cycle; a point off the hull is its own nxt.
+    nxt, prv = list(range(n)), list(range(n))
+    cycle = line + [p]
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        nxt[u], prv[v] = v, u
+    # Hull vertices by the bucket of their pseudo-angle about the centre.
+    # Every bucket starts with a hull vertex, and each insertion leaves p and
+    # e in theirs, so some bucket always holds a live one.
+    size = math.isqrt(n) + 1
+
+    def bucket(x, y):
+        dx, dy = x - cx, y - cy
+        s = abs(dx) + abs(dy)
+        a = dx / s if s else 0.0
+        return int((3.0 - a if dy > 0.0 else 1.0 + a) * 0.25 * size) % size
+
+    home = [bucket(x, y) for x, y in xy]
+    buckets = [p] * size
+    for v in cycle:
+        buckets[home[v]] = v
+    for p in order[k + 1 :]:
+        x, y = xy[p]
+        # p is at least as far from the centre as every point before it, so
+        # it lies strictly outside their hull and sees one run of its edges.
+        # From the first live bucket at or after p's, walk forward to an
+        # edge (e, nxt[e]) it sees, then extend the run both ways.
+        h = home[p]
+        while nxt[buckets[h]] == buckets[h]:
+            h = (h + 1) % size
+        e = prv[buckets[h]]
+        while orient2_xy(*xy[e], *xy[nxt[e]], x, y) >= 0:
+            e = nxt[e]
+        f = nxt[e]
+        while _sees(xy, f, nxt[f], p):
+            f = nxt[f]
+        while _sees(xy, prv[e], e, p):
+            e = prv[e]
+        chain = [e]
+        while chain[-1] != f:
+            chain.append(nxt[chain[-1]])
         # Edge (u, v) of ccw triangle (u, v, p) is legal or is flipped to (p, q),
         # where (v, u, q) is the triangle across it.  Errors label the quad
         # (v, u, q, p): the triangle across the edge first, then the new point.
@@ -350,8 +434,13 @@ def _sweep_delaunay(pts):
                 continue
             _flip(opp, u, v, p, q)
             work += [(u, q), (q, v)]
-        # Keep the hidden arc, from the chain's end round to its start, then p.
-        hull = (hull[f - 1 : b] if f else hull[-1:] + hull[:b]) + [p]
+        for v in chain[1:-1]:
+            nxt[v] = v
+        nxt[e], prv[p], nxt[p], prv[f] = p, e, f, p
+        buckets[home[p]], buckets[home[e]] = p, e
+    # A later point off the seed line on its far side sees all of it at once.
+    if k > 2 and nxt[line[1]] != line[1]:
+        raise NotGeneralPosition(f"collinear hull points {line[0]}, {line[1]}, {line[2]}", tuple(line[:3]))
     # Each triangle once, from its smallest corner: ccw, smallest label first.
     return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
@@ -359,19 +448,26 @@ def _sweep_delaunay(pts):
 def delaunay(points) -> Triangulation2:
     """Delaunay triangulation of a general-position point set, in one sweep.
 
-    Points are added in lexicographic order; each new point's fan over the
-    hull edges it sees is legalized at once, by flipping the edges opposite
+    Points are added by exact squared distance from the midpoint of their
+    bounding box (ties by label), so each lies strictly outside the hull of
+    those before it (Sinclair's radial sweep-hull, 2016).  The sweep starts
+    from the two nearest points and the first later point off their line,
+    fanned to the collinear points between.  Each new point finds the hull
+    edges it sees from a pseudo-angle bucket table over the hull cycle, and
+    its fan over them is legalized at once, by flipping the edges opposite
     the point until each passes the in-circle test.  A flip replaces an edge
     opposite the point with one at it, and no flip removes an edge at the
-    point, so a point makes at most n - 1 flips.  Triangles come in a canonical order: each ccw,
-    smallest label first, the list sorted.
+    point, so a point makes at most n - 1 flips.  Triangles come in a
+    canonical order: each ccw, smallest label first, the list sorted.
 
-    Every orientation and in-circle sign is exact.  Raises
-    NotGeneralPosition (with the offending labels) for duplicates, a
-    collinear first triple, a new point exactly on the line of a hull edge
-    the walk tests (those it sees and the two next to them), or an exactly
-    cocircular quadruple among the quads the sweep tests: each edge opposite
-    a new point against the triangle across it.
+    Every orientation, in-circle and distance comparison is exact: a float
+    comparison of squared distances decides only beyond its error bound,
+    and the rest are made in rational arithmetic.  Raises
+    NotGeneralPosition (with the offending labels) for duplicates, all
+    points collinear, collinear seed points left on the final hull, a new
+    point exactly on the line of a hull edge it sees or of the two next to
+    them, or an exactly cocircular quadruple among the quads the sweep
+    tests: each edge opposite a new point against the triangle across it.
     """
     pts = _as_points(points, 2)
     if len(pts) < 3:

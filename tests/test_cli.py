@@ -289,6 +289,30 @@ def test_functional_on_a_triangle_whose_area_overflows_exits_2(tmp_path, capsys)
     assert err.startswith("error: functional vf is not finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("what, code", [("gamma", 2), ("subdivision", 0), ("triangulation", 0)])
+def test_render_of_a_triangle_whose_circumcenter_overflows(tmp_path, capsys, what, code):
+    # The circumcenter of the 1e160 triangle overflows: the gamma image
+    # would draw it, so it exits 2 with one error line and nothing on stdout;
+    # the other views draw only the points and their barycenters.
+    path = write_points(tmp_path, "huge.json", [[0, 0], [1e160, 0], [0, 1e160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(["render", "--input", path, "--what", what], capsys)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "error: cannot draw the gamma image: its point 0 has a non-finite viewport coordinate\n"
+    else:
+        assert err == "" and out.startswith("<svg") and "nan" not in out
+
+
+def test_functional_on_an_integer_grid_exits_3(tmp_path, capsys):
+    path = write_points(tmp_path, "grid.json", [[x, y] for x in range(12) for y in range(12)])
+    code, out, err = run_cli(["functional", "--input", path], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: not in general position: labels (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("diagonal", [(1, 4), (0, 2), (3, 5)])
 def test_functional_dim3_per_tet_equals_one_tet_vf3(tmp_path, capsys, diagonal):
     from vorfunc.experiments import OCTA_LABELS, OCTA_POINTS, octahedron_decomposition

@@ -1,10 +1,11 @@
+import hashlib
 import re
 
 import numpy as np
 
 from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
 from vorfunc.geom import simplex_volume
-from vorfunc.render import _svg_coords, svg_gamma_image
+from vorfunc.render import _svg_coords, svg_gamma_image, svg_subdivision
 from vorfunc.subdivision import barycentric_subdivide
 from vorfunc.tri2d import Triangulation2, delaunay, make_topological
 
@@ -37,3 +38,11 @@ def test_gamma_shading_matches_a_per_cell_walk(rng):
             assert points == " ".join(coords[v] for v in verts)
         shaded.append(sum(cls == "cell neg" for cls, _ in polygons))
     assert shaded[-3] > 0 and shaded[-2] > 0 and shaded[-1] == 2
+
+
+def test_svgs_of_a_seeded_uniform_set_are_pinned():
+    # Byte for byte: subdivision numbering, coordinate strings and shading.
+    d = delaunay(np.random.default_rng(300).random((300, 2)))
+    assert len(d.triangles) == 580
+    assert hashlib.sha1(svg_gamma_image(d).encode()).hexdigest() == "f1d41e48ad9f9573bb02a7734e31fe41cc2d1b70"
+    assert hashlib.sha1(svg_subdivision(d).encode()).hexdigest() == "d5a5e495d4d8d51ed97d51019ab45713e11b81ba"

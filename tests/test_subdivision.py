@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -514,3 +515,21 @@ def test_cancellation_scales_exactly_as_fourth_power():
         scaled = Triangulation2(pts * 2.0**k, d.triangles, _normalize=False)
         got = [interior_cancellation_check(scaled, v) for v in interior]
         assert got == [(lhs * 2.0 ** (4 * k), rhs * 2.0 ** (4 * k)) for lhs, rhs in base]
+
+
+def test_subdivisions_of_seeded_complexes_are_pinned():
+    # Byte for byte: the vertex numbering in first-reach order, in the plane
+    # and in space, and every array derived from it.
+    def sha1(sd):
+        return hashlib.sha1(sd.to_json().encode()).hexdigest()
+
+    d = delaunay(np.random.default_rng(300).random((300, 2)))
+    assert sha1(barycentric_subdivide(d)) == "5928e604b71a9b908b4b04462bc9ce754eee0f40"
+    rng = np.random.default_rng(28)
+    pts = rng.random((12, 3))
+    tc = TetComplex(pts, [rng.choice(12, 4, replace=False) for _ in range(40)])
+    assert sha1(barycentric_subdivide(tc)) == "5858c6b555ba8618ba16d47545e231d524afa2ca"
+    # No simplices, no rows to number.
+    for empty in (TetComplex(pts, []), Triangulation2(pts[:, :2], [])):
+        sd = barycentric_subdivide(empty)
+        assert sd.cells.shape == (0, sd.dim + 1) and len(sd.vertices) == 0

@@ -1,4 +1,7 @@
+import fractions
+import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -14,9 +17,11 @@ from vorfunc.errors import (
 )
 from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP, OCTA_POINTS, octahedron_decomposition
 from vorfunc.geom import simplex_volume
+from vorfunc import tri2d
 from vorfunc.subdivision import TetComplex, interior_cancellation_check
 from vorfunc.tri2d import (
     Triangulation2,
+    _radial_order,
     convex_hull,
     delaunay,
     empty_circumcircle_violations,
@@ -521,6 +526,139 @@ def test_delaunay_decides_a_near_collinear_hull_point_exactly():
     # sweep adds it; a relative tolerance of 1e-9 rejected the set as collinear.
     pts = np.random.default_rng(np.random.SeedSequence(213, spawn_key=(3, 2))).random((3000, 2))
     assert set(delaunay(pts).canonical()) == _scipy_triangles(pts)
+
+
+def _midpoint(pts):
+    """The sweep's centre: the midpoint of the bounding box, as lo / 2 + hi / 2."""
+    return (pts.min(axis=0) / 2 + pts.max(axis=0) / 2).tolist()
+
+
+def _exact_radial_order(pts):
+    """Labels by exact squared distance from the bounding box's midpoint, ties by label."""
+    cx, cy = map(fractions.Fraction, _midpoint(pts))
+    key = [(fractions.Fraction(x) - cx) ** 2 + (fractions.Fraction(y) - cy) ** 2 for x, y in pts.tolist()]
+    return sorted(range(len(pts)), key=lambda i: (key[i], i))
+
+
+def _assert_delaunay(pts):
+    d = delaunay(pts)
+    assert set(d.canonical()) == _scipy_triangles(pts)
+    assert empty_circumcircle_violations(d) == []
+    return d
+
+
+def test_radial_order_is_exact_where_float_keys_tie_or_differ_by_an_ulp():
+    # Opposite corners of the bounding box, and a pair mirrored through its
+    # midpoint, have squared distances that tie or differ by a few ulps in
+    # floats: no float bound separates them, and they are ordered exactly.
+    rng = np.random.default_rng(28)
+    ties = 0
+    for _ in range(100):
+        n = int(rng.integers(6, 11))
+        pts = rng.random((n, 2))
+        pts[0] = pts.min(axis=0) - 0.1 * rng.random(2)
+        pts[1] = pts.max(axis=0) + 0.1 * rng.random(2)
+        cx, cy = _midpoint(pts)
+        pts[3] = [2 * cx - pts[2, 0], 2 * cy - pts[2, 1]]
+        keys = [(x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in pts.tolist()]
+        for a, b in ((0, 1), (2, 3)):
+            assert abs(keys[a] - keys[b]) <= 4 * math.ulp(keys[a])
+            ties += keys[a] == keys[b]
+        assert _radial_order(pts.tolist(), cx, cy) == _exact_radial_order(pts)
+        _assert_delaunay(pts)
+    assert 0 < ties < 200
+
+
+def test_a_tie_sorts_only_its_run_in_rationals(monkeypatch):
+    # Two ties among 10^4 points: opposite corners of the unit box and a pair
+    # mirrored through its midpoint.  The exact comparison covers the pairs,
+    # not the whole set.
+    runs = []
+
+    def exact_sort(xy, cx, cy, labels):
+        runs.append(len(labels))
+        return exact(xy, cx, cy, labels)
+
+    exact = tri2d._exact_radial_sort
+    monkeypatch.setattr(tri2d, "_exact_radial_sort", exact_sort)
+    pts = np.random.default_rng(10000).random((10000, 2))
+    pts[0], pts[-1] = [0.0, 0.0], [1.0, 1.0]
+    pts[1] = [1.0 - pts[2, 0], 1.0 - pts[2, 1]]
+    assert _radial_order(pts.tolist(), 0.5, 0.5) == _exact_radial_order(pts)
+    assert 0 < len(runs) and max(runs) <= 4, runs
+
+
+def test_delaunay_decides_underflowing_and_overflowing_keys_exactly():
+    # At 2^-540 the squared distances underflow to zero or subnormals, at
+    # 2^520 they overflow: every key comparison is made exactly, and every
+    # predicate too, so the triangles are those at scale 1.
+    pts = np.random.default_rng(540).random((1000, 2))
+    d = _assert_delaunay(pts)
+    for k in (-540, 520):
+        scaled = pts * 2.0**k
+        assert _radial_order(scaled.tolist(), *_midpoint(scaled)) == _exact_radial_order(pts)
+        assert delaunay(scaled).triangles == d.triangles, k
+
+
+def test_delaunay_fans_collinear_nearest_points_and_rejects_them_on_the_hull():
+    # The three points nearest the midpoint lie on one line and seed the
+    # sweep as a fan.  With points on both sides the line ends inside the
+    # hull; with every other point on one side it stays on the hull, a
+    # collinear hull triple.
+    rng = np.random.default_rng(3)
+    line = [[-0.125, -0.125], [0.0, -0.125], [0.1875, -0.125]]
+    for _ in range(10):
+        ang = rng.uniform(0.0, 2.0 * np.pi, 40)
+        ring = np.c_[np.cos(ang), np.sin(ang)] * rng.uniform(0.4, 0.9, (40, 1))
+        pts = np.array(line + [[1, 1], [-1, -1], [1, -1], [-1, 1]] + ring.tolist())[rng.permutation(47)]
+        labels = set(_exact_radial_order(pts)[:3])
+        assert {tuple(pts[i]) for i in labels} == {tuple(p) for p in line}
+        _assert_delaunay(pts)
+        # Above the line only, with the box's midpoint 1/8 above it.
+        top = np.c_[rng.uniform(-1.0, 1.0, 40), rng.uniform(-0.1, 0.125, 40)]
+        top = top[np.abs(top[:, 0]) > 0.4]
+        pts = np.array(line + [[-1, 0.125], [1, 0.125]] + top.tolist())[rng.permutation(len(top) + 5)]
+        labels = _exact_radial_order(pts)[:3]
+        assert {tuple(pts[i]) for i in labels} == {tuple(p) for p in line}
+        with pytest.raises(NotGeneralPosition) as exc:
+            delaunay(pts)
+        a, b, c = exc.value.labels
+        assert exc.value.args[0] == f"collinear hull points {a}, {b}, {c}" and {a, b, c} == set(labels)
+        assert pts[a, 0] < pts[b, 0] < pts[c, 0] or pts[a, 0] > pts[b, 0] > pts[c, 0]
+
+
+def test_delaunay_on_integer_points_on_a_circle_about_the_midpoint():
+    # Points on x^2 + y^2 = 25 in antipodal pairs, with the four on the axes,
+    # keep the bounding box's midpoint at the origin, so their squared
+    # distances tie exactly.  No three points are collinear: a set is
+    # rejected as cocircular with four labels, or triangulated correctly.
+    circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    pairs = [p for p in circle if p > (0, 0) and 0 not in p]
+    inner = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if x * x + y * y < 25]
+    rng = np.random.default_rng(28)
+    outcomes = {"accepted": 0, "rejected": 0}
+    while sum(outcomes.values()) < 100:
+        chosen = [pairs[i] for i in rng.choice(len(pairs), size=rng.integers(0, 5), replace=False)] + [(5, 0), (0, 5)]
+        extra = [inner[i] for i in rng.choice(len(inner), size=rng.integers(0, 4), replace=False)]
+        pts = chosen + [(-x, -y) for x, y in chosen] + extra
+        triples = itertools.combinations(pts, 3)
+        if any((b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]) for a, b, c in triples):
+            continue
+        pts = [pts[i] for i in rng.permutation(len(pts))]
+        try:
+            d = delaunay(np.array(pts, float))
+        except NotGeneralPosition as exc:
+            assert len(exc.labels) == 4 and _in_circle_int(*(pts[i] for i in exc.labels)) == 0
+            outcomes["rejected"] += 1
+            continue
+        outcomes["accepted"] += 1
+        assert set(d.canonical()) == _scipy_triangles(np.array(pts, float))
+        for (i, j), tids in d.edge_map().items():
+            if len(tids) == 2:
+                t1, t2 = (d.triangles[k] for k in tids)
+                (l,) = set(t2) - {i, j}
+                assert _in_circle_int(*(pts[k] for k in t1), pts[l]) < 0
+    assert min(outcomes.values()) > 10, outcomes
 
 
 def test_delaunay_is_invariant_under_power_of_two_scaling():
