@@ -6,8 +6,8 @@ class VorfuncError(Exception):
 
 
 class DegenerateSimplex(VorfuncError):
-    """A simplex has no circumcenter: a planar triangle is exactly collinear, or a
-    tetrahedron is coplanar within TAU_GEOM (in_sphere)."""
+    """A simplex has no circumcenter: geom.orient calls it degenerate (labels named where
+    known), or in_sphere finds a tetrahedron coplanar within TAU_GEOM."""
 
 
 class NotGeneralPosition(VorfuncError):

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailed, NotGeneralPosition
-from .geom import FLAGS, _as_labels, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere, simplex_volume
+from .geom import (
+    FLAGS, _as_labels, _as_points, circumcenter_offset3, det3, flag_terms, in_sphere, orient, simplex_volume
+)
 from .integrate import mc_integrate, sample_box
 from .functional2d import (
     assert_vanishes_on_boundary,
@@ -283,7 +285,7 @@ def octahedron_decomposition(points, diagonal) -> TetComplex:
     first, *rest = (k for k in range(6) if k not in (i, j))
     for ring in itertools.permutations(rest, 3):
         tets = [(i, j, a, b) for a, b in zip((first, *ring), (*ring, first))]
-        if (simplex_volume(pts[tets]) > 0).all():
+        if (orient(pts[tets]) > 0).all():
             return TetComplex(pts, tets)
     raise ValueError(f"({i}, {j}) is not a diagonal of the octahedron")
 

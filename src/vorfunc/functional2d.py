@@ -62,8 +62,7 @@ from .geom import (
     in_circle_xy,
     orient2,
     orient2_xy,
-    reject_collinear,
-    simplex_volume,
+    reject_degenerate,
 )
 from .integrate import Box, check_vanishes_on_boundary
 from .tri2d import GEOMETRIC, Triangulation2, convex_hull
@@ -121,7 +120,7 @@ def _closed_form_terms(points, triangles):
     DegenerateSimplex, naming the labels, for an exactly collinear triangle.
     """
     tri, p = _corners(points, triangles)
-    reject_collinear(tri, p)
+    reject_degenerate(tri, p)
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     return _closed_form(u[:, 0], u[:, 1], v[:, 0], v[:, 1])
 
@@ -212,7 +211,7 @@ def mu_terms(t: Triangle2) -> list:
     counterclockwise order the terms belong to the flags (a, ca), (a, ab),
     (b, ab), (b, bc), (c, bc), (c, ca).
     """
-    ccw = (0, 1, 2) if simplex_volume(t.vertices()) >= 0.0 else (2, 1, 0)
+    ccw = (0, 1, 2) if orient2(*t.vertices()) >= 0 else (2, 1, 0)
     sign, integral, _ = flag_terms(t.vertices(), [ccw])
     return (sign[0] * integral[0])[[1, 0, 2, 3, 5, 4]].tolist()
 

@@ -16,17 +16,17 @@ many triples (the Delaunay sweep and its flips, flip-graph enumeration)
 convert their coordinates once and call the kernels directly;
 ``orient2``/``in_circle`` delegate to them, and the sweep, which knows its
 triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
-check.  ``orient2_rows`` runs the same filter on arrays of corners, for
-Triangulation2 and ``reject_collinear``, the closed forms' and flags' zero rule.
+check.  ``orient2_rows`` runs the same filter on arrays.  ``orient`` (that in
+the plane, the sign of ``simplex_volume`` in space) is every simplex's orientation.
 
 ``TAU_GEOM`` is a relative tolerance that serves only ``in_sphere``, whose
-coplanar verdict is the one 3D degeneracy check and whose on-sphere band is
-homogeneous of its determinant's degree, and ``convex_polygon_masks_xy``'
-closed band.  ``in_sphere`` is one array pass over (..., 4, 3) corners.
+coplanar verdict guards until the spatial sign is exact and whose on-sphere
+band is homogeneous of its determinant's degree, and
+``convex_polygon_masks_xy``' closed band.  ``in_sphere`` is one array pass.
 
 ``det3``, the triple product, is the one 3D determinant: ``simplex_volume``
-(the one signed area or volume, of (..., d + 1, d) corner arrays), the flag
-kernel and ``in_sphere`` (by cofactors of its lifted 4x4) use it.
+(the one signed area or volume, of (..., d + 1, d) corner arrays) and
+``in_sphere`` (by cofactors of its lifted 4x4) use it.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
 elementwise on arrays.  With them ``flag_terms``, the one flag kernel, gives
@@ -165,11 +165,18 @@ def orient2_rows(corners):
     return sign
 
 
-def reject_collinear(labels, corners):
-    """orient2_rows of (T, 3, 2) corners, or DegenerateSimplex naming the first collinear triangle."""
-    sign = orient2_rows(corners)
-    if not sign.all():
-        raise DegenerateSimplex(f"collinear triangle {tuple(labels[np.argmin(sign != 0)].tolist())}")
+def orient(corners):
+    """+1, -1 or 0 (degenerate, or a NaN volume) for each simplex of (T, d + 1, d) corners, d = 2 or 3."""
+    if corners.shape[-1] == 2:
+        return orient2_rows(corners)
+    return np.sign(np.nan_to_num(simplex_volume(corners))).astype(int)
+
+
+def reject_degenerate(labels, corners):
+    """orient of (T, d + 1, d) corners, or DegenerateSimplex naming the first degenerate simplex."""
+    if not (sign := orient(corners)).all():
+        name = "collinear triangle" if corners.shape[-1] == 2 else "coplanar tetrahedron"
+        raise DegenerateSimplex(f"{name} {tuple(labels[np.argmin(sign != 0)].tolist())}")
     return sign
 
 
@@ -336,10 +343,8 @@ def convex_polygon_masks_xy(verts: np.ndarray, x: np.ndarray, y: np.ndarray) -> 
     points only.  Accepts either orientation; rows follow ``verts``.
     """
     v = np.asarray(verts, float).tolist()
-    # Orientation from the first three corners: for a triangle this is the
-    # shoelace value, for a strictly convex polygon it has the same sign.
-    (ax, ay), (bx, by), (cx, cy) = v[:3]
-    reversed_order = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0
+    # The exact orientation of the first three corners: that of a strictly convex polygon.
+    reversed_order = orient2_xy(*v[0], *v[1], *v[2]) < 0
     v = v[::-1] if reversed_order else v
     k = len(v)
     inside = np.ones(len(x), dtype=bool)
@@ -364,6 +369,8 @@ def convex_polygon_masks_xy(verts: np.ndarray, x: np.ndarray, y: np.ndarray) -> 
 # the corners, in lexicographic order: for a label-sorted simplex the order in
 # which barycentric_subdivide lists its cells.
 FLAGS = {d: np.array(list(itertools.permutations(range(d + 1)))) for d in (2, 3)}
+# The parity of each flag's corner permutation, the determinant of its permutation matrix.
+_PARITY = {d: np.linalg.det(np.eye(d + 1)[f]).round().astype(int) for d, f in FLAGS.items()}
 
 
 def _det(v):
@@ -404,27 +411,24 @@ def flag_terms(points, simplices):
     (T, F) is the second_moment of that image about X.  The cell adds
     sign * integral to the functional.  All but ``center`` come from edge
     vectors relative to each simplex's first corner, and flag 0's image
-    corners are exactly that corner plus their offsets.  Planar signs are
-    exact; raises DegenerateSimplex, naming the labels, for a triangle orient2
-    calls collinear.
+    corners are exactly that corner plus their offsets.  A sign is the
+    simplex's ``orient`` times the flag's parity; raises DegenerateSimplex,
+    naming the labels, for a simplex of orientation 0.
     """
     p = np.asarray(points, float)
     d = p.shape[1]
     labels = np.asarray(simplices, int).reshape(-1, d + 1)
     p = p[labels]
+    sign = reject_degenerate(labels, p)[:, None] * _PARITY[d]
     rel = p - p[:, :1]
     x = rel[:, FLAGS[d][:, 0]]
     edges = rel[:, FLAGS[d][:, 1:]] - x[:, :, None]  # Y - X[, Z - X], W - X
     image = np.zeros(x.shape[:2] + (d + 1, d))  # about X: X, XY[, XYZ], the simplex
     image[:, :, 1] = 0.5 * edges[:, :, 0]
     if d == 2:
-        # Flag (X, Y, W) has its triangle's exact orientation times the parity
-        # of the permutation (X, Y, W) of its corners.
-        sign = reject_collinear(labels, p)[:, None] * np.array([1, -1, -1, 1, 1, -1])
         (ux, uy), (vx, vy) = rel[:, 1].T, rel[:, 2].T
         top = np.stack(circumcenter_offset(ux, uy, vx, vy), axis=1)
     else:
-        sign = np.where(_det(edges) > 0.0, 1, -1)
         image[:, :, 2] = circumcenter_offset3(edges[:, :, 0], edges[:, :, 1])
         top = circumsphere_offset(rel[:, 1], rel[:, 2], rel[:, 3])
     image[:, :, d] = top[:, None] - x

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInteriorVertex
-from .geom import FLAGS, _as_labels, _as_points, flag_terms, second_moment, simplex_volume
+from .geom import FLAGS, _as_labels, _as_points, flag_terms, orient, second_moment
 from .integrate import check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle
 from .tri2d import Triangulation2, convex_hull
 from . import functional2d
@@ -48,11 +48,11 @@ from . import functional2d
 class TetComplex:
     """A list of tetrahedra (label 4-tuples) over labeled 3D points.
 
-    Tetrahedra are normalized to positive orientation at construction, all
-    with one array determinant; a coplanar one, or one with a label outside
-    range(n), raises ValueError naming the first.  ``points`` is a read-only
-    copy of the input, made by geom's one point check, so the complex cannot
-    go stale; ``==`` and ``hash`` are by identity.
+    Tetrahedra are normalized to positive orientation at construction by one
+    geom.orient pass, the orientation flag_terms reads; one of orientation 0,
+    or one with a label outside range(n), raises ValueError naming the first.
+    ``points`` is a read-only copy of the input, made by geom's one point
+    check, so the complex cannot go stale; ``==`` and ``hash`` are by identity.
     """
 
     points: np.ndarray
@@ -61,11 +61,9 @@ class TetComplex:
     def __init__(self, points, tets):
         pts = _as_points(points, 3)
         tets = _as_labels(tets, len(pts), 4, "tetrahedron")  # a copy: reoriented in place below
-        vol = simplex_volume(pts[tets])
-        if (vol == 0.0).any():
-            raise ValueError(f"degenerate tetrahedron {tuple(tets[np.argmax(vol == 0.0)].tolist())}")
-        flip = ~(vol > 0.0)
-        tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+        if not (sign := orient(pts[tets])).all():
+            raise ValueError(f"degenerate tetrahedron {tuple(tets[np.argmin(sign != 0)].tolist())}")
+        tets[sign < 0] = tets[sign < 0][:, [0, 1, 3, 2]]
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "tets", tuple(map(tuple, tets.tolist())))
 

@@ -24,7 +24,8 @@ legalized with that flip as it is added; triangles come in a canonical order
 the enumeration of the flip graph starts from the map.  validate() reads it
 too: the triples must form an oriented disk, and a geometric triangulation's
 unmatched directed edges must be the ccw hull cycle.  Exact degeneracies are
-rejected (NotGeneralPosition), never perturbed: the predicates are exact.
+rejected (NotGeneralPosition), never perturbed: the predicates are exact;
+a hull vertex between collinear edges is rejected only if no point covers it.
 
 Enumeration decides each move before doing its work.  Every triangle gets a
 bit the first time a move meets it, and a triangulation's key is the OR of
@@ -128,11 +129,10 @@ class Triangulation2:
             _directed_edges(self.triangles)
 
     @classmethod
-    def _enumerated(cls, points, triangles, signs, table):
-        """A geometric triangulation sharing ``points``, ``signs`` and ``table``.
-
-        ``triangles`` are ccw triples of Python ints; nothing is converted.
-        """
+    def _checked(cls, points, triangles, signs, table):
+        """A geometric triangulation of checked parts: read-only ``points``, a
+        tuple of ccw int ``triangles``, ``signs`` and a _TriangleTable or None.
+        Nothing is converted or checked again."""
         t = cls.__new__(cls)
         t.points, t.triangles, t.kind, t.signs, t._table = points, triangles, GEOMETRIC, signs, table
         return t
@@ -155,17 +155,6 @@ class Triangulation2:
     def canonical(self) -> tuple:
         """Order-free key: sorted tuple of sorted label triples."""
         return tuple(sorted(tuple(sorted(t)) for t in self.triangles))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Triangulation2)
-            and self.canonical() == other.canonical()
-            and self.points.shape == other.points.shape
-            and np.array_equal(self.points, other.points)
-        )
-
-    def __hash__(self):
-        return hash(self.canonical())
 
     def __repr__(self):
         return f"Triangulation2({len(self.points)} points, {len(self.triangles)} triangles, {self.kind})"
@@ -299,14 +288,6 @@ def _flip(opp, u, v, k, l):
     opp[v, k], opp[k, l], opp[l, v] = l, v, k
 
 
-def _sees(xy, a, b, p) -> bool:
-    """Whether p lies strictly right of hull edge (a, b), so the edge is visible from p."""
-    s = orient2_xy(*xy[a], *xy[b], *xy[p])
-    if s == 0:
-        raise NotGeneralPosition(f"point {p} collinear with hull edge ({a}, {b})", (a, b, p))
-    return s < 0
-
-
 # A float squared distance (x - cx)^2 + (y - cy)^2 is within 4 eps of the
 # exact one (relative, eps = 2^-53), plus 2^-1073 where a square underflows.
 # Two sorted keys further apart than _KEY_BOUND = 16 eps times their sum plus
@@ -373,6 +354,9 @@ def _sweep_delaunay(pts):
     if orient2_xy(*xy[line[0]], *xy[line[-1]], *xy[p]) < 0:
         line.reverse()
     opp = _directed_edges([(u, v, p) for u, v in zip(line, line[1:])])
+    # Hull vertices left between two collinear hull edges, each with its
+    # error: the first still on the hull after the last point is raised.
+    flat = [(line[1], f"collinear hull points {line[0]}, {line[1]}, {line[2]}", tuple(line[:3]))] if k > 2 else []
     # The ccw hull as a linked cycle; a point off the hull is its own nxt.
     nxt, prv = list(range(n)), list(range(n))
     cycle = line + [p]
@@ -406,10 +390,14 @@ def _sweep_delaunay(pts):
         while orient2_xy(*xy[e], *xy[nxt[e]], x, y) >= 0:
             e = nxt[e]
         f = nxt[e]
-        while _sees(xy, f, nxt[f], p):
+        while (s := orient2_xy(*xy[f], *xy[nxt[f]], x, y)) < 0:
             f = nxt[f]
-        while _sees(xy, prv[e], e, p):
+        if s == 0:
+            flat.append((f, f"point {p} collinear with hull edge ({f}, {nxt[f]})", (f, nxt[f], p)))
+        while (s := orient2_xy(*xy[prv[e]], *xy[e], x, y)) < 0:
             e = prv[e]
+        if s == 0:
+            flat.append((e, f"point {p} collinear with hull edge ({prv[e]}, {e})", (prv[e], e, p)))
         chain = [e]
         while chain[-1] != f:
             chain.append(nxt[chain[-1]])
@@ -438,9 +426,11 @@ def _sweep_delaunay(pts):
             nxt[v] = v
         nxt[e], prv[p], nxt[p], prv[f] = p, e, f, p
         buckets[home[p]], buckets[home[e]] = p, e
-    # A later point off the seed line on its far side sees all of it at once.
-    if k > 2 and nxt[line[1]] != line[1]:
-        raise NotGeneralPosition(f"collinear hull points {line[0]}, {line[1]}, {line[2]}", tuple(line[:3]))
+    # A point that sees one of two collinear hull edges sees both: a vertex
+    # between them is covered, or stays on the hull to the end.
+    for v, message, labels in flat:
+        if nxt[v] != v:
+            raise NotGeneralPosition(message, labels)
     # Each triangle once, from its smallest corner: ccw, smallest label first.
     return sorted((a, b, c) for (a, b), c in opp.items() if a < b and a < c)
 
@@ -464,15 +454,17 @@ def delaunay(points) -> Triangulation2:
     comparison of squared distances decides only beyond its error bound,
     and the rest are made in rational arithmetic.  Raises
     NotGeneralPosition (with the offending labels) for duplicates, all
-    points collinear, collinear seed points left on the final hull, a new
-    point exactly on the line of a hull edge it sees or of the two next to
-    them, or an exactly cocircular quadruple among the quads the sweep
-    tests: each edge opposite a new point against the triangle across it.
+    points collinear, an exactly cocircular quadruple among the quads the
+    sweep tests (each edge opposite a new point against the triangle across
+    it), or a hull vertex between two collinear hull edges that no later
+    point covers: a collinear seed point, or the end of the next hull edge
+    past those a new point sees, when the point lies on that edge's line.
     """
     pts = _as_points(points, 2)
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    return Triangulation2(pts, _sweep_delaunay(pts), kind=GEOMETRIC, _normalize=False)
+    tris = tuple(_sweep_delaunay(pts))
+    return Triangulation2._checked(pts, tris, (1,) * len(tris), None)
 
 
 def empty_circumcircle_violations(t: Triangulation2) -> list:
@@ -564,7 +556,7 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
         quads[min(u, v), max(u, v)] = record(pos, u, v, k, l, pos_twin, tris[pos // 3], tris[pos_twin // 3])
     # Distinct triangles hold distinct bits, so their sum is their OR.
     key = sum(bit(t) for t in tris)
-    seen = {key: Triangulation2._enumerated(root.points, tris, root.signs, table)}
+    seen = {key: Triangulation2._checked(root.points, tris, root.signs, table)}
     stack = [(tris, quads, len(tris), key)]
     while stack:
         tris, quads, age, key = stack.pop()
@@ -589,7 +581,7 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
             # Flipping the new diagonal back toggles the same four bits.
             nq[(k, l) if k < l else (l, k)] = (a + 1, mask, l, k, u, v, a + 4, t1, t2)
             nkey = key ^ mask
-            seen[nkey] = Triangulation2._enumerated(root.points, new, root.signs, table)
+            seen[nkey] = Triangulation2._checked(root.points, new, root.signs, table)
             stack.append((new, nq, age + 2, nkey))
     table.rows = {t: i for i, t in enumerate(shared)}
     return list(seen.values())

@@ -80,6 +80,21 @@ def test_functional_rajan_and_rf(tmp_path, capsys):
     assert json.loads(out)["total"] == pytest.approx(0.25)
 
 
+def test_functional_csv_has_the_schema_one_row_per_triangle_and_the_json_total(tmp_path, capsys):
+    pts = np.random.default_rng(30).random((40, 2)).tolist()
+    path = write_points(tmp_path, "pts.json", pts)
+    code, out, _ = run_cli(["functional", "--input", path, "--format", "csv"], capsys)
+    assert code == 0
+    _, report, _ = run_cli(["functional", "--input", path], capsys)
+    report = json.loads(report)
+    lines = out.splitlines()
+    assert lines[:2] == ["# schema=1", "simplex,contribution"]
+    rows = [line.split(",") for line in lines[2:-1]]
+    assert [int(i) for i, _ in rows] == list(range(len(report["per_simplex"])))
+    assert [float(v) for _, v in rows] == [v for _, v in report["per_simplex"]]
+    assert lines[-1] == f"total,{report['total']!r}"
+
+
 def test_scan_csv_rows(tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, _, _ = run_cli(

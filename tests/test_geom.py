@@ -21,6 +21,7 @@ from vorfunc.geom import (
 )
 from vorfunc.functional2d import g_triangle_points
 from vorfunc.integrate import quad_tetra
+from vorfunc.subdivision import TetComplex
 from vorfunc.tri2d import convex_hull
 
 from conftest import random_triangle
@@ -478,3 +479,59 @@ def test_planar_flag_signs_are_exact_orientations_times_flag_parities():
     finite = np.isfinite(integral)
     assert finite.sum() > 1000
     assert (sign == exact[:, None] * parity)[finite].all()
+
+
+def test_g_of_a_near_line_triangle_does_not_depend_on_its_corner_order():
+    # The near-line triangles above: the visibility masks read the exact
+    # orientation of the corners, so (a, b, c) and (a, c, b) bound the same
+    # polygon and give bit-identical g.  A float shoelace of these corners
+    # can have the same sign for both orders.
+    near = [(0.5 + i * 2.0**-53, 0.5 + j * 2.0**-53) for i in range(32, 64) for j in range(32, 64) if i != j]
+    b, c = (12.0, 12.0), (24.0, 24.0)
+    probe = np.random.default_rng(30).uniform(-10.0, 40.0, (2000, 2))
+    assert len(near) == 992
+    for a in near:
+        forward = g_triangle_points(Triangle2(a, b, c), probe)
+        backward = g_triangle_points(Triangle2(a, c, b), probe)
+        assert np.array_equal(forward, backward, equal_nan=True), a
+
+
+def test_spatial_flag_signs_are_the_orientation_times_the_flag_parity():
+    # Nearly flat tetrahedra: the fourth corner lies within ~1e-16 of the
+    # plane of the first three.  Each flag's sign is the tetrahedron's one
+    # orientation times the flag's parity, so after TetComplex makes that
+    # orientation +1 every flag's sign is its parity.  Float determinants of
+    # the 24 flags' own edges can disagree about the orientation.
+    rng = np.random.default_rng(30)
+    parity = np.array([round(np.linalg.det(np.eye(4)[f])) for f in geom.FLAGS[3]])
+    checked = 0
+    for _ in range(2000):
+        a, b, c = rng.standard_normal((3, 3))
+        t, u = rng.uniform(-1.0, 2.0, 2)
+        pts = np.array([a, b, c, a + t * (b - a) + u * (c - a) + 1e-16 * rng.standard_normal(3)])
+        try:
+            tc = TetComplex(pts, [(0, 1, 2, 3)])
+        except ValueError:
+            continue
+        # So flat a tetrahedron has a far circumsphere; as in the planar test,
+        # an overflow there must not fail the sign check.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sign, _, _ = geom.flag_terms(tc.points, tc.tets)
+        assert (sign * parity == 1).all(), pts.tolist()
+        checked += 1
+    assert checked > 1500
+
+
+def test_flag_terms_rejects_a_degenerate_simplex_by_its_labels():
+    flat = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    with pytest.raises(DegenerateSimplex, match=r"^coplanar tetrahedron \(1, 0, 2, 3\)$"):
+        geom.flag_terms(flat, [(0, 1, 2, 4), (1, 0, 2, 3)])
+    with pytest.raises(DegenerateSimplex, match=r"^collinear triangle \(0, 3, 1\)$"):
+        geom.flag_terms([(0, 0), (2, 2), (0, 1), (1, 1)], [(0, 1, 2), (0, 3, 1)])
+
+
+def test_collinear_triangles_are_degenerate_for_in_circle_and_g():
+    with pytest.raises(DegenerateSimplex, match=r"^collinear triangle"):
+        geom.in_circle_xy(0.0, 0.0, 1.0, 1.0, 3.0, 3.0, 0.0, 1.0)
+    with pytest.raises(DegenerateSimplex, match=r"^collinear triangle$"):
+        g_triangle_points(Triangle2((0, 0), (1, 1), (3, 3)), np.array([[0.0, 1.0]]))

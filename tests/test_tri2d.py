@@ -498,6 +498,63 @@ def test_delaunay_names_the_hull_edge_a_new_point_is_collinear_with():
     assert exc.value.labels == (0, 2, 3)
 
 
+def test_delaunay_accepts_a_point_collinear_with_a_hull_edge_that_a_later_point_covers():
+    # Point 3 lies on the line of hull edge (0, 2) when it is added, and
+    # without point 4 the set is rejected; point 4 covers vertex 0 between
+    # the collinear edges, and the Delaunay triangulation is unique.
+    pts = np.array([[0, 0], [3, 4], [0, -5], [0, 5], [-3, -4]], float)
+    with pytest.raises(NotGeneralPosition, match="point 3 collinear with hull edge"):
+        delaunay(pts[:4])
+    _assert_delaunay(pts)
+
+
+def test_delaunay_of_antipodal_pairs_on_a_circle_and_its_centre():
+    # Each pair is collinear with the centre, which meets the hull edges of
+    # the first points on their lines; the covered vertices leave no
+    # collinear hull triple, so every set is triangulated.
+    circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+    pairs = [p for p in circle if p > (0, 0)]
+    rng = np.random.default_rng(30)
+    for _ in range(400):
+        chosen = [pairs[i] for i in rng.choice(len(pairs), size=rng.integers(2, len(pairs) + 1), replace=False)]
+        pts = chosen + [(-x, -y) for x, y in chosen] + [(0, 0)]
+        _assert_delaunay(np.array([pts[i] for i in rng.permutation(len(pts))], float))
+
+
+def test_delaunay_rejects_collinear_points_and_fewer_than_three():
+    with pytest.raises(NotGeneralPosition) as exc:
+        delaunay(np.array([[0, 0], [1, 1], [3, 3], [2, 2]], float))
+    a, b, c = exc.value.labels
+    assert exc.value.args[0] == f"collinear points {a}, {b}, {c}" and len({a, b, c}) == 3
+    for pts in ([[0, 0], [1, 0]], [[0, 0]]):
+        with pytest.raises(ValueError, match=r"^need at least 3 points$"):
+            delaunay(np.array(pts, float))
+
+
+def test_empty_circumcircle_violations_names_each_triangle_and_the_point_in_its_circle():
+    # Flipping the one interior edge of a convex quad's Delaunay
+    # triangulation puts each new triangle's opposite corner in its circle.
+    d = delaunay(np.array([[0, 0], [3, 0], [2.5, 2], [0, 1]], float))
+    assert empty_circumcircle_violations(d) == []
+    f = flip(d, (1, 3))
+    assert f.triangles == ((1, 2, 0), (3, 0, 2))
+    assert empty_circumcircle_violations(f) == [(0, 3), (1, 1)]
+
+
+def test_geometric_triangulation_rejects_an_exactly_collinear_triangle():
+    pts = np.array([[0, 0], [1, 1], [3, 3], [0, 1]], float)
+    with pytest.raises(NotGeneralPosition) as exc:
+        Triangulation2(pts, [(0, 3, 1), (0, 1, 2)])
+    assert exc.value.args == ("degenerate triangle (0, 1, 2)", (0, 1, 2))
+
+
+def test_make_topological_rejects_a_relabeling_that_is_not_a_permutation():
+    d = delaunay(np.array([[0, 0], [1, 0], [0, 1], [1, 1.1]], float))
+    for perm in ([0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 3, 0]):
+        with pytest.raises(ValueError, match=r"^relabeling must be a permutation of the vertex labels$"):
+            make_topological(d, perm)
+
+
 def test_delaunay_names_duplicate_points_by_their_labels():
     with pytest.raises(NotGeneralPosition) as exc:
         delaunay(np.array([[0, 0], [1, 0], [0, 1], [1, 0], [2, 2]], float))
