@@ -73,6 +73,7 @@ class ExperimentResult:
                 "margin": self.margin,
             },
             sort_keys=True,
+            allow_nan=False,
         )
 
 

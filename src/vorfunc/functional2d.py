@@ -16,12 +16,16 @@ integral over the triangle of the squared distance to the nearest vertex when
 all angles are acute, and is defined by the same closed form (possibly
 negative) in the obtuse case.
 
-The triangulations that one enumerate_triangulations call returns share one
-table over their distinct ordered corner triples, with one list column per
-functional, filled by one array pass on first use; a functional is a list
-gather from its column, summed in triangle order.  The arithmetic is
-elementwise, so every row equals the value the triangulation would get alone;
-the last bits depend on the first corner, so rows are keyed by ordered triple.
+Every total is one rule, ``_left_sum``: a left-to-right float sum from 0.0
+in triangle order.  The triangulations that one enumerate_triangulations call
+returns share one table over their distinct ordered corner triples, with a
+(T, N) matrix of row ids, one column per triangulation.  On first use one
+closed-form pass over the triples serves every functional, and each
+functional's totals for all N triangulations come from one _left_sum over its
+row values gathered by that matrix; a triangulation's per-triangle rows are
+built only when read.  The arithmetic is elementwise, so every row and total
+equals the value the triangulation would get alone; the last bits depend on
+the first corner, so rows are keyed by ordered triple.
 
 The pointwise field g carries the same information locally:
 
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,13 +72,41 @@ from .integrate import Box, check_vanishes_on_boundary
 from .tri2d import GEOMETRIC, Triangulation2, convex_hull
 
 
-@dataclass(frozen=True)
 class FunctionalReport:
-    """Functional value with its per-simplex breakdown; total is their sum."""
+    """Functional value with its per-simplex breakdown: ``per_simplex`` is a
+    tuple of (index, value) pairs and ``total`` their _left_sum.
 
-    kind: str
-    total: float
-    per_simplex: tuple
+    Read-only; ``==`` and ``hash`` compare (kind, total, per_simplex).  An
+    enumerated triangulation's report is given a function in place of
+    ``per_simplex`` that returns the values, called when the rows are first
+    read.
+    """
+
+    __slots__ = ("_kind", "_total", "_rows")
+
+    def __init__(self, kind: str, total: float, per_simplex):
+        self._kind, self._total, self._rows = kind, total, per_simplex
+
+    kind = property(attrgetter("_kind"))
+    total = property(attrgetter("_total"))
+
+    @property
+    def per_simplex(self) -> tuple:
+        if callable(self._rows):
+            self._rows = tuple(enumerate(self._rows()))
+        return self._rows
+
+    def _key(self):
+        return self.kind, self.total, self.per_simplex
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, FunctionalReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"FunctionalReport(kind={self.kind!r}, total={self.total!r}, per_simplex={self.per_simplex!r})"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -83,7 +115,8 @@ class FunctionalReport:
                 "kind": self.kind,
                 "total": self.total,
                 "per_simplex": [[int(i), float(v)] for i, v in self.per_simplex],
-            }
+            },
+            allow_nan=False,
         )
 
 
@@ -125,23 +158,38 @@ def _closed_form_terms(points, triangles):
     return _closed_form(u[:, 0], u[:, 1], v[:, 0], v[:, 1])
 
 
-def _values(t: Triangulation2, key, formula) -> list:
-    """formula(area, e2, r2) of each of ``t``'s triangles, signed, as a list.
+def _left_sum(values: np.ndarray):
+    """The one summation rule of every total: a left-to-right float sum from
+    0.0 down axis 0 of ``values``, (T,) or (T, N).
 
-    An enumerated triangulation reads its rows from column ``key`` of its
-    enumeration's table, filled on first use by one _closed_form_terms call
-    over the distinct ordered triples of all its triangulations.  The
-    arithmetic is elementwise, so each row equals the value computed alone.
-    Every enumerated triangle came from an exact strictly convex flip, so
-    none is collinear and every sign is +1.
+    That is what builtin ``sum`` does with floats on Python 3.10 and 3.11;
+    3.12 compensates it, so the totals do not call it.
+    """
+    return np.add.accumulate(np.concatenate([np.zeros((1,) + values.shape[1:]), values]))[-1]
+
+
+def _report(t: Triangulation2, kind: str, key, formula) -> FunctionalReport:
+    """The report of formula(area, e2, r2) over ``t``'s triangles, signed.
+
+    An enumerated triangulation reads its total from column ``key`` of its
+    enumeration's table.  A column's first use makes its row values from the
+    table's closed-form terms (one pass, shared by every functional) and
+    the totals of all the triangulations from one _left_sum over the row-id
+    matrix.  Every enumerated triangle came from an exact strictly convex
+    flip, so none is collinear and every sign is +1.
     """
     table = t._table
     if table is None:
-        return (np.asarray(t.signs) * formula(*_closed_form_terms(t.points, t.triangles))).tolist()
+        values = np.asarray(t.signs) * formula(*_closed_form_terms(t.points, t.triangles))
+        return FunctionalReport(kind, float(_left_sum(values)), tuple(enumerate(values.tolist())))
     if key not in table.columns:
-        table.columns[key] = formula(*_closed_form_terms(t.points, list(table.rows))).tolist()
-    column, rows = table.columns[key], table.rows
-    return [column[rows[x]] for x in t.triangles]
+        if table.terms is None:
+            table.terms = _closed_form_terms(t.points, table.triangles)
+        column = formula(*table.terms)
+        table.columns[key] = column, _left_sum(column[table.ids]).tolist()
+    column, totals = table.columns[key]
+    ids, i = table.ids, t._index
+    return FunctionalReport(kind, totals[i], lambda: column[ids[:, i]].tolist())
 
 
 def _triangle_terms(t: Triangle2):
@@ -169,18 +217,14 @@ def rajan_triangle(t: Triangle2) -> float:
     return area / 12.0 * e2
 
 
-def _report(kind: str, values: list) -> FunctionalReport:
-    return FunctionalReport(kind, float(sum(values)), tuple(enumerate(values)))
-
-
 def vf_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of vf_triangle over all triangles."""
-    return _report("vf", _values(t, "vf", lambda area, e2, r2: area / 12.0 * (e2 - 4.0 * r2)))
+    return _report(t, "vf", "vf", lambda area, e2, r2: area / 12.0 * (e2 - 4.0 * r2))
 
 
 def rajan_triangulation(t: Triangulation2) -> FunctionalReport:
     """Orientation-signed sum of rajan_triangle over all triangles."""
-    return _report("rajan", _values(t, "rajan", lambda area, e2, r2: area / 12.0 * e2))
+    return _report(t, "rajan", "rajan", lambda area, e2, r2: area / 12.0 * e2)
 
 
 def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
@@ -193,7 +237,7 @@ def radius_functional(t: Triangulation2, alpha: float) -> FunctionalReport:
     if t.kind != GEOMETRIC:
         raise ValueError("radius functional is defined for geometric triangulations")
     # Keyed by alpha itself: labels such as "rf2" round it.
-    return _report(f"rf{alpha:g}", _values(t, alpha, lambda area, e2, r2: r2 ** (alpha / 2.0) * area))
+    return _report(t, f"rf{alpha:g}", alpha, lambda area, e2, r2: r2 ** (alpha / 2.0) * area)
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def check_vanishes_on_boundary(f, box: Box):
     """Spot-check that a planar integrand is zero on the border of its MC box.
 
     Evaluates f at 64 evenly spaced points on each of the four sides and
-    raises InvalidRegion when any value exceeds 1e-12 in magnitude, that is,
-    when the box does not cover the integrand's support.
+    raises InvalidRegion unless every value is exactly 0.0 (a NaN is not),
+    that is, when the box does not cover the integrand's support.
     """
     lo = np.asarray(box.lo, float)
     hi = np.asarray(box.hi, float)
@@ -144,7 +144,7 @@ def check_vanishes_on_boundary(f, box: Box):
         ]
     )
     worst = float(np.abs(f(border)).max())
-    if worst > 1e-12:
+    if worst != 0.0:
         raise InvalidRegion(f"integrand does not vanish on the MC box boundary ({worst:g})")
 
 

@@ -67,24 +67,36 @@ def svg_triangulation(t: Triangulation2) -> str:
     return _document(body)
 
 
-def _reversed_cells(sd: SubdividedComplex) -> list:
-    """Whether the circumcenter map reverses each cell, from one array pass.
+def _reversed_cells(sd: SubdividedComplex) -> np.ndarray:
+    """Whether the circumcenter map reverses each cell, a (C,) bool array
+    from one array pass.
 
     A cell is reversed when the simplex_volume of its image and its cell sign
     have opposite signs.
     """
-    return (simplex_volume(sd.gamma[sd.cells]) * sd.cell_sign < 0).tolist()
+    return simplex_volume(sd.gamma[sd.cells]) * sd.cell_sign < 0
+
+
+# A cell polygon's opening tag, by whether the circumcenter map reverses the cell.
+_CELL_TAGS = np.array(['<polygon class="cell" points="', '<polygon class="cell neg" points="'], dtype=object)
 
 
 def _cell_polygons(sd: SubdividedComplex, use_image: bool) -> list:
+    """The cells' <polygon> lines in cell order, as a one-item body for _document.
+
+    One (C, 7) object array holds each line in parts: its tag, its three
+    "x,y" strings with a space between each, and the closing; one join makes
+    the lines.
+    """
     verts = sd.gamma if use_image else sd.vertices
     frame = np.vstack([sd.vertices, sd.gamma]) if use_image else sd.vertices
-    coords = _svg_coords(frame, verts, "gamma image" if use_image else "subdivision")
-    neg = _reversed_cells(sd) if use_image else [False] * len(sd.cells)
-    body = []
-    for (i, j, k), n in zip(sd.cells.tolist(), neg):
-        body.append(f'<polygon class="{"cell neg" if n else "cell"}" points="{coords[i]} {coords[j]} {coords[k]}" />')
-    return body
+    coords = np.array(_svg_coords(frame, verts, "gamma image" if use_image else "subdivision"), dtype=object)
+    neg = _reversed_cells(sd) if use_image else np.zeros(len(sd.cells), bool)
+    parts = np.full((len(sd.cells), 7), " ", dtype=object)
+    parts[:, 0] = _CELL_TAGS[neg.astype(int)]
+    parts[:, 1:6:2] = coords[sd.cells]
+    parts[:, 6] = '" />\n'
+    return ["".join(parts.ravel().tolist())[:-1]]
 
 
 def svg_subdivision(t: Triangulation2) -> str:

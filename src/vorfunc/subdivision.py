@@ -109,7 +109,8 @@ class SubdividedComplex:
                     }
                     for c, (verts, sign) in enumerate(zip(self.cells.tolist(), self.cell_sign.tolist()))
                 ],
-            }
+            },
+            allow_nan=False,
         )
 
 

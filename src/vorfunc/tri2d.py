@@ -35,15 +35,17 @@ tuple and one record per interior edge: its quad as flip() reads it, and its
 places in the map's order (three per triangle, new triangles last).  A
 move updates at most five records, and a popped state sorts only its records
 to unseen keys; each quad's convexity is decided once, by flip()'s test.  An enumeration's
-triangulations share their points, sign tuple, triangle tuples and one table
-of their distinct ordered triples, one list column per functional.
+triangulations share their points, sign tuple, triangle tuples and one table:
+their distinct ordered triples and a (T, N) matrix of the triples' row ids,
+one column per triangulation, from which functional2d sums every
+triangulation's functional at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -87,13 +89,17 @@ def convex_hull(points: np.ndarray) -> list:
 class _TriangleTable:
     """The distinct ordered triangles of one enumeration's triangulations.
 
-    ``rows`` numbers each (a, b, c) triple in order of first appearance;
-    ``columns[key]``, one functional's list of row values, is left for
-    functional2d to fill on first use.
+    ``triangles`` lists each (a, b, c) triple once, in order of first
+    appearance: its place is its row id.  ``ids`` is a C-contiguous (T, N)
+    int array of row ids, column i the triangles of the i-th triangulation in
+    discovery order, in its triangle order.  ``terms`` and ``columns[key]``,
+    one functional's row values and totals, are left for functional2d to
+    fill on first use.
     """
 
-    def __init__(self):
-        self.rows = {}
+    def __init__(self, triangles, ids):
+        self.triangles, self.ids = triangles, ids
+        self.terms = None
         self.columns = {}
 
 
@@ -105,8 +111,9 @@ class Triangulation2:
     label outside range(n) raises ValueError naming its triangle, and a
     topological triangulation's triples must be consistently oriented."""
 
-    # The shared _TriangleTable of an enumerated triangulation; None otherwise.
-    _table = None
+    # The shared _TriangleTable of an enumerated triangulation and its column
+    # there (its discovery index); None otherwise.
+    _table = _index = None
 
     def __init__(self, points, triangles, kind=GEOMETRIC, _normalize=True):
         if kind not in (GEOMETRIC, TOPOLOGICAL):
@@ -129,12 +136,14 @@ class Triangulation2:
             _directed_edges(self.triangles)
 
     @classmethod
-    def _checked(cls, points, triangles, signs, table):
+    def _checked(cls, points, triangles, signs, table=None, index=None):
         """A geometric triangulation of checked parts: read-only ``points``, a
-        tuple of ccw int ``triangles``, ``signs`` and a _TriangleTable or None.
-        Nothing is converted or checked again."""
+        tuple of ccw int ``triangles``, ``signs``, and a _TriangleTable with the
+        triangulation's column in it, or None.  Nothing is converted or checked
+        again."""
         t = cls.__new__(cls)
-        t.points, t.triangles, t.kind, t.signs, t._table = points, triangles, GEOMETRIC, signs, table
+        t.points, t.triangles, t.kind, t.signs = points, triangles, GEOMETRIC, signs
+        t._table, t._index = table, index
         return t
 
     # -- combinatorics ------------------------------------------------------
@@ -464,7 +473,7 @@ def delaunay(points) -> Triangulation2:
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
     tris = tuple(_sweep_delaunay(pts))
-    return Triangulation2._checked(pts, tris, (1,) * len(tris), None)
+    return Triangulation2._checked(pts, tris, (1,) * len(tris))
 
 
 def empty_circumcircle_violations(t: Triangulation2) -> list:
@@ -523,6 +532,10 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
     record, re-emits each interior edge of the quad's boundary from its older
     side, and adds the new diagonal.  A popped state's moves are its records
     to unseen keys, in place order; no two of them share a key.
+
+    The triangulations share one _TriangleTable: their distinct ordered
+    triples, and a (T, N) matrix of those triples' row ids, column i for the
+    i-th triangulation, in its triangle order.
     """
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValueError(f"cap must be an int >= 1, got {cap!r}")
@@ -547,7 +560,6 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
     # Triangles are stored once: each state's tuple holds the shared tuples.
     tris = root.triangles
     shared = {t: t for t in tris}
-    table = _TriangleTable()
     opp = _directed_edges(tris)
     where = {e: i for i, e in enumerate(opp)}
     quads = {}
@@ -556,7 +568,7 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
         quads[min(u, v), max(u, v)] = record(pos, u, v, k, l, pos_twin, tris[pos // 3], tris[pos_twin // 3])
     # Distinct triangles hold distinct bits, so their sum is their OR.
     key = sum(bit(t) for t in tris)
-    seen = {key: Triangulation2._checked(root.points, tris, root.signs, table)}
+    seen = {key: tris}
     stack = [(tris, quads, len(tris), key)]
     while stack:
         tris, quads, age, key = stack.pop()
@@ -581,10 +593,14 @@ def enumerate_triangulations(points, cap: int = 100000) -> list:
             # Flipping the new diagonal back toggles the same four bits.
             nq[(k, l) if k < l else (l, k)] = (a + 1, mask, l, k, u, v, a + 4, t1, t2)
             nkey = key ^ mask
-            seen[nkey] = Triangulation2._checked(root.points, new, root.signs, table)
+            seen[nkey] = new
             stack.append((new, nq, age + 2, nkey))
-    table.rows = {t: i for i, t in enumerate(shared)}
-    return list(seen.values())
+    # Row ids number the distinct triples in order of first appearance.
+    rows = {t: i for i, t in enumerate(shared)}
+    states = list(seen.values())
+    ids = np.fromiter(map(rows.__getitem__, chain.from_iterable(states)), np.intp, len(states) * len(root.triangles))
+    table = _TriangleTable(list(rows), np.ascontiguousarray(ids.reshape(len(states), -1).T))
+    return [Triangulation2._checked(root.points, tris, root.signs, table, i) for i, tris in enumerate(states)]
 
 
 def make_topological(t: Triangulation2, relabeling) -> Triangulation2:

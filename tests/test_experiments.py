@@ -1,6 +1,8 @@
+import builtins
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -209,6 +211,59 @@ def test_rf2_scan_rows_are_pinned():
     _, rows = optimality_scan(10, 2, seed=7, functional="rf2")
     text = "".join(f"{t},{i},{v!r},{int(d)},{int(m)}\n" for t, i, v, d, m in rows)
     assert len(rows) == 2114 and _sha1(text) == "7320b6ce6886e8c7509a0b87c1e1b5ce34942b14"
+
+
+_END = object()
+
+
+def _compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 runs it: once the running result is a
+    float, float items are added with Neumaier's compensation, which is
+    added back at the end when finite."""
+    items = iter(iterable)
+    total = start
+    while type(total) is int:
+        x = next(items, _END)
+        if x is _END:
+            return total
+        total = total + x
+    c = 0.0
+    for x in items:
+        if type(total) is not float or type(x) is not float:
+            if c and math.isfinite(c):
+                total, c = total + c, 0.0
+            total = total + x
+            continue
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if type(total) is float and c and math.isfinite(c):
+        total += c
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, trials, functional, count, pin",
+    [
+        (10, 2, "vf", 2114, "32159ad73a9db8d0af29e3978ac074112dc4aa26"),
+        (12, 1, "vf", 8174, "145836d31af52579bfcac77a8bcb51fcc710899e"),
+        (10, 2, "rf2", 2114, "7320b6ce6886e8c7509a0b87c1e1b5ce34942b14"),
+    ],
+)
+def test_scan_pins_hold_under_a_compensated_builtin_sum(monkeypatch, n, trials, functional, count, pin):
+    # Python 3.12 compensates builtin sum; totals follow their own
+    # left-to-right rule, so the pinned scan rows must not move with it.
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert sum([1e16, 1.0, -1e16]) == 1.0
+    _, rows = optimality_scan(n, trials, seed=7, functional=functional)
+    text = "".join(f"{t},{i},{v!r},{int(d)},{int(m)}\n" for t, i, v, d, m in rows)
+    assert len(rows) == count and _sha1(text) == pin
+
+
+def test_experiment_result_to_json_refuses_a_non_finite_value():
+    r = experiments.ExperimentResult(name="probe", seed=0, values={"gap": math.nan}, verdict="pass")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        r.to_json()
 
 
 def test_scan_four_points_convex():

@@ -1,12 +1,15 @@
+import functools
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vorfunc.errors import DegenerateSimplex, NonConvexQuad
+from vorfunc.errors import DegenerateSimplex, InvalidRegion, NonConvexQuad
 from vorfunc.geom import Triangle2, convex_polygon_masks_xy, second_moment
-from vorfunc.integrate import mc_integrate
+from vorfunc.integrate import Box, mc_integrate
 from vorfunc.functional2d import (
+    FunctionalReport,
     _closed_form_terms,
     _g_points,
     assert_vanishes_on_boundary,
@@ -219,6 +222,57 @@ def test_enumerated_functionals_of_the_sliver_set_equal_their_closed_forms(rever
             assert all(np.isfinite(values))
             assert [v for _, v in report.per_simplex] == values
             assert report.total == sum(values)
+
+
+_ALPHAS = (0.5, 1.0, 2.0, 3.0)
+
+
+def _reports(t, rf_first):
+    """vf, rajan and rf(alpha) of ``t`` for each of _ALPHAS; the radius functionals first if asked."""
+    rf = [radius_functional(t, alpha) for alpha in _ALPHAS]
+    plain = [vf_triangulation(t), rajan_triangulation(t)]
+    return rf + plain if rf_first else plain + rf
+
+
+@pytest.mark.parametrize("last_first, rf_first", [(True, False), (False, True)])
+@pytest.mark.parametrize("n", range(4, 11))
+def test_enumerated_totals_are_left_to_right_sums_equal_to_those_built_alone(n, last_first, rf_first):
+    # An enumeration's totals come from one array pass over its table, and
+    # its rows only when read.  In either reading order every total and row
+    # must equal those of a fresh copy, and every total the left-to-right
+    # float sum of its rows from 0.0.
+    d = random_delaunay(np.random.default_rng(3100 + n), n)
+    tris = enumerate_triangulations(d.points)
+    order = tris[::-1] if last_first else tris
+    totals = [[(r.kind, r.total) for r in _reports(t, rf_first)] for t in order]
+    for t, shared in zip(order, totals):
+        alone = _reports(Triangulation2(t.points, t.triangles), rf_first)
+        assert shared == [(r.kind, r.total) for r in alone]
+        for report, fresh in zip(_reports(t, rf_first), alone):
+            assert report.per_simplex == fresh.per_simplex
+            assert report.total == functools.reduce(operator.add, [v for _, v in report.per_simplex], 0.0)
+
+
+def test_functional_report_keeps_its_constructor_and_value_semantics():
+    tris = enumerate_triangulations(random_delaunay(np.random.default_rng(3111), 7).points)
+    lazy = vf_triangulation(tris[-1])
+    eager = FunctionalReport(lazy.kind, lazy.total, tuple(lazy.per_simplex))
+    assert eager == lazy and hash(eager) == hash(lazy) and repr(eager) == repr(lazy)
+    assert eager.to_json() == lazy.to_json()
+    assert eager != FunctionalReport(lazy.kind, lazy.total + 1.0, eager.per_simplex)
+    for name in ("kind", "total", "per_simplex"):
+        with pytest.raises(AttributeError):
+            setattr(lazy, name, None)
+
+
+def test_report_to_json_refuses_a_non_finite_value():
+    # orient2 is exact, so this right triangle is accepted; its closed forms overflow.
+    d = delaunay([[0, 0], [1e160, 0], [0, 1e160]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = vf_triangulation(d)
+    assert not np.isfinite(report.total)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.to_json()
 
 
 def test_vf_triangle_raises_only_on_an_exactly_collinear_triangle():
@@ -574,6 +628,18 @@ def test_boundary_checks_reject_box_inside_hull(rng):
         assert_vanishes_on_boundary(d, box)
     with pytest.raises(InvalidRegion):
         check_vanishes_on_boundary(nearest_minus_visible_field(d.points), box)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-30])
+def test_boundary_check_rejects_a_box_inside_the_points_at_any_scale(scale):
+    # g scales as length^2, so at 2^-30 the border values of a box cut 0.3
+    # scale units inside the points' bounding box are about 1e-20: not zero.
+    # On the support box's border the kernel gives exactly 0.0 at both scales.
+    d = random_delaunay(np.random.default_rng(31), 8, scale=scale)
+    lo, hi = d.points.min(axis=0) + 0.3 * scale, d.points.max(axis=0) - 0.3 * scale
+    with pytest.raises(InvalidRegion):
+        assert_vanishes_on_boundary(d, Box(tuple(lo), tuple(hi)))
+    assert_vanishes_on_boundary(d, support_box(d))
 
 
 # -- flip delta --------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vorfunc.errors import InvalidRegion
-from vorfunc.integrate import Box, mc_integrate, quad_tetra, quad_triangle, sample_box
+from vorfunc.integrate import Box, check_vanishes_on_boundary, mc_integrate, quad_tetra, quad_triangle, sample_box
 
 from conftest import random_triangle
 
@@ -147,3 +147,17 @@ def test_mc_integrate_over_a_box_draws_the_row_major_samples(box):
     assert len(seen) == 2 and all(np.array_equal(a, b) for a, b in zip(seen, want))
     vals = np.concatenate([f(p) for p in want])
     assert est.value == box.measure() * ((float(vals[: 1 << 17].sum()) + float(vals[1 << 17 :].sum())) / samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e-300, -1e-300])
+def test_boundary_check_accepts_only_exact_zeros(bad):
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    check_vanishes_on_boundary(lambda p: np.zeros(len(p)), box)
+
+    def field(p):
+        out = np.zeros(len(p))
+        out[100] = bad
+        return out
+
+    with pytest.raises(InvalidRegion, match="does not vanish"):
+        check_vanishes_on_boundary(field, box)

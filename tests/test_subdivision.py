@@ -533,3 +533,12 @@ def test_subdivisions_of_seeded_complexes_are_pinned():
     for empty in (TetComplex(pts, []), Triangulation2(pts[:, :2], [])):
         sd = barycentric_subdivide(empty)
         assert sd.cells.shape == (0, sd.dim + 1) and len(sd.vertices) == 0
+
+
+def test_subdivision_to_json_refuses_a_non_finite_value():
+    # The circumcenter of this right triangle overflows: gamma holds NaN.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sd = barycentric_subdivide(delaunay([[0, 0], [1e160, 0], [0, 1e160]]))
+    assert not np.isfinite(sd.gamma).all()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        sd.to_json()
