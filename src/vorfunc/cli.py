@@ -4,7 +4,7 @@ Subcommands:
 
     functional        functional value(s) of the Delaunay triangulation of a
                       point set (vf / rajan / rf with --alpha); --dim 3 with
-                      --diagonal evaluates an octahedron decomposition
+                      --diagonal gives vf of an octahedron decomposition
     scan              optimality scan over random point sets (CSV or JSON)
     counterexamples   the bundled non-optimality experiments (JSON report)
     render            SVG of a triangulation, its subdivision, or the
@@ -119,6 +119,8 @@ def cmd_functional(args) -> int:
 
 def _functional_report(args, pts) -> FunctionalReport:
     if args.dim == 3:
+        if args.which != "vf":
+            _fail(2, f"--which {args.which} has no 3D form; --dim 3 reports vf only")
         try:
             diag = _parse_diagonal(args.diagonal, len(pts))
             tc = octahedron_decomposition(pts, diag)

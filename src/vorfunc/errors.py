@@ -6,8 +6,8 @@ class VorfuncError(Exception):
 
 
 class DegenerateSimplex(VorfuncError):
-    """A simplex has no circumcenter: geom.orient calls it degenerate (labels named where
-    known), or in_sphere finds a tetrahedron coplanar within TAU_GEOM."""
+    """A simplex has no circumcenter: its exact geom.orient is 0 (labels named where
+    known), as for in_sphere's coplanar tetrahedron."""
 
 
 class NotGeneralPosition(VorfuncError):

@@ -345,15 +345,15 @@ def _inside_tets(tets, x):
     """(C, m) closed containment of the points x (m, 3) in the tetrahedra
     tets (C, 4, 3), in one array pass.
 
-    A point is inside when no corner replaced by it turns the volume against
-    the tetrahedron's, beyond a product of -1e-15.
+    A point is inside when no corner replaced by it turns the exact
+    orientation against the tetrahedron's.
     """
-    whole = simplex_volume(tets)[:, None]
+    whole = orient(tets)[:, None]
     q = np.repeat(tets[:, None], len(x), axis=1)  # (C, m, 4, 3)
     inside = np.ones(q.shape[:2], dtype=bool)
     for k in range(4):
         q[:, :, k] = x
-        inside &= simplex_volume(q) * whole >= -1e-15
+        inside &= orient(q) * whole >= 0
         q[:, :, k] = tets[:, None, k]
     return inside
 
@@ -364,8 +364,8 @@ def sd_local_density(tc: TetComplex, x) -> np.ndarray:
     Sums, over the cells whose circumcenter-map image contains a point, the
     signed squared distance to the cell's source vertex.  The cells, in
     ``barycentric_subdivide``'s order, and their signs come from one
-    ``flag_terms`` pass; cells whose image has volume below 1e-14
-    contribute nothing.
+    ``flag_terms`` pass; cells whose image has volume below 1e-14, or a
+    corner that is not finite, contribute nothing.
     """
     x = np.asarray(x, float).reshape(-1, 3)
     tets = np.sort(np.asarray(tc.tets, int).reshape(-1, 4), axis=1)
@@ -373,7 +373,9 @@ def sd_local_density(tc: TetComplex, x) -> np.ndarray:
     image = center.reshape(-1, 4, 3)
     vol = simplex_volume(image)
     source = tc.points[tets[:, FLAGS[3][:, 0]]].reshape(-1, 3)
-    holds = _inside_tets(image, x) & (np.abs(vol) >= 1e-14)[:, None]
+    keep = (np.abs(vol) >= 1e-14) & np.isfinite(image).all(axis=(1, 2))
+    holds = np.zeros((len(image), len(x)), dtype=bool)
+    holds[keep] = _inside_tets(image[keep], x)
     signed = (sign.ravel() * np.where(vol > 0, 1, -1))[:, None] * ((x - source[:, None]) ** 2).sum(axis=2)
     # Adds the cells to 0.0 in order, as a walk over them would.
     return np.cumsum(np.concatenate([np.zeros((1, len(x))), np.where(holds, signed, 0.0)]), axis=0)[-1]

@@ -4,29 +4,23 @@ Orientation and in-circle/in-sphere predicates, circumcenters, and one
 containment and vertex-visibility kernel for convex polygons.  ``_as_points``
 and ``_as_labels`` are the one point check and the one label check.
 
-The planar predicates are exact: "degenerate" means exactly degenerate.
-Each has one kernel on plain Python floats, ``orient2_xy`` and
-``in_circle_xy``.  A kernel first compares its float determinant with
-Shewchuk's static error bound (Shewchuk, Adaptive Precision Floating-Point
-Arithmetic and Fast Robust Geometric Predicates, DCG 18, 1997); a
-determinant beyond the bound has the exact sign.  Otherwise, and when the
-bound overflows or underflows, the sign is computed in ``Fraction`` from
-the original coordinates, which floats represent exactly.  Loops that test
-many triples (the Delaunay sweep and its flips, flip-graph enumeration)
-convert their coordinates once and call the kernels directly;
-``orient2``/``in_circle`` delegate to them, and the sweep, which knows its
-triangles are ccw, calls ``in_circle_ccw_xy`` without the orientation
-check.  ``orient2_rows`` runs the same filter on arrays.  ``orient`` (that in
-the plane, the sign of ``simplex_volume`` in space) is every simplex's orientation.
-
-``TAU_GEOM`` is a relative tolerance that serves only ``in_sphere``, whose
-coplanar verdict guards until the spatial sign is exact and whose on-sphere
-band is homogeneous of its determinant's degree, and
-``convex_polygon_masks_xy``' closed band.  ``in_sphere`` is one array pass.
+Every predicate is exact: "degenerate" means exactly degenerate.  A float
+determinant beyond Shewchuk's static error bound (Adaptive Precision
+Floating-Point Arithmetic and Fast Robust Geometric Predicates, DCG 18,
+1997) has the exact sign; every other decision is one routine,
+``_exact_sign``, an integer determinant of the coordinates scaled to ints by
+one power of two.  ``orient`` is every simplex's orientation, one array pass
+of the filter for d = 2 and 3.  The planar predicates have one kernel each
+on plain Python floats, ``orient2_xy`` and ``in_circle_xy``, for loops that
+test many triples (the Delaunay sweep and its flips, flip-graph
+enumeration); ``orient2``/``in_circle`` delegate to them, and the sweep,
+which knows its triangles are ccw, calls ``in_circle_ccw_xy`` without the
+orientation check.  ``in_sphere`` is ``_exact_sign`` of each pair, with no
+filter.  ``TAU_GEOM`` serves only ``convex_polygon_masks_xy``' closed band.
 
 ``det3``, the triple product, is the one 3D determinant: ``simplex_volume``
 (the one signed area or volume, of (..., d + 1, d) corner arrays) and
-``in_sphere`` (by cofactors of its lifted 4x4) use it.
+``orient``'s filter use it.
 ``circumcenter_offset`` (in the plane), ``circumcenter_offset3`` and
 ``circumsphere_offset`` (in space) give circumcenters from edge vectors,
 elementwise on arrays.  With them ``flag_terms``, the one flag kernel, gives
@@ -45,16 +39,18 @@ import numpy as np
 
 from .errors import DegenerateSimplex
 
-# Relative tolerance of in_sphere and convex_polygon_masks_xy.
+# Relative tolerance of convex_polygon_masks_xy's closed band.
 TAU_GEOM = 1e-9
 
-# Shewchuk's static error bounds for orient2 and in-circle, eps = 2^-53:
-# a float determinant larger in magnitude than the bound times the sum of
-# the magnitudes of its products (the permanent) has the exact sign.  A bound
-# below _BOUND_MIN may hide underflow and decides nothing; an infinite or NaN
+# Shewchuk's static error bounds for orientation in d = 2 and 3 and for
+# in-circle, eps = 2^-53: a float determinant larger in magnitude than the
+# bound times the sum of the magnitudes of its products (the permanent) has
+# the exact sign.  A bound below _BOUND_MIN (in orient, _BOUND_MIN times
+# 1 + |row 0|_1) may hide underflow and decides nothing; an infinite or NaN
 # one fails every comparison.  Either way the sign is then computed exactly.
 _EPS = 2.0**-53
 _ORIENT_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_ORIENT3_BOUND = (7.0 + 56.0 * _EPS) * _EPS
 _IN_CIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 _BOUND_MIN = 1e-250
 
@@ -125,12 +121,35 @@ def det3(u, v, w):
     return (u * np.cross(v, w)).sum(axis=-1)
 
 
-def _orient2_exact(ax, ay, bx, by, cx, cy) -> int:
-    """orient2_xy's sign in rational arithmetic, exact for any finite floats."""
-    from fractions import Fraction
+def _dyadic_ints(values) -> list:
+    """The finite floats ``values`` times one power of two (the largest denominator), as exact ints."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios]
 
-    ax, ay, bx, by, cx, cy = map(Fraction, (ax, ay, bx, by, cx, cy))
-    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+def _int_det(rows) -> int:
+    """Determinant of square int rows, by cofactors along the first column."""
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return sum(
+        (-1) ** i * r[0] * _int_det([s[1:] for j, s in enumerate(rows) if j != i]) for i, r in enumerate(rows) if r[0]
+    )
+
+
+def _exact_sign(points, lift=False) -> int:
+    """Sign of det [1, p, |p|^2 if lift] over the d + 1 (+ lift) rows p of ``points`` in any d.
+
+    Without lift, the simplex's orientation.  Subtracting row 0 clears the
+    ones column and, with a column operation, leaves rows (e_i[, |e_i|^2]) of
+    the edge vectors e_i = p_i - p_0.
+    """
+    d = len(points[0])
+    q = _dyadic_ints([x for p in points for x in p])
+    rows = [[x - y for x, y in zip(q[i : i + d], q[:d])] for i in range(d, len(q), d)]
+    if lift:
+        rows = [r + [sum(x * x for x in r)] for r in rows]
+    det = _int_det(rows)
     return (det > 0) - (det < 0)
 
 
@@ -145,31 +164,27 @@ def orient2_xy(ax, ay, bx, by, cx, cy) -> int:
             return 1
         if -det > bound:
             return -1
-    return _orient2_exact(ax, ay, bx, by, cx, cy)
-
-
-def orient2_rows(corners):
-    """orient2_xy of each row of (T, 3, 2) corners, as a (T,) int array.
-
-    orient2_xy's filter decides every row at once from the edge vectors off
-    corner 0; rows it leaves undecided (overflowed ones too) get the exact sign.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = corners[:, 1:] - corners[:, :1]
-        left, right = e[:, 0, 0] * e[:, 1, 1], e[:, 0, 1] * e[:, 1, 0]
-        det = left - right
-        bound = _ORIENT_BOUND * (np.abs(left) + np.abs(right))
-    sign = np.where(det > 0, 1, -1)
-    for i in np.flatnonzero(~((np.abs(det) > bound) & (bound > _BOUND_MIN))).tolist():
-        sign[i] = _orient2_exact(*corners[i].ravel().tolist())
-    return sign
+    return _exact_sign(((ax, ay), (bx, by), (cx, cy)))
 
 
 def orient(corners):
-    """+1, -1 or 0 (degenerate, or a NaN volume) for each simplex of (T, d + 1, d) corners, d = 2 or 3."""
-    if corners.shape[-1] == 2:
-        return orient2_rows(corners)
-    return np.sign(np.nan_to_num(simplex_volume(corners))).astype(int)
+    """+1, -1 or 0 (exactly degenerate) for each simplex of (..., d + 1, d) corners, d = 2 or 3.
+
+    The filter decides every simplex at once from the edge vectors off corner
+    0; those it leaves undecided (overflowed ones too) get ``_exact_sign``.
+    """
+    c = np.asarray(corners, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = c[..., 1:, :] - c[..., :1, :]
+        det, size = _det(e), np.abs(e)
+        bound = (_ORIENT_BOUND if c.shape[-1] == 2 else _ORIENT3_BOUND) * _permanent(size)
+        # In space a product of two coordinates that underflows errs by up to
+        # 2^-1075, which det multiplies by a coordinate of row 0.
+        floor = _BOUND_MIN * (1.0 + sum(size[..., 0, k] for k in range(c.shape[-1])))
+    sign = np.where(det > 0, 1, -1)
+    undecided = ~((np.abs(det) > bound) & (bound > floor))
+    sign[undecided] = [_exact_sign(s) for s in c[undecided].tolist()]
+    return sign
 
 
 def reject_degenerate(labels, corners):
@@ -233,22 +248,6 @@ def circumsphere_offset(u, v, w):
     return (_dot(u, u) * vw + _dot(v, v) * wu + _dot(w, w) * uv) / (2.0 * _dot(u, vw))
 
 
-def _in_circle_exact(ax, ay, bx, by, cx, cy, px, py) -> int:
-    """in_circle_ccw_xy's sign in rational arithmetic, exact for any finite floats."""
-    from fractions import Fraction
-
-    px, py = Fraction(px), Fraction(py)
-    adx, ady = Fraction(ax) - px, Fraction(ay) - py
-    bdx, bdy = Fraction(bx) - px, Fraction(by) - py
-    cdx, cdy = Fraction(cx) - px, Fraction(cy) - py
-    det = (
-        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-    )
-    return (det > 0) - (det < 0)
-
-
 def in_circle_ccw_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
     """in_circle_xy without its orientation check, exact.
 
@@ -273,7 +272,8 @@ def in_circle_ccw_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
             return 1
         if -det > bound:
             return -1
-    return _in_circle_exact(ax, ay, bx, by, cx, cy, px, py)
+    # det [1, p, |p|^2] over (a, b, c, p) is minus the determinant above.
+    return -_exact_sign(((ax, ay), (bx, by), (cx, cy), (px, py)), lift=True)
 
 
 def in_circle_xy(ax, ay, bx, by, cx, cy, px, py) -> int:
@@ -297,29 +297,20 @@ def in_circle(t: Triangle2, p) -> int:
 
 def in_sphere(corners, p):
     """+1 where p lies strictly inside the circumsphere of positively oriented
-    corners, -1 outside, 0 on it; one pass over (..., 4, 3) corners broadcast
-    against (..., 3) points.  The on-sphere band, TAU_GEOM sum_i lift_i
-    prod_{j != i} |e_j|_1, has the determinant's degree 5, so scaling by a
-    power of two keeps every sign.  Raises DegenerateSimplex for a tetrahedron
-    coplanar within TAU_GEOM of the product of its edges' L1 norms.
+    corners, -1 outside, 0 on it, exact; (..., 4, 3) corners broadcast against
+    (..., 3) points.  Raises DegenerateSimplex where ``orient`` is 0.
     """
     c, p = np.asarray(corners, float), np.asarray(p, float)
     if c.shape[-2:] != (4, 3) or p.shape[-1:] != (3,):
         raise ValueError(f"expected (..., 4, 3) corners and (..., 3) points, got shapes {c.shape} and {p.shape}")
     _as_points(np.concatenate([c.reshape(-1, 3), p.reshape(-1, 3)]), 3)
-    rows = c[..., 1:, :] - c[..., :1, :]
-    if (np.abs(_det(rows)) <= TAU_GEOM * np.prod(np.abs(rows).sum(axis=-1), axis=-1)).any():
+    if (orient(c) == 0).any():
         raise DegenerateSimplex("coplanar tetrahedron")
-    e = c - p[..., None, :]
-    lift = (e * e).sum(axis=-1)
-    # Rows (e, |e|^2) for the four corners; cofactor expansion along the lift
-    # column.  Corner order flips the inside sign relative to the 2D case.
-    minors = det3(e[..., [1, 0, 0, 0], :], e[..., [2, 2, 1, 1], :], e[..., [3, 3, 3, 2], :])
-    det = (lift * minors * [1.0, -1.0, 1.0, -1.0]).sum(axis=-1)
-    norm = np.abs(e).sum(axis=-1)
-    others = norm[..., [1, 0, 0, 0]] * norm[..., [2, 2, 1, 1]] * norm[..., [3, 3, 3, 2]]
-    tol = TAU_GEOM * (lift * others).sum(axis=-1)
-    return np.where(np.abs(det) <= tol, 0, np.sign(det)).astype(int)
+    c, q = np.broadcast_arrays(c, p[..., None, :])
+    rows = np.concatenate([c, q[..., :1, :]], axis=-2)
+    # det [1, q, |q|^2] over the corners and p is negative inside a right-handed tetrahedron's sphere.
+    signs = [_exact_sign(r, lift=True) for r in rows.reshape(-1, 5, 3).tolist()]
+    return -np.array(signs, int).reshape(rows.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +369,14 @@ def _det(v):
     if v.shape[-1] == 2:
         return v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
     return det3(v[..., 0, :], v[..., 1, :], v[..., 2, :])
+
+
+def _permanent(a):
+    """_det of (..., d, d) magnitudes with every product added, in _det's order."""
+    if a.shape[-1] == 2:
+        return a[..., 0, 0] * a[..., 1, 1] + a[..., 0, 1] * a[..., 1, 0]
+    u, v, w = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+    return (u * (v[..., [1, 2, 0]] * w[..., [2, 0, 1]] + v[..., [2, 0, 1]] * w[..., [1, 2, 0]])).sum(axis=-1)
 
 
 def simplex_volume(corners):

@@ -3,7 +3,7 @@
 Points are plain (n, 2) arrays: label i is row i.  A Triangulation2 keeps a
 read-only copy, made by geom's one point check (shape and finiteness), and
 stores triangles as label triples over it, checked by geom's one label
-check.  One ``orient2_rows`` pass normalizes geometric triangulations to
+check.  One ``orient`` pass normalizes geometric triangulations to
 counterclockwise triples with all orientation signs +1; topological
 triangulations (label complexes mapped through permuted positions) keep
 their combinatorics and carry the sign of each mapped triangle, read against
@@ -14,7 +14,7 @@ One adjacency serves every algorithm here: a directed-edge map from edge
 step on it.  Delaunay construction is one radial sweep (Sinclair's S-hull):
 points are added by squared distance from the midpoint of their bounding
 box, compared exactly (a float comparison beyond its error bound, else
-``Fraction`` over the run of neighbours it cannot separate), so each new
+exact integers over the run of neighbours it cannot separate), so each new
 point lies strictly outside the hull so far.  The sweep is seeded by the two
 nearest points and the first later point off their line, fanned to the
 collinear points between.  Each new point finds the hull edges it sees from
@@ -56,7 +56,7 @@ from .errors import (
     NotGeneralPosition,
     NotInteriorEdge,
 )
-from .geom import _as_labels, _as_points, in_circle_ccw_xy, in_circle_xy, orient2_rows, orient2_xy
+from .geom import _as_labels, _as_points, _dyadic_ints, in_circle_ccw_xy, in_circle_xy, orient, orient2_xy
 
 GEOMETRIC = "geometric"
 TOPOLOGICAL = "topological"
@@ -120,7 +120,7 @@ class Triangulation2:
             raise ValueError(f"unknown triangulation kind {kind!r}")
         self.points = _as_points(points, 2)
         tris = _as_labels(triangles, len(self.points), 3, "triangle")
-        sign = orient2_rows(self.points[tris]) if kind == TOPOLOGICAL or _normalize else np.ones(len(tris), int)
+        sign = orient(self.points[tris]) if kind == TOPOLOGICAL or _normalize else np.ones(len(tris), int)
         if not sign.all():
             t = tuple(tris[np.argmin(sign != 0)].tolist())
             if kind == GEOMETRIC:
@@ -329,12 +329,10 @@ def _radial_order(xy, cx, cy) -> list:
 
 
 def _exact_radial_sort(xy, cx, cy, labels) -> list:
-    """``labels`` by squared distance from (cx, cy) in ``Fraction`` on the
-    original coordinates, which floats represent exactly; ties by label."""
-    from fractions import Fraction
-
-    fx, fy = Fraction(cx), Fraction(cy)
-    key = {p: (Fraction(xy[p][0]) - fx) ** 2 + (Fraction(xy[p][1]) - fy) ** 2 for p in labels}
+    """``labels`` by squared distance from (cx, cy), exact in the ints of
+    ``_dyadic_ints`` over the original coordinates; ties by label."""
+    q = _dyadic_ints([cx, cy, *(v for p in labels for v in xy[p])])
+    key = {p: (q[i] - q[0]) ** 2 + (q[i + 1] - q[1]) ** 2 for i, p in zip(range(2, len(q), 2), labels)}
     return sorted(labels, key=lambda p: (key[p], p))
 
 

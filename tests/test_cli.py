@@ -382,3 +382,14 @@ def test_functional_dim3_rejects_a_malformed_or_non_diagonal_pair(tmp_path, caps
         assert err == "error: (0, 1) is not a diagonal of the octahedron\n"
     else:
         assert err.startswith(f"error: --diagonal {diagonal!r}: expected two letters of ABCDEX or labels i,j")
+
+
+@pytest.mark.parametrize("which", ["rajan", "rf"])
+def test_functional_dim3_rejects_a_which_it_has_no_3d_form_of(tmp_path, capsys, which):
+    from vorfunc.experiments import OCTA_POINTS
+
+    path = write_points(tmp_path, "octa.json", OCTA_POINTS.tolist())
+    code, out, err = run_cli(["functional", "--input", path, "--dim", "3", "--which", which], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --which {which} has no 3D form; --dim 3 reports vf only\n"

@@ -395,3 +395,11 @@ def test_flipped_face_flags_match_per_cell_reference():
         ((2,), (0, 2), (0, 1, 2)),
         ((2,), (0, 2), (0, 2, 3)),
     ]
+
+
+def test_fold_density_of_a_tetrahedron_whose_images_overflow_is_zero():
+    # 1e-310 off flat, the circumcenter overflows, so no cell image holds a point.
+    tc = TetComplex([(0, 0, 0), (1, 0, 0), (0.2, 1, 0), (0.3, 0.3, 1e-310)], [(0, 1, 2, 3)])
+    x = np.random.default_rng(32).uniform(-0.5, 1.5, (400, 3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert sd_local_density(tc, x).tolist() == [0.0] * 400

@@ -15,8 +15,8 @@ from vorfunc.geom import (
     convex_polygon_masks_xy,
     in_circle,
     in_sphere,
+    orient,
     orient2,
-    orient2_rows,
     orient2_xy,
 )
 from vorfunc.functional2d import g_triangle_points
@@ -144,6 +144,9 @@ UNIT_TET = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], float)
 def test_in_sphere_basic():
     assert in_sphere(UNIT_TET, (0.5, 0.5, 0.5)) == 1
     assert in_sphere(UNIT_TET, (9, 9, 9)) == -1
+    # 1e-12 outside and inside the sphere of center (1/2, 1/2, 1/2) and radius sqrt(3)/2, and on it.
+    r = np.sqrt(3) / 2
+    assert in_sphere(UNIT_TET, [(0.5 + r + 1e-12, 0.5, 0.5), (0.5 + r - 1e-12, 0.5, 0.5), (1, 1, 0)]).tolist() == [-1, 1, 0]
 
 
 def test_in_sphere_signs_hold_under_power_of_two_scaling():
@@ -154,8 +157,28 @@ def test_in_sphere_signs_hold_under_power_of_two_scaling():
         [(0.5, 0.5, 0.5), (9, 9, 9), (1, 1, 0), (1, 1, 1), (0.5 + r + 1e-4, 0.5, 0.5), (0.5 + r - 1e-4, 0.5, 0.5)]
     )
     assert in_sphere(UNIT_TET, p).tolist() == [1, -1, 0, 0, -1, 1]
-    for k in range(-40, 41):
+    for k in [*range(-40, 41), -340, 340]:
         assert in_sphere(UNIT_TET * 2.0**k, p * 2.0**k).tolist() == [1, -1, 0, 0, -1, 1], k
+
+
+def test_in_sphere_of_the_circumcenter_holds_at_extreme_scales():
+    # The float lifted determinant underflows or overflows at these scales.
+    for scale in (2.0**-300, 1e-110, 1e62, 1e150):
+        assert in_sphere(UNIT_TET * scale, np.full(3, 0.5 * scale)) == 1, scale
+
+
+def test_orient_and_tet_complex_keep_orientations_at_extreme_scales():
+    # Gaussian tetrahedra whose float volume underflows or overflows when
+    # scaled: each keeps its scale-1 orientation, and TetComplex its tetrahedra.
+    rng = np.random.default_rng(32)
+    tets = rng.standard_normal((200, 4, 3))
+    labels = np.arange(800).reshape(200, 4)
+    want = orient(tets).tolist()
+    oriented = TetComplex(tets.reshape(-1, 3), labels).tets
+    assert set(want) == {-1, 1}
+    for scale in (2.0**-400, 1e103, 1e155, 2.0**600):
+        assert orient(tets * scale).tolist() == want, scale
+        assert TetComplex(tets.reshape(-1, 3) * scale, labels).tets == oriented, scale
 
 
 def test_in_sphere_on_arrays_equals_per_tetrahedron_calls(rng):
@@ -293,14 +316,20 @@ def test_points_in_edge_band_see_both_ends(rng):
 
 
 def _exact_sign(rows):
-    """Sign of the determinant of 2x2 or 3x3 rows of Fractions."""
+    """Sign of the determinant of 2x2, 3x3 or 4x4 rows of Fractions."""
+    det = _exact_det(rows)
+    return (det > 0) - (det < 0)
+
+
+def _exact_det(rows):
     if len(rows) == 2:
         (a, b), (c, d) = rows
-        det = a * d - b * c
-    else:
+        return a * d - b * c
+    if len(rows) == 3:
         (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
-        det = a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
-    return (det > 0) - (det < 0)
+        return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+    # 4x4: expansion along the first row.
+    return sum((-1) ** j * a * _exact_det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, a in enumerate(rows[0]))
 
 
 def _exact_orient2(a, b, c):
@@ -315,6 +344,21 @@ def _exact_in_circle(a, b, c, p):
         dx, dy = Fraction(x) - px, Fraction(y) - py
         rows.append((dx, dy, dx * dx + dy * dy))
     return _exact_sign(rows)
+
+
+def _exact_orient3(a, b, c, d):
+    a = [Fraction(x) for x in a]
+    return _exact_sign([[Fraction(x) - y for x, y in zip(q, a)] for q in (b, c, d)])
+
+
+def _exact_in_sphere(a, b, c, d, p):
+    # Rows (q - p, |q - p|^2) for the corners q: the determinant is negative
+    # where p is inside the sphere of a right-handed tetrahedron.
+    rows = []
+    for q in (a, b, c, d):
+        e = [Fraction(x) - Fraction(y) for x, y in zip(q, p)]
+        rows.append(e + [sum(x * x for x in e)])
+    return -_exact_sign(rows)
 
 
 # Points of unit order: a 2^-18 grid in [-4, 4], where exact degeneracies are
@@ -397,13 +441,13 @@ def test_orient2_rows_equals_orient2_xy_row_by_row(monkeypatch):
     near = np.array([[(x, y), (12, 12), (24, 24)] for x in steps for y in steps])
     corners = np.concatenate([random, line, near, near[:, ::-1]])
     undecided = len(line) + 2 * len(near)
-    real_exact, exact_calls = geom._orient2_exact, []
+    real_exact, exact_calls = geom._exact_sign, []
     for scale in [2.0**k for k in range(-40, 41)] + [2.0**-530, 2.0**500]:
         scaled = corners * scale
         want = [orient2_xy(*row) for row in scaled.reshape(-1, 6).tolist()]
-        monkeypatch.setattr(geom, "_orient2_exact", lambda *c: exact_calls.append(c) or real_exact(*c))
-        got = orient2_rows(scaled)
-        monkeypatch.setattr(geom, "_orient2_exact", real_exact)
+        monkeypatch.setattr(geom, "_exact_sign", lambda *c: exact_calls.append(c) or real_exact(*c))
+        got = orient(scaled)
+        monkeypatch.setattr(geom, "_exact_sign", real_exact)
         assert got.dtype.kind == "i" and got.tolist() == want, scale
         assert want[len(random) : len(random) + len(line)] == [0] * len(line)
     assert len(exact_calls) >= 83 * undecided
@@ -415,6 +459,47 @@ def test_in_circle_sign_is_exact_at_every_scale(abcp, scale):
     a, b, c, p = _scaled(abcp, scale)
     assume(_exact_orient2(a, b, c) != 0)
     assert in_circle(Triangle2(a, b, c), p) == _exact_in_circle(a, b, c, p)
+
+
+# Points of unit order in space: the 2^-18 grid, where exactly coplanar and
+# cospherical sets are common; tetrahedra whose fourth corner lies within
+# about 1e-16 of the plane of the other three; and five points placed off a
+# sphere by a relative offset of at most 1e-6.
+_grid_point3 = st.tuples(*[st.integers(-(2**20), 2**20).map(lambda k: k / 2.0**18)] * 3)
+
+
+@st.composite
+def _near_coplanar(draw):
+    a, b, c = (np.array(draw(_grid_point3)) for _ in range(3))
+    t, u = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    off = np.array(draw(st.tuples(*[st.floats(-1e-16, 1e-16)] * 3)))
+    return [tuple(q.tolist()) for q in (a, b, c, a + t * (b - a) + u * (c - a) + off)]
+
+
+@st.composite
+def _near_cospherical(draw):
+    center, radius = np.array(draw(_grid_point3)), draw(st.floats(0.25, 4.0))
+    angles = draw(st.lists(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)), min_size=5, max_size=5))
+    radii = [radius] * 4 + [radius * (1.0 + draw(_offset))]
+    return [
+        tuple((center + r * np.array([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)])).tolist())
+        for r, (t, f) in zip(radii, angles)
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(*[_grid_point3] * 4), _near_coplanar()), _scale)
+def test_orient3_sign_is_exact_at_every_scale(abcd, scale):
+    corners = np.array(abcd) * scale
+    assert orient(corners) == _exact_orient3(*corners.tolist())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(*[_grid_point3] * 5), _near_cospherical()), _scale)
+def test_in_sphere_sign_is_exact_at_every_scale(abcdp, scale):
+    points = (np.array(abcdp) * scale).tolist()
+    assume(_exact_orient3(*points[:4]) != 0)
+    assert in_sphere(points[:4], points[4]) == _exact_in_sphere(*points)
 
 
 def _float_sign(rows):
