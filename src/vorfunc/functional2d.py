@@ -17,15 +17,15 @@ all angles are acute, and is defined by the same closed form (possibly
 negative) in the obtuse case.
 
 Every total is one rule, ``_left_sum``: a left-to-right float sum from 0.0
-in triangle order.  The triangulations that one enumerate_triangulations call
-returns share one table over their distinct ordered corner triples, with a
-(T, N) matrix of row ids, one column per triangulation.  On first use one
-closed-form pass over the triples serves every functional, and each
-functional's totals for all N triangulations come from one _left_sum over its
-row values gathered by that matrix; a triangulation's per-triangle rows are
-built only when read.  The arithmetic is elementwise, so every row and total
-equals the value the triangulation would get alone; the last bits depend on
-the first corner, so rows are keyed by ordered triple.
+in triangle order.  Every report reads a table of ordered triples and a
+(T, N) matrix of row ids, one column per triangulation: one enumeration's
+triangulations share one, any other gets a one-column table of its own on
+first use.  One closed-form pass over the triples serves every functional,
+whose totals for all N triangulations come from one _left_sum over its
+signed row values gathered by that matrix; per-triangle rows are built only
+when read.  The arithmetic is elementwise, so every row and total equals the
+value the triangulation would get alone; the last bits depend on the first
+corner, so rows are keyed by ordered triple.
 
 The pointwise field g carries the same information locally:
 
@@ -69,17 +69,16 @@ from .geom import (
     reject_degenerate,
 )
 from .integrate import Box, check_vanishes_on_boundary
-from .tri2d import GEOMETRIC, Triangulation2, convex_hull
+from .tri2d import GEOMETRIC, Triangulation2, _TriangleTable, convex_hull
 
 
 class FunctionalReport:
     """Functional value with its per-simplex breakdown: ``per_simplex`` is a
     tuple of (index, value) pairs and ``total`` their _left_sum.
 
-    Read-only; ``==`` and ``hash`` compare (kind, total, per_simplex).  An
-    enumerated triangulation's report is given a function in place of
-    ``per_simplex`` that returns the values, called when the rows are first
-    read.
+    Read-only; ``==`` and ``hash`` compare (kind, total, per_simplex).  A
+    triangulation's report is given a function in place of ``per_simplex``
+    that returns the values, called when the rows are first read.
     """
 
     __slots__ = ("_kind", "_total", "_rows")
@@ -171,21 +170,22 @@ def _left_sum(values: np.ndarray):
 def _report(t: Triangulation2, kind: str, key, formula) -> FunctionalReport:
     """The report of formula(area, e2, r2) over ``t``'s triangles, signed.
 
-    An enumerated triangulation reads its total from column ``key`` of its
-    enumeration's table.  A column's first use makes its row values from the
-    table's closed-form terms (one pass, shared by every functional) and
-    the totals of all the triangulations from one _left_sum over the row-id
-    matrix.  Every enumerated triangle came from an exact strictly convex
-    flip, so none is collinear and every sign is +1.
+    The total is column ``key`` of a table: an enumeration's, or a one-column
+    table of ``t``'s own triangles and signs, made on first use.  A column's
+    first use makes its row values from the table's closed-form terms (one
+    pass, shared by every functional) times the signs, and the totals of all
+    the table's triangulations from one _left_sum over the row-id matrix.
+    Every enumerated triangle came from an exact strictly convex flip, so
+    none is collinear and every sign is +1.
     """
+    if t._table is None:
+        ids = np.arange(len(t.triangles))[:, None]
+        t._table, t._index = _TriangleTable(t.triangles, ids, np.asarray(t.signs)), 0
     table = t._table
-    if table is None:
-        values = np.asarray(t.signs) * formula(*_closed_form_terms(t.points, t.triangles))
-        return FunctionalReport(kind, float(_left_sum(values)), tuple(enumerate(values.tolist())))
     if key not in table.columns:
         if table.terms is None:
             table.terms = _closed_form_terms(t.points, table.triangles)
-        column = formula(*table.terms)
+        column = table.signs * formula(*table.terms)
         table.columns[key] = column, _left_sum(column[table.ids]).tolist()
     column, totals = table.columns[key]
     ids, i = table.ids, t._index
@@ -195,7 +195,7 @@ def _report(t: Triangulation2, kind: str, key, formula) -> FunctionalReport:
 def _triangle_terms(t: Triangle2):
     """_closed_form_terms of one triangle, on plain floats; as one-row arrays
     (inf or NaN) where (u x v)^2 underflows to 0.0."""
-    (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
+    ax, ay, bx, by, cx, cy = t.xy
     if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
         raise DegenerateSimplex("collinear triangle (0, 1, 2)")
     uv = bx - ax, by - ay, cx - ax, cy - ay

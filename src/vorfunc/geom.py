@@ -13,10 +13,10 @@ one power of two.  ``orient`` is every simplex's orientation, one array pass
 of the filter for d = 2 and 3.  The planar predicates have one kernel each
 on plain Python floats, ``orient2_xy`` and ``in_circle_xy``, for loops that
 test many triples (the Delaunay sweep and its flips, flip-graph
-enumeration); ``orient2``/``in_circle`` delegate to them, and the sweep,
-which knows its triangles are ccw, calls ``in_circle_ccw_xy`` without the
-orientation check.  ``in_sphere`` is ``_exact_sign`` of each pair, with no
-filter.  ``TAU_GEOM`` serves only ``convex_polygon_masks_xy``' closed band.
+enumeration); ``orient2``/``in_circle`` and ``Triangle2`` read their floats
+with ``_xy``, and the sweep calls ``in_circle_ccw_xy`` on its ccw triangles.
+``in_sphere`` is ``_exact_sign`` of each pair, with no filter.  ``TAU_GEOM``
+serves only ``convex_polygon_masks_xy``' closed band.
 
 ``det3``, the triple product, is the one 3D determinant: ``simplex_volume``
 (the one signed area or volume, of (..., d + 1, d) corner arrays) and
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,23 +87,40 @@ def _as_labels(simplices, n, k, name):
     return a.astype(int)
 
 
-@dataclass
+def _xy(corners) -> list:
+    """The planar ``corners`` as one flat list of floats [x0, y0, x1, y1, ...]: numpy rows
+    by tolist(), pairs of finite Python floats as they are, and anything else
+    through ``_as_points``, so every input gives its floats, or its error."""
+    xy = []
+    for c in corners:
+        c = c.tolist() if type(c) is np.ndarray else c
+        if type(c) not in (list, tuple) or len(c) != 2:
+            return _as_points(corners, 2).ravel().tolist()
+        xy += c
+    if list(map(type, xy)).count(float) == len(xy) and all(map(math.isfinite, xy)):
+        return xy
+    return _as_points(corners, 2).ravel().tolist()
+
+
 class Triangle2:
-    """Three points in the plane, kept in the given order.
+    """Three points in the plane, kept in the given order as six floats ``xy``
+    read by ``_xy``; ``a``, ``b`` and ``c`` are read-only rows built when read.
+    Degeneracy is detected by the predicates that care, not at construction."""
 
-    Degeneracy (zero signed area) is detected by the predicates that care,
-    not rejected at construction.
-    """
+    __slots__ = ("xy",)
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    def __init__(self, a, b, c):
+        self.xy = tuple(_xy((a, b, c)))
 
-    def __post_init__(self):
-        self.a, self.b, self.c = _as_points((self.a, self.b, self.c), 2)
+    a = property(lambda self: _as_points([self.xy[:2]], 2)[0])
+    b = property(lambda self: _as_points([self.xy[2:4]], 2)[0])
+    c = property(lambda self: _as_points([self.xy[4:]], 2)[0])
 
     def vertices(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
+        return np.array(self.xy).reshape(3, 2)
+
+    def __repr__(self):
+        return f"Triangle2({self.xy[:2]}, {self.xy[2:4]}, {self.xy[4:]})"
 
 
 class CircumData(NamedTuple):
@@ -198,10 +214,10 @@ def reject_degenerate(labels, corners):
 def orient2(a, b, c) -> int:
     """Sign of twice the signed area of (a, b, c): +1 ccw, -1 cw, 0 collinear.
 
-    Exact for any finite coordinates (``orient2_xy``).
+    Exact for any finite coordinates (``orient2_xy``); the corners are read
+    by ``_xy``, so a non-finite one raises ValueError naming it.
     """
-    (ax, ay), (bx, by), (cx, cy) = a, b, c
-    return orient2_xy(float(ax), float(ay), float(bx), float(by), float(cx), float(cy))
+    return orient2_xy(*_xy((a, b, c)))
 
 
 def circumcenter_offset(ux, uy, vx, vy):
@@ -222,7 +238,7 @@ def circumcircle2(t: Triangle2) -> CircumData:
 
     Raises DegenerateSimplex for collinear input.
     """
-    (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
+    ax, ay, bx, by, cx, cy = t.xy
     if orient2_xy(ax, ay, bx, by, cx, cy) == 0:
         raise DegenerateSimplex(f"collinear triangle {t.a}, {t.b}, {t.c}")
     ox, oy = circumcenter_offset(bx - ax, by - ay, cx - ax, cy - ay)
@@ -290,9 +306,7 @@ def in_circle(t: Triangle2, p) -> int:
     t flips the returned sign.  Exact for any finite coordinates.  Raises
     DegenerateSimplex for a collinear t.
     """
-    px, py = _as_points((p,), 2)[0].tolist()
-    (ax, ay), (bx, by), (cx, cy) = t.a.tolist(), t.b.tolist(), t.c.tolist()
-    return in_circle_xy(ax, ay, bx, by, cx, cy, px, py)
+    return in_circle_xy(*t.xy, *_xy((p,)))
 
 
 def in_sphere(corners, p):

@@ -10,18 +10,21 @@ their combinatorics and carry the sign of each mapped triangle, read against
 the one orientation of their triples, which must be consistent.
 
 One adjacency serves every algorithm here: a directed-edge map from edge
-(u, v) of a consistently oriented triangle to its third corner, with one flip
-step on it.  Delaunay construction is one radial sweep (Sinclair's S-hull):
-points are added by squared distance from the midpoint of their bounding
-box, compared exactly (a float comparison beyond its error bound, else
-exact integers over the run of neighbours it cannot separate), so each new
-point lies strictly outside the hull so far.  The sweep is seeded by the two
-nearest points and the first later point off their line, fanned to the
-collinear points between.  Each new point finds the hull edges it sees from
-a pseudo-angle bucket table over a linked hull cycle, and its fan is
-legalized with that flip as it is added; triangles come in a canonical order
-(ccw, smallest label first, sorted).  flip() uses the same map and flip, and
-the enumeration of the flip graph starts from the map.  validate() reads it
+(u, v) of a consistently oriented triangle to its third corner.  Its flip
+step, two deletes and six assignments, serves the sweep; the map's order
+then no longer lists triangles.  Delaunay construction is one radial sweep
+(Sinclair's S-hull) on the coordinates as float columns X and Y: points are
+added by squared distance from the midpoint of their bounding box, compared
+exactly (a float comparison beyond its error bound, else exact integers over
+the run of neighbours it cannot separate), so each new point lies strictly
+outside the hull so far.  The sweep is seeded by the two nearest points and
+the first later point off their line, fanned to the collinear points
+between.  Each new point finds the hull edges it sees from a pseudo-angle
+bucket table over a linked hull cycle, and its fan is legalized with that
+flip as it is added; triangles come in a canonical order (ccw, smallest
+label first, sorted).  flip() finds its quad in the same map and builds its
+list directly: the kept triangles, then (u, l, k) and (v, k, l).  The
+enumeration of the flip graph starts from the map.  validate() reads it
 too: the triples must form an oriented disk, and a geometric triangulation's
 unmatched directed edges must be the ccw hull cycle.  Exact degeneracies are
 rejected (NotGeneralPosition), never perturbed: the predicates are exact;
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -92,13 +95,13 @@ class _TriangleTable:
     ``triangles`` lists each (a, b, c) triple once, in order of first
     appearance: its place is its row id.  ``ids`` is a C-contiguous (T, N)
     int array of row ids, column i the triangles of the i-th triangulation in
-    discovery order, in its triangle order.  ``terms`` and ``columns[key]``,
-    one functional's row values and totals, are left for functional2d to
-    fill on first use.
+    discovery order, in its triangle order; ``signs`` is 1, or the (T,) signs
+    of a one-column table.  ``terms`` and ``columns[key]``, one functional's
+    signed row values and totals, are left for functional2d to fill.
     """
 
-    def __init__(self, triangles, ids):
-        self.triangles, self.ids = triangles, ids
+    def __init__(self, triangles, ids, signs=1):
+        self.triangles, self.ids, self.signs = triangles, ids, signs
         self.terms = None
         self.columns = {}
 
@@ -111,8 +114,9 @@ class Triangulation2:
     label outside range(n) raises ValueError naming its triangle, and a
     topological triangulation's triples must be consistently oriented."""
 
-    # The shared _TriangleTable of an enumerated triangulation and its column
-    # there (its discovery index); None otherwise.
+    # The _TriangleTable that functional2d reads and the triangulation's column
+    # there: an enumerated triangulation's shared one and its discovery index,
+    # or a one-column table made on first use.
     _table = _index = None
 
     def __init__(self, points, triangles, kind=GEOMETRIC, _normalize=True):
@@ -243,9 +247,8 @@ class Triangulation2:
 def _directed_edges(triangles) -> dict:
     """Directed-edge map of ``triangles``: edge (u, v) of each triple (u, v, w) -> w.
 
-    Keys come three per triangle, in list order, so _triangles reads the list
-    back.  ValueError when a directed edge repeats: the triangles are not
-    consistently oriented.
+    Keys come three per triangle, in list order.  ValueError when a directed
+    edge repeats: the triangles are not consistently oriented.
     """
     opp = {}
     for a, b, c in triangles:
@@ -253,11 +256,6 @@ def _directed_edges(triangles) -> dict:
     if len(opp) != 3 * len(triangles):
         raise ValueError("triangles are not consistently oriented: a directed edge repeats")
     return opp
-
-
-def _triangles(opp) -> list:
-    """The triangles of a directed-edge map, in the order they were added."""
-    return [(a, b, c) for (a, b), c in islice(opp.items(), 0, None, 3)]
 
 
 def _interior_edges(opp) -> list:
@@ -288,11 +286,11 @@ def _strictly_convex(xy, u, v, k, l) -> bool:
 def _flip(opp, u, v, k, l):
     """Flip diagonal (u, v) of triangles (u, v, k), (v, u, l) to (k, l), in place.
 
-    Both triangles leave the map; (u, l, k) and (v, k, l) are added after the
-    rest, three keys each, so the map stays readable by _triangles.
+    The diagonal's two keys leave the map, (k, l) and (l, k) join it, and the
+    four boundary edges get their new third corners where they stand, so the
+    map's order no longer lists triangles.
     """
-    for e in ((u, v), (v, k), (k, u), (v, u), (u, l), (l, v)):
-        del opp[e]
+    del opp[u, v], opp[v, u]
     opp[u, l], opp[l, k], opp[k, u] = k, u, l
     opp[v, k], opp[k, l], opp[l, v] = l, v, k
 
@@ -339,26 +337,25 @@ def _exact_radial_sort(xy, cx, cy, labels) -> list:
 def _sweep_delaunay(pts):
     """Delaunay triangles of ``pts`` in canonical order, by the one sweep of ``delaunay``."""
     n = len(pts)
-    xy = pts.tolist()
+    X, Y = pts[:, 0].tolist(), pts[:, 1].tolist()
     lex = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
     for a, b in zip(lex, lex[1:]):
-        if xy[a] == xy[b]:
+        if X[a] == X[b] and Y[a] == Y[b]:
             raise NotGeneralPosition(f"duplicate points {a}, {b}", (a, b))
     # The bounding box's midpoint; lex's ends hold the smallest and largest x.
-    ys = [y for _, y in xy]
-    cx, cy = xy[lex[0]][0] / 2 + xy[lex[-1]][0] / 2, min(ys) / 2 + max(ys) / 2
-    order = _radial_order(xy, cx, cy)
+    cx, cy = X[lex[0]] / 2 + X[lex[-1]] / 2, min(Y) / 2 + max(Y) / 2
+    order = _radial_order(pts.tolist(), cx, cy)
     # Seed: the two nearest points and the first later point off their line;
     # the points between lie on that line, are sorted along it and fanned.
     i0, i1 = order[0], order[1]
     k = 2
-    while k < n and orient2_xy(*xy[i0], *xy[i1], *xy[order[k]]) == 0:
+    while k < n and orient2_xy(X[i0], Y[i0], X[i1], Y[i1], X[order[k]], Y[order[k]]) == 0:
         k += 1
     if k == n:
         raise NotGeneralPosition(f"collinear points {i0}, {i1}, {order[2]}", (i0, i1, order[2]))
     p = order[k]
-    line = sorted(order[:k], key=xy.__getitem__)
-    if orient2_xy(*xy[line[0]], *xy[line[-1]], *xy[p]) < 0:
+    line = sorted(order[:k], key=lambda i: (X[i], Y[i]))
+    if orient2_xy(X[line[0]], Y[line[0]], X[line[-1]], Y[line[-1]], X[p], Y[p]) < 0:
         line.reverse()
     opp = _directed_edges([(u, v, p) for u, v in zip(line, line[1:])])
     # Hull vertices left between two collinear hull edges, each with its
@@ -380,12 +377,12 @@ def _sweep_delaunay(pts):
         a = dx / s if s else 0.0
         return int((3.0 - a if dy > 0.0 else 1.0 + a) * 0.25 * size) % size
 
-    home = [bucket(x, y) for x, y in xy]
+    home = [bucket(x, y) for x, y in zip(X, Y)]
     buckets = [p] * size
     for v in cycle:
         buckets[home[v]] = v
     for p in order[k + 1 :]:
-        x, y = xy[p]
+        x, y = X[p], Y[p]
         # p is at least as far from the centre as every point before it, so
         # it lies strictly outside their hull and sees one run of its edges.
         # From the first live bucket at or after p's, walk forward to an
@@ -394,14 +391,14 @@ def _sweep_delaunay(pts):
         while nxt[buckets[h]] == buckets[h]:
             h = (h + 1) % size
         e = prv[buckets[h]]
-        while orient2_xy(*xy[e], *xy[nxt[e]], x, y) >= 0:
+        while orient2_xy(X[e], Y[e], X[nxt[e]], Y[nxt[e]], x, y) >= 0:
             e = nxt[e]
         f = nxt[e]
-        while (s := orient2_xy(*xy[f], *xy[nxt[f]], x, y)) < 0:
+        while (s := orient2_xy(X[f], Y[f], X[nxt[f]], Y[nxt[f]], x, y)) < 0:
             f = nxt[f]
         if s == 0:
             flat.append((f, f"point {p} collinear with hull edge ({f}, {nxt[f]})", (f, nxt[f], p)))
-        while (s := orient2_xy(*xy[prv[e]], *xy[e], x, y)) < 0:
+        while (s := orient2_xy(X[prv[e]], Y[prv[e]], X[e], Y[e], x, y)) < 0:
             e = prv[e]
         if s == 0:
             flat.append((e, f"point {p} collinear with hull edge ({prv[e]}, {e})", (prv[e], e, p)))
@@ -422,7 +419,7 @@ def _sweep_delaunay(pts):
                 continue
             # The signs are exact, so a q strictly inside the circumcircle of
             # (u, v, p) makes quad (u, q, v, p) strictly convex: the flip is valid.
-            s = in_circle_ccw_xy(*xy[u], *xy[v], *xy[p], *xy[q])
+            s = in_circle_ccw_xy(X[u], Y[u], X[v], Y[v], x, y, X[q], Y[q])
             if s == 0:
                 raise NotGeneralPosition(f"cocircular points {v}, {u}, {q}, {p}", (v, u, q, p))
             if s < 0:
@@ -493,7 +490,8 @@ def empty_circumcircle_violations(t: Triangulation2) -> list:
 def flip(t: Triangulation2, edge) -> Triangulation2:
     """Replace the diagonal of the convex quadrangle across ``edge``, an interior label pair.
 
-    The two triangles leave the list and the two new ones are appended.
+    The two triangles leave the list and the two new ones, (u, l, k) and
+    (v, k, l) for the quad (u, v, k, l) of _interior_edges, are appended.
     ValueError for a label outside range(n) or inconsistently oriented triangles.
     """
     edge = tuple(sorted(_as_labels(edge, len(t.points), 2, "edge").reshape(2).tolist()))
@@ -503,8 +501,10 @@ def flip(t: Triangulation2, edge) -> Triangulation2:
         raise NotInteriorEdge(f"edge {edge} is not an interior edge")
     if not _strictly_convex(t.points.tolist(), *quad):
         raise NonConvexQuad(f"quad around edge {edge} is not strictly convex")
-    _flip(opp, *quad)
-    return Triangulation2(t.points, _triangles(opp), kind=t.kind, _normalize=False)
+    u, v, k, l = quad
+    gone = {(u, v, k), (v, k, u), (k, u, v), (v, u, l), (u, l, v), (l, v, u)}
+    kept = [tri for tri in t.triangles if tri not in gone]
+    return Triangulation2(t.points, kept + [(u, l, k), (v, k, l)], kind=t.kind, _normalize=False)
 
 
 def enumerate_triangulations(points, cap: int = 100000) -> list:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import operator
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from vorfunc.errors import DegenerateSimplex, InvalidRegion, NonConvexQuad
-from vorfunc.geom import Triangle2, convex_polygon_masks_xy, second_moment
+from vorfunc.geom import CircumData, Triangle2, circumcircle2, convex_polygon_masks_xy, in_circle, second_moment
 from vorfunc.integrate import Box, mc_integrate
 from vorfunc.functional2d import (
     FunctionalReport,
@@ -550,9 +551,11 @@ def test_column_kernels_equal_the_row_major_kernels(rng):
         assert inside[:h].all()
 
 
-@pytest.mark.parametrize(
-    "t", [Triangle2((0, 0), (1e-82, 0), (0, 1e-82)), Triangle2((0, 0), (1e-200, 0), (0, 1e-200)), Triangle2((0, 0), (1, 0), (2, 1e-170))]
-)
+# Triangles whose (u x v)^2 underflows to 0.0.
+UNDERFLOW_CORNERS = [((0, 0), (1e-82, 0), (0, 1e-82)), ((0, 0), (1e-200, 0), (0, 1e-200)), ((0, 0), (1, 0), (2, 1e-170))]
+
+
+@pytest.mark.parametrize("t", [Triangle2(*c) for c in UNDERFLOW_CORNERS])
 def test_closed_forms_where_the_cross_product_underflows_equal_the_array_path(t):
     # (u x v)^2 underflows to 0.0: the terms are the one-row array's inf or NaN.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -562,6 +565,79 @@ def test_closed_forms_where_the_cross_product_underflows_equal_the_array_path(t)
     assert np.array_equal(vf, area[0] / 12.0 * (e2[0] - 4.0 * r2[0]), equal_nan=True)
     assert rajan == area[0] / 12.0 * e2[0]
     assert not np.isfinite(vf)
+
+
+def _scalar_wrapper_outputs() -> list:
+    """The repr (exact for floats) of vf_triangle, rajan_triangle,
+    circumcircle2 and in_circle (at a corner, the centroid and a nearby point)
+    on seeded uniform and 20:1 sliver triangles and on UNDERFLOW_CORNERS; an
+    error by its type name."""
+    rng = np.random.default_rng(3303)
+    corners = [rng.random((3, 2)) for _ in range(300)]
+    for _ in range(300):
+        a = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        corners.append((rng.standard_normal((3, 2)) * [1.0, 0.05]) @ rot.T)
+    corners += [np.array(c, float) for c in UNDERFLOW_CORNERS]
+
+    def outcome(f, *args):
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = f(*args)
+        except (ArithmeticError, DegenerateSimplex) as exc:
+            return type(exc).__name__
+        return (v.center.tolist(), v.radius) if isinstance(v, CircumData) else v
+
+    out = []
+    for c in corners:
+        t = Triangle2(*c)
+        near = c.mean(axis=0) + rng.standard_normal(2) * np.abs(c[1] - c[0])
+        values = [outcome(vf_triangle, t), outcome(rajan_triangle, t), outcome(circumcircle2, t)]
+        values += [outcome(in_circle, t, p) for p in (c[2], c.mean(axis=0), near)]
+        out.append(repr(values))
+    return out
+
+
+def test_scalar_wrappers_match_the_array_backed_triangle_bit_for_bit():
+    # The sha256 of _scalar_wrapper_outputs when Triangle2 held three numpy
+    # rows: the float-backed Triangle2 must not move a bit.
+    out = _scalar_wrapper_outputs()
+    assert len(out) == 603
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "42779f3526686046e21aced78243ea5b007bd2204b3f093e503d54429da53cc0", digest
+
+
+def test_every_functional_of_a_triangulation_shares_one_closed_form_pass(monkeypatch, rng):
+    from vorfunc import functional2d
+    from vorfunc.experiments import FOLDED_POINTS, FOLDED_SWAP
+
+    real, calls = functional2d._closed_form_terms, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(functional2d, "_closed_form_terms", counted)
+    formulas = {
+        "vf": (vf_triangulation, lambda area, e2, r2: area / 12.0 * (e2 - 4.0 * r2)),
+        "rajan": (rajan_triangulation, lambda area, e2, r2: area / 12.0 * e2),
+        "rf2": (lambda t: radius_functional(t, 2.0), lambda area, e2, r2: r2 ** (2.0 / 2.0) * area),
+        "rf1.5": (lambda t: radius_functional(t, 1.5), lambda area, e2, r2: r2 ** (1.5 / 2.0) * area),
+    }
+    folded = make_topological(delaunay(FOLDED_POINTS), FOLDED_SWAP)
+    assert -1 in folded.signs
+    for t, kinds in ((random_delaunay(rng, 30), ("vf", "rajan", "rf2", "rf1.5")), (folded, ("vf", "rajan"))):
+        calls.clear()
+        reports = {kind: formulas[kind][0](t) for kind in kinds}
+        reports_again = {kind: formulas[kind][0](t) for kind in kinds}
+        assert len(calls) == 1
+        terms = real(t.points, t.triangles)
+        for kind, rep in reports.items():
+            values = np.asarray(t.signs) * formulas[kind][1](*terms)
+            assert rep.kind == kind and callable(rep._rows), kind
+            assert rep.total.hex() == float(functional2d._left_sum(values)).hex(), kind
+            assert rep.per_simplex == tuple(enumerate(values.tolist())), kind
+            assert reports_again[kind] == rep
 
 
 def test_vf_triangulation_report_consistency(rng):

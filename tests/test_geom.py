@@ -53,6 +53,79 @@ def test_simplices_validate_their_corners():
             make()
 
 
+# Corners that Triangle2 reads: lists, tuples, numpy rows of three dtypes,
+# numpy scalars, a signed zero, ints beyond 2^53 and finite corners whose sum
+# overflows.  Each must give the floats _as_points gives, bit for bit.
+_READABLE_CORNERS = [
+    ([0.1, 0.2], [1.5, -0.0], [0.5, 2.0]),
+    ((0, 0), (1, 0), (0.5, 2)),
+    tuple(np.random.default_rng(3301).random((3, 2))),
+    tuple(np.random.default_rng(3302).random((3, 2)).astype(np.float32)),
+    tuple(np.array([[0, 0], [7, -3], [2**40, 5]])),
+    ((np.float32(0.1), np.float64(0.2)), (np.int64(3), np.float16(0.5)), (np.float32(-2.5), 7)),
+    ((2**53 + 1, 0), (0, 2**1000), (-(2**80) - 1, 3)),
+    ((1e308, 1e308), (1e308, -1e308), (-1e308, 1e308)),
+]
+
+
+@pytest.mark.parametrize("corners", _READABLE_CORNERS)
+def test_triangle2_reads_the_floats_that_as_points_gives(corners):
+    want = [v.hex() for v in geom._as_points(corners, 2).ravel().tolist()]
+    t = Triangle2(*corners)
+    assert all(type(v) is float for v in t.xy) and [v.hex() for v in t.xy] == want
+    assert [v.hex() for v in t.vertices().ravel().tolist()] == want
+    assert [v.hex() for row in (t.a, t.b, t.c) for v in row.tolist()] == want
+    # orient2 and in_circle's point read through the same reader.
+    assert orient2(*corners) == orient2_xy(*t.xy)
+    assert geom._xy(corners[:1]) == list(t.xy[:2]) and geom._xy(corners) == list(t.xy)
+
+
+# Corners that Triangle2 and orient2 reject, with the text of their error
+# where it is the package's own (None: numpy's or Python's).
+_REJECTED_CORNERS = [
+    (((0, 0), (1, 0), (0, 1, 2)), None),
+    (((0, 0, 0), (1, 0, 0), (0, 1, 0)), "expected points of dimension 2, got shape (3, 3)"),
+    (((0, 0), (1, 0), np.array([[0, 1]])), None),
+    ((np.array([[0, 0]]), np.array([[1, 0]]), np.array([[0, 1]])), "expected points of dimension 2, got shape (3, 1, 2)"),
+    (((0, 0), (1, np.nan), (0, 1)), "point 1 has a non-finite coordinate"),
+    (((0, 0), (1, 0), (np.inf, 1)), "point 2 has a non-finite coordinate"),
+    (((0, 0), (1, 0), ("x", 1)), "could not convert string to float: 'x'"),
+    (((0, 0), (10**400, 0), (0, 1)), None),
+    (((0, 0), (1, 0), 5), None),
+]
+
+
+@pytest.mark.parametrize("corners, text", _REJECTED_CORNERS)
+def test_triangle2_and_orient2_reject_what_as_points_rejects_with_its_error(corners, text):
+    with pytest.raises(Exception) as want:
+        geom._as_points(corners, 2)
+    assert text is None or str(want.value) == text
+    for read in (Triangle2, orient2):
+        with pytest.raises(want.type) as got:
+            read(*corners)
+        assert str(got.value) == str(want.value)
+
+
+def test_in_circle_reads_its_point_as_as_points_does():
+    with pytest.raises(ValueError, match=r"^point 0 has a non-finite coordinate$"):
+        in_circle(RIGHT, (np.nan, 0.5))
+    with pytest.raises(ValueError, match=r"^expected points of dimension 2, got shape \(1, 3\)$"):
+        in_circle(RIGHT, (0.5, 0.5, 0.5))
+    assert in_circle(RIGHT, np.array([0.5, 0.5])) == in_circle(RIGHT, (np.float32(0.5), 0.5)) == 1
+
+
+def test_triangle2_corners_are_read_only():
+    t = Triangle2((0, 0), (1, 0), (0, 1))
+    for name in ("a", "b", "c"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, np.zeros(2))
+        row = getattr(t, name)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 5.0
+    assert t.xy == (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+
+
 def test_orient2_signs():
     assert orient2((0, 0), (1, 0), (0, 1)) == 1
     assert orient2((0, 0), (0, 1), (1, 0)) == -1

@@ -740,6 +740,27 @@ def test_flip_keeps_the_other_triangles_and_appends_the_new_pair():
     assert flip(t, (0, 3)).triangles == ((0, 1, 2), (3, 4, 2), (0, 2, 4))
 
 
+@pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+def test_flip_of_every_interior_edge_keeps_the_order_and_flips_back(kind):
+    rng = np.random.default_rng(3304)
+    pts = rng.random((30, 2)) if kind == "uniform" else rng.standard_normal((30, 2)) * [1.0, 0.05]
+    t = delaunay(pts)
+    xy = t.points.tolist()
+    flipped = 0
+    for u, v, k, l in tri2d._interior_edges(tri2d._directed_edges(t.triangles)):
+        if not tri2d._strictly_convex(xy, u, v, k, l):
+            with pytest.raises(NonConvexQuad):
+                flip(t, (u, v))
+            continue
+        f = flip(t, (u, v))
+        gone = ({u, v, k}, {u, v, l})
+        assert f.triangles == tuple(tri for tri in t.triangles if set(tri) not in gone) + ((u, l, k), (v, k, l))
+        f.validate()
+        assert set(flip(f, (k, l)).canonical()) == set(t.canonical())
+        flipped += 1
+    assert flipped > 30
+
+
 def test_flip_errors_keep_their_messages():
     pts = np.array([[0, 0], [4, 0], [2, 3], [2, 1]], float)
     t = Triangulation2(pts, [(0, 1, 3), (1, 2, 3), (0, 3, 2)])
